@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cipher import (
+    CHANNEL_PERMS,
     SCRAMBLE,
     CipherConfig,
     apply_orientation,
@@ -25,6 +26,7 @@ from .cipher import (
     inverse_permutation,
     invert_orientation,
     step_draws,
+    steps_to_letters,
 )
 from .images import BlockGrid, ImageBuffer, merge_blocks, split_blocks
 from .keystream import MasterKey
@@ -122,8 +124,6 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     Robust to JPEG noise via coarse block features and optimal assignment.
     """
     from scipy.optimize import linear_sum_assignment
-
-    from .cipher import CHANNEL_PERMS
 
     grid = puzzle.grid
     plain_blocks, pgrid = split_blocks(plain, grid.block_size)
@@ -478,8 +478,6 @@ def brute_force_scramble(
 def attack_report_row(
     steps, block_size: int, n_pieces: int, metrics: Metrics, seconds: float
 ) -> str:
-    from .cipher import steps_to_letters
-
     letters = steps_to_letters(steps) or "-"
     return (
         f"{letters},{block_size},{n_pieces},"

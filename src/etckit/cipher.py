@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .images import BlockGrid, ImageBuffer, merge_blocks, split_blocks
-from .keystream import (
+from .keystream import (  # the step names are re-exported from here
+    COLOR_SHUFFLE,
+    NEGPOS,
+    ROTATE_FLIP,
+    SCRAMBLE,
+    STEP_LETTERS,
+    STEP_ORDER,
     TAG_COLOR_SHUFFLE,
     TAG_NEGPOS,
     TAG_ROTATE_FLIP,
@@ -26,18 +32,8 @@ from .keystream import (
     derive_step_seed,
     gen_permutation,
     gen_symbols,
+    normalize_steps,
 )
-
-SCRAMBLE = "scramble"
-ROTATE_FLIP = "rotate_flip"
-NEGPOS = "negpos"
-COLOR_SHUFFLE = "color_shuffle"
-
-# Application order is fixed; decryption undoes steps in reverse.
-STEP_ORDER = (SCRAMBLE, ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE)
-
-STEP_LETTERS = {SCRAMBLE: "s", ROTATE_FLIP: "r", NEGPOS: "n", COLOR_SHUFFLE: "c"}
-_LETTER_STEPS = {v: k for k, v in STEP_LETTERS.items()}
 
 SCHEME_COLOR = "color"
 SCHEME_GRAYSCALE = "grayscale_based"
@@ -50,29 +46,6 @@ COLOR_INVERSE = (0, 1, 2, 4, 3, 5)
 
 # Dihedral-group inverse of each orientation code (reflections are involutions).
 ORIENT_INVERSE = (0, 3, 2, 1, 4, 5, 6, 7)
-
-
-def normalize_steps(steps) -> frozenset[str]:
-    """Accept step names, single-letter codes, or 's,r,n,c' strings."""
-    if steps is None:
-        return frozenset()
-    if isinstance(steps, str):
-        text = steps.replace(",", "")
-        names = []
-        for ch in text:
-            if ch not in _LETTER_STEPS:
-                raise ValueError(f"unknown step letter {ch!r} (use s, r, n, c)")
-            names.append(_LETTER_STEPS[ch])
-        return frozenset(names)
-    out = set()
-    for s in steps:
-        if s in STEP_LETTERS:
-            out.add(s)
-        elif s in _LETTER_STEPS:
-            out.add(_LETTER_STEPS[s])
-        else:
-            raise ValueError(f"unknown step {s!r}")
-    return frozenset(out)
 
 
 def steps_to_letters(steps) -> str:
@@ -123,6 +96,17 @@ class CipherSidecar:
     pad_b: int = 0
     version: int = SIDECAR_VERSION
 
+    def __post_init__(self):
+        if self.block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        if self.orig_w < 1 or self.orig_h < 1:
+            raise ValueError(
+                f"original size must be at least 1x1, got {self.orig_w}x{self.orig_h}"
+            )
+        for name, pad in (("pad_r", self.pad_r), ("pad_b", self.pad_b)):
+            if not 0 <= pad < self.block_size:
+                raise ValueError(f"{name} must be in [0, {self.block_size}), got {pad}")
+
     def to_text(self) -> str:
         lines = [
             f"version={self.version}",
@@ -146,6 +130,8 @@ class CipherSidecar:
             if "=" not in line:
                 raise ValueError(f"malformed sidecar line {line!r}")
             k, v = line.split("=", 1)
+            if k in fields:
+                raise ValueError(f"sidecar repeats field {k!r}")
             fields[k] = v
         try:
             version = int(fields["version"])
@@ -268,28 +254,24 @@ class StepDraws:
     shuffles: np.ndarray | None
 
 
+def _index_array(values: list[int]) -> np.ndarray:
+    # fromiter with a count converts a long int list faster than asarray
+    return np.fromiter(values, dtype=np.int64, count=len(values))
+
+
 def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> StepDraws:
+    def symbols(tag: int, alphabet: int) -> np.ndarray:
+        return _index_array(gen_symbols(derive_step_seed(key, tag), n_blocks, alphabet))
+
     perm = orients = bits = shuffles = None
     if SCRAMBLE in cfg.steps:
-        perm = np.asarray(
-            gen_permutation(derive_step_seed(key, TAG_SCRAMBLE), n_blocks),
-            dtype=np.int64,
-        )
+        perm = _index_array(gen_permutation(derive_step_seed(key, TAG_SCRAMBLE), n_blocks))
     if ROTATE_FLIP in cfg.steps:
-        orients = np.asarray(
-            gen_symbols(derive_step_seed(key, TAG_ROTATE_FLIP), n_blocks, 8),
-            dtype=np.int64,
-        )
+        orients = symbols(TAG_ROTATE_FLIP, 8)
     if NEGPOS in cfg.steps:
-        bits = np.asarray(
-            gen_symbols(derive_step_seed(key, TAG_NEGPOS), n_blocks, 2),
-            dtype=np.int64,
-        )
+        bits = symbols(TAG_NEGPOS, 2)
     if COLOR_SHUFFLE in cfg.steps:
-        shuffles = np.asarray(
-            gen_symbols(derive_step_seed(key, TAG_COLOR_SHUFFLE), n_blocks, 6),
-            dtype=np.int64,
-        )
+        shuffles = symbols(TAG_COLOR_SHUFFLE, 6)
     return StepDraws(perm, orients, bits, shuffles)
 
 

@@ -51,6 +51,8 @@ class ProtectedTemplate:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("protected values must form a non-empty 1-d vector")
+        if not np.isfinite(vals).all():
+            raise ValueError("protected values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -106,14 +108,17 @@ def extract_template(sample: ImageBuffer, d: int, client_id: int = 0,
 
 def _gaussian_draws(stream: StepStream, count: int) -> np.ndarray:
     """Standard normals via Box-Muller on consecutive 64-bit draws, each draw
-    mapped to (0, 1) as (draw + 1) / 2**64."""
-    out = np.empty(count + count % 2)
-    for i in range(0, out.size, 2):
-        u1 = (stream.next_u64() + 1) / 2.0**64
-        u2 = (stream.next_u64() + 1) / 2.0**64
-        r = math.sqrt(-2.0 * math.log(u1))
-        out[i] = r * math.cos(2.0 * math.pi * u2)
-        out[i + 1] = r * math.sin(2.0 * math.pi * u2)
+    mapped to (0, 1] as (draw + 1) / 2**64."""
+    draws = stream.next_u64_array(count + count % 2)
+    draws += np.uint64(1)
+    u = draws.astype(np.float64)
+    u[draws == 0] = 2.0**64  # draw + 1 wrapped at 2**64
+    u *= 2.0**-64
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = (2.0 * math.pi) * u[1::2]
+    out = np.empty_like(u)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
     return out[:count]
 
 
@@ -125,21 +130,9 @@ def _cached_orthogonal(key: MasterKey, d: int) -> np.ndarray:
     while True:
         stream = StepStream.for_step(key, tag)
         m = _gaussian_draws(stream, d * d).reshape(d, d)
-        q = np.empty((d, d))
-        ok = True
-        for j in range(d):
-            v = m[:, j].copy()
-            for i in range(j):
-                v -= (q[:, i] @ v) * q[:, i]
-            norm = float(np.linalg.norm(v))
-            if norm < _RANK_TOL:
-                ok = False
-                break
-            col = v / norm
-            if col[j] < 0:
-                col = -col
-            q[:, j] = col
-        if ok:
+        q, r = np.linalg.qr(m)
+        if np.abs(np.diag(r)).min() >= _RANK_TOL:
+            q *= np.where(np.diag(q) < 0, -1.0, 1.0)
             q.setflags(write=False)
             return q
         tag += 1
@@ -148,10 +141,12 @@ def _cached_orthogonal(key: MasterKey, d: int) -> np.ndarray:
 def orthogonal_matrix(key: MasterKey, d: int) -> np.ndarray:
     """Deterministic keyed orthogonal d x d matrix.
 
-    Fills a matrix with keyed Gaussian draws row-major, then orthonormalizes
-    by modified Gram-Schmidt, columns left to right, flipping each column so
-    its diagonal entry is non-negative. A rank-deficient draw retries with
-    the next derivation tag. Matrices are cached per (key, dimension).
+    Fills a matrix with keyed Gaussian draws row-major and takes the Q of its
+    QR decomposition, flipping each column so its diagonal entry is
+    non-negative. Up to rounding, this is the matrix that Gram-Schmidt on the
+    columns, left to right, would give. A draw with some ``|R[j, j]|`` below
+    the rank tolerance retries with the next derivation tag. Matrices are
+    cached per (key, dimension).
     """
     return _cached_orthogonal(key, d).copy()
 

@@ -201,6 +201,56 @@ class TestSidecar:
         with pytest.raises(ValueError):
             CipherSidecar.from_text("not a sidecar")
 
+    VALID = (
+        "version=1\nscheme=color\nblock_size=16\nsteps=srnc\n"
+        "orig_w=40\norig_h=40\npad_r=8\npad_b=8\n"
+    )
+
+    def test_valid_text_parses(self):
+        sc = CipherSidecar.from_text(self.VALID)
+        assert (sc.orig_w, sc.orig_h, sc.pad_r, sc.pad_b) == (40, 40, 8, 8)
+
+    def test_rejects_negative_pad_that_would_crop_silently(self):
+        # 32x32 ciphertext, sidecar claims 40x40 with pad -8: 40 - 8 = 32
+        # matches the ciphertext, so only the pad check stops a wrong crop
+        ct, sc = encrypt(_img(32, 32), MasterKey(3), CipherConfig())
+        text = sc.to_text().replace("orig_w=32", "orig_w=40").replace("pad_r=0", "pad_r=-8")
+        with pytest.raises(ValueError, match="pad_r"):
+            CipherSidecar.from_text(text)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("pad_r=8", "pad_r=-1"),
+            ("pad_b=8", "pad_b=-8"),
+            ("pad_r=8", "pad_r=16"),
+            ("pad_b=8", "pad_b=17"),
+        ],
+    )
+    def test_rejects_pad_outside_block(self, old, new):
+        with pytest.raises(ValueError, match="pad_"):
+            CipherSidecar.from_text(self.VALID.replace(old, new))
+
+    @pytest.mark.parametrize("field", ["orig_w", "orig_h"])
+    @pytest.mark.parametrize("value", ["0", "-40"])
+    def test_rejects_empty_original_size(self, field, value):
+        with pytest.raises(ValueError, match="original size"):
+            CipherSidecar.from_text(self.VALID.replace(f"{field}=40", f"{field}={value}"))
+
+    @pytest.mark.parametrize("value", ["0", "-16"])
+    def test_rejects_block_size_below_one(self, value):
+        with pytest.raises(ValueError, match="block_size"):
+            CipherSidecar.from_text(self.VALID.replace("block_size=16", f"block_size={value}"))
+
+    @pytest.mark.parametrize("line", ["pad_r=8", "pad_r=0", "version=1", "steps=s"])
+    def test_rejects_repeated_field(self, line):
+        with pytest.raises(ValueError, match="repeats"):
+            CipherSidecar.from_text(self.VALID + line + "\n")
+
+    def test_constructor_validates_too(self):
+        with pytest.raises(ValueError):
+            CipherSidecar(SCHEME_COLOR, 16, frozenset(), orig_w=16, orig_h=16, pad_r=-8)
+
 
 class TestEncryptDecrypt:
     def test_empty_steps_is_identity(self):

@@ -32,6 +32,27 @@ class TestEncryptDecrypt:
         assert main(["decrypt", str(ct), "--out", str(out), "--key", KEY]) == EXIT_OK
         assert _read(out) == _read(plain_ppm)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.replace("orig_w=64", "orig_w=72").replace("pad_r=0", "pad_r=-8"),
+            lambda t: t.replace("pad_b=0", "pad_b=16"),
+            lambda t: t.replace("orig_h=64", "orig_h=0"),
+            lambda t: t.replace("block_size=16", "block_size=0"),
+            lambda t: t + "pad_r=0\n",
+        ],
+        ids=["negative-pad", "pad-too-large", "zero-height", "zero-block", "repeated-key"],
+    )
+    def test_bad_sidecar_is_data_error(self, tmp_path, plain_ppm, edit, capsys):
+        ct = tmp_path / "ct.ppm"
+        assert main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY]) == EXIT_OK
+        meta = tmp_path / "ct.ppm.meta"
+        meta.write_text(edit(meta.read_text()))
+        out = tmp_path / "back.ppm"
+        assert main(["decrypt", str(ct), "--out", str(out), "--key", KEY]) == EXIT_DATA
+        assert not out.exists()
+        assert "ct.ppm.meta" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path, plain_ppm):
         a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
         main(["encrypt", str(plain_ppm), "--out", str(a), "--key", KEY])
@@ -265,6 +286,14 @@ class TestTemplatesCli:
             ["classify", str(tmp_path / "q.csv"), "--model", str(tmp_path / "m.csv")]
         )
         assert code == EXIT_DATA
+
+    def test_classify_non_finite_protected_csv_is_data_error(self, tmp_path):
+        good = "client_id,label,v0,v1\n1,0,0.5,0.25\n2,1,0.1,0.9\n"
+        (tmp_path / "m.csv").write_text(good)
+        (tmp_path / "q.csv").write_text("client_id,label,v0,v1\n3,,nan,0.5\n")
+        assert main(
+            ["classify", str(tmp_path / "q.csv"), "--model", str(tmp_path / "m.csv")]
+        ) == EXIT_DATA
 
     def test_protect_garbage_csv_is_data_error(self, tmp_path):
         (tmp_path / "bad.csv").write_text("nonsense\n")

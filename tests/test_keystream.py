@@ -7,11 +7,13 @@ The golden vectors were produced once by a separate minimal implementation
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etckit import cipher
 from etckit.keystream import (
     MASK64,
+    STEP_ORDER,
     TAG_NEGPOS,
     TAG_ROTATE_FLIP,
     TAG_SCRAMBLE,
@@ -184,3 +186,86 @@ def test_keyspace_bits_additivity():
 def test_keyspace_color_shuffle_needs_color_scheme():
     with pytest.raises(ValueError):
         keyspace_bits(4, "c", scheme="grayscale_based")
+
+
+# ---------------------------------------------------------------------------
+# Vectorised draws against the scalar loops they replace
+
+_GAMMA = 0x9E3779B97F4A7C15
+# 0 and MASK64 are the extremes; 2**64 - gamma wraps the state to 0 on the first draw
+EDGE_SEEDS = (0, MASK64, (1 << 64) - _GAMMA)
+ALPHABETS = (1, 2, 6, 8, 1 << 32)
+
+
+def _oracle_permutation(seed, n):
+    stream = StepStream(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = uniform_below(stream, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _oracle_symbols(seed, n, alphabet):
+    state, out = seed, []
+    for _ in range(n):
+        state, draw = splitmix_next(state)
+        out.append(draw % alphabet)
+    return out
+
+
+_seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(min_value=0, max_value=MASK64))
+_sizes = st.integers(min_value=0, max_value=5000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_seeds, _sizes)
+def test_gen_permutation_matches_scalar_oracle(seed, n):
+    assert gen_permutation(seed, n) == _oracle_permutation(seed, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_seeds, _sizes, st.one_of(st.sampled_from(ALPHABETS),
+                                 st.integers(min_value=1, max_value=1 << 32)))
+def test_gen_symbols_matches_scalar_oracle(seed, n, alphabet):
+    assert gen_symbols(seed, n, alphabet) == _oracle_symbols(seed, n, alphabet)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_edge_seeds_match_oracle(seed):
+    # longer than one chunk of draws (16 384), so a chunk seam is crossed
+    n = 20000
+    assert gen_permutation(seed, n) == _oracle_permutation(seed, n)
+    for alphabet in ALPHABETS:
+        assert gen_symbols(seed, n, alphabet) == _oracle_symbols(seed, n, alphabet)
+
+
+def test_vector_results_are_python_ints():
+    assert all(type(x) is int for x in gen_permutation(3, 10) + gen_symbols(3, 10, 6))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + (42,))
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_next_u64_array_matches_scalar_draws(seed, n):
+    a, b = StepStream(seed, 3), StepStream(seed, 3)
+    assert a.next_u64_array(n).tolist() == [b.next_u64() for _ in range(n)]
+    assert a.state == b.state
+    assert a.next_u64() == b.next_u64()  # the two streams continue alike
+
+
+def test_next_u64_array_rejects_negative():
+    with pytest.raises(ValueError):
+        StepStream(1).next_u64_array(-1)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("alphabet", [0, -2, (1 << 32) + 1])
+def test_gen_symbols_rejects_bad_alphabet_for_any_n(n, alphabet):
+    with pytest.raises(ValueError):
+        gen_symbols(1, n, alphabet)
+
+
+def test_step_names_live_in_keystream():
+    assert cipher.STEP_ORDER is STEP_ORDER
+    assert (cipher.SCRAMBLE, cipher.ROTATE_FLIP, cipher.NEGPOS, cipher.COLOR_SHUFFLE) == STEP_ORDER
+    assert cipher.normalize_steps("s,r") == frozenset({"scramble", "rotate_flip"})

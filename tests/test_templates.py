@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etckit import templates
 from etckit.images import ImageBuffer
-from etckit.keystream import MasterKey
+from etckit.keystream import MASK64, TAG_TEMPLATE, MasterKey, StepStream
 from etckit.templates import (
     CentroidModel,
     ProtectedTemplate,
@@ -35,6 +38,11 @@ class TestTemplateTypes:
 
     def test_label_defaults_to_none(self):
         assert Template(np.ones(4), client_id=1).label is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_protected_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProtectedTemplate(np.asarray([1.0, bad]), client_id=0)
 
 
 class TestExtractTemplate:
@@ -258,3 +266,107 @@ class TestCsv:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             parse_template_csv("")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_protected_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            parse_template_csv(f"client_id,label,v0,v1\n1,0,0.5,{bad}\n", protected=True)
+
+
+# ---------------------------------------------------------------------------
+# Vectorised Box-Muller and QR against the scalar code they replace
+
+
+def _oracle_gaussians(stream, count):
+    out = []
+    while len(out) < count:
+        u1 = (stream.next_u64() + 1) / 2.0**64
+        u2 = (stream.next_u64() + 1) / 2.0**64
+        r = math.sqrt(-2.0 * math.log(u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return np.asarray(out[:count])
+
+
+def _unmix64(out):
+    """Inverse of the SplitMix64 output finalizer: the state that yields ``out``."""
+    def unshift(z, k):
+        x = z
+        for _ in range(64 // k):
+            x = z ^ (x >> k)
+        return x
+
+    z = unshift(out, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return unshift(z, 30)
+
+
+def _oracle_orthogonal(key, d):
+    """Modified Gram-Schmidt on the columns of the keyed Gaussian matrix,
+    each column flipped so its diagonal entry is non-negative."""
+    m = _oracle_gaussians(StepStream.for_step(key, TAG_TEMPLATE), d * d).reshape(d, d)
+    q = np.empty((d, d))
+    for j in range(d):
+        v = m[:, j].copy()
+        for i in range(j):
+            v -= (q[:, i] @ v) * q[:, i]
+        col = v / np.linalg.norm(v)
+        q[:, j] = -col if col[j] < 0 else col
+    return q
+
+
+class TestVectorisedDraws:
+    @pytest.mark.parametrize("seed", [0, 1, MASK64, 0x0123456789ABCDEF])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 1000])
+    def test_gaussians_match_scalar_box_muller(self, seed, count):
+        got_stream, want_stream = StepStream(seed), StepStream(seed)
+        got = templates._gaussian_draws(got_stream, count)
+        want = _oracle_gaussians(want_stream, count)
+        assert got.shape == (count,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got_stream.state == want_stream.state
+
+    def test_top_draw_maps_to_one(self):
+        # the draw 2**64 - 1 gives u = 1 exactly, so r = 0 and the pair is (0, 0)
+        seed = (_unmix64(MASK64) - 0x9E3779B97F4A7C15) & MASK64
+        assert StepStream(seed).next_u64() == MASK64
+        assert templates._gaussian_draws(StepStream(seed), 2).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64, 128])
+    def test_orthogonal_matches_gram_schmidt(self, d):
+        key = MasterKey(0xC0FFEE + d)
+        np.testing.assert_allclose(
+            orthogonal_matrix(key, d), _oracle_orthogonal(key, d), rtol=0, atol=1e-12
+        )
+
+    def test_orthogonal_on_ill_conditioned_draw(self):
+        # This key's d=128 draw has condition number about 2e8. Gram-Schmidt
+        # left ||Q^T Q - I|| at 3.6e-8 on it; Householder QR stays near 1e-14.
+        q = orthogonal_matrix(MasterKey(0xFB8CE04319E43B1D), 128)
+        assert np.linalg.norm(q.T @ q - np.eye(128)) < 1e-12
+
+    def test_rank_deficient_draw_retries_next_tag(self, monkeypatch):
+        real = templates._gaussian_draws
+        tags = []
+
+        def rank_one_first(stream, count):
+            tags.append(stream.step_tag)
+            if stream.step_tag == TAG_TEMPLATE:
+                return np.ones(count)
+            return real(stream, count)
+
+        key, d = MasterKey(31337), 6
+        templates._cached_orthogonal.cache_clear()
+        monkeypatch.setattr(templates, "_gaussian_draws", rank_one_first)
+        try:
+            q = orthogonal_matrix(key, d)
+        finally:
+            templates._cached_orthogonal.cache_clear()
+        assert tags == [TAG_TEMPLATE, TAG_TEMPLATE + 1]
+        m = real(StepStream.for_step(key, TAG_TEMPLATE + 1), d * d).reshape(d, d)
+        want = np.linalg.qr(m)[0]
+        want *= np.where(np.diag(want) < 0, -1.0, 1.0)
+        np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
+        assert (np.diag(q) >= 0).all()
+        np.testing.assert_allclose(q.T @ q, np.eye(d), atol=1e-12)
