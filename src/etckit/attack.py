@@ -19,6 +19,8 @@ import numpy as np
 
 from .cipher import (
     CHANNEL_PERMS,
+    ORIENT_INVERSE,
+    ROTATE_FLIP,
     SCRAMBLE,
     CipherConfig,
     apply_orientation,
@@ -93,16 +95,15 @@ def ground_truth_from_key(key: MasterKey, cfg: CipherConfig, grid: BlockGrid) ->
     """Exact ground truth for a ciphertext produced with (key, cfg)."""
     draws = step_draws(key, cfg, grid.n_blocks)
     n = grid.n_blocks
-    if draws.perm is None:
-        cell_piece = np.arange(n, dtype=np.int64)
-    else:
+    if SCRAMBLE in draws:
         # ciphertext block i holds plaintext block perm[i]
-        cell_piece = inverse_permutation(draws.perm)
-    if draws.orientations is None:
-        cell_orient = np.zeros(n, dtype=np.int64)
+        cell_piece = inverse_permutation(draws[SCRAMBLE])
     else:
-        inv = np.asarray([invert_orientation(int(o)) for o in draws.orientations])
-        cell_orient = inv[cell_piece]
+        cell_piece = np.arange(n, dtype=np.int64)
+    if ROTATE_FLIP in draws:
+        cell_orient = np.take(ORIENT_INVERSE, draws[ROTATE_FLIP])[cell_piece]
+    else:
+        cell_orient = np.zeros(n, dtype=np.int64)
     shape = (grid.rows, grid.cols)
     return GroundTruth(cell_piece.reshape(shape), cell_orient.reshape(shape))
 

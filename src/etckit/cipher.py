@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .images import BlockGrid, ImageBuffer, merge_blocks, split_blocks
+from .images import ImageBuffer, merge_blocks, split_blocks
 from .keystream import (  # the step names are re-exported from here
     COLOR_SHUFFLE,
     NEGPOS,
@@ -155,15 +155,7 @@ class CipherSidecar:
 
 
 # ---------------------------------------------------------------------------
-# Per-block transforms
-
-
-def apply_scramble(blocks: np.ndarray, perm) -> np.ndarray:
-    """Permute a block stack: ``out[i] = blocks[perm[i]]``."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if len(blocks) != len(perm):
-        raise ValueError(f"{len(blocks)} blocks but permutation of {len(perm)}")
-    return blocks[perm]
+# Block symmetries (shared with the attack)
 
 
 def inverse_permutation(perm) -> np.ndarray:
@@ -175,15 +167,17 @@ def inverse_permutation(perm) -> np.ndarray:
 
 def apply_orientation(block: np.ndarray, code: int) -> np.ndarray:
     """One of the 8 square symmetries: rotate 90deg CCW ``code % 4`` times,
-    then mirror horizontally iff ``code >= 4``."""
+    then mirror horizontally iff ``code >= 4``.
+
+    Acts on the last three axes ``(B, B, C)``, so ``block`` may be one block
+    or a stack of them. The result may be a view of ``block``.
+    """
     if not 0 <= code < 8:
         raise ValueError(f"orientation code must be in [0, 8), got {code}")
-    if block.shape[0] != block.shape[1]:
+    if block.shape[-3] != block.shape[-2]:
         raise ValueError(f"block must be square, got {block.shape}")
-    out = np.rot90(block, code % 4, axes=(0, 1))
-    if code >= 4:
-        out = np.flip(out, axis=1)
-    return np.ascontiguousarray(out)
+    out = np.rot90(block, code % 4, axes=(-3, -2))
+    return np.flip(out, axis=-2) if code >= 4 else out
 
 
 def invert_orientation(code: int) -> int:
@@ -202,77 +196,67 @@ def compose_orientations(first: int, then: int) -> int:
     return (4 if f1 != f2 else 0) + r
 
 
-def _orient_stack(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    out = np.empty_like(blocks)
-    for code in range(8):
-        idx = np.nonzero(codes == code)[0]
-        if idx.size == 0:
-            continue
-        sub = blocks[idx]
-        sub = np.rot90(sub, code % 4, axes=(1, 2))
-        if code >= 4:
-            sub = np.flip(sub, axis=2)
-        out[idx] = sub
-    return out
-
-
-def apply_negpos(block: np.ndarray, bit: int) -> np.ndarray:
-    """Sample inversion ``p -> 255 - p`` on every channel when ``bit`` is 1."""
-    if bit not in (0, 1):
-        raise ValueError(f"negpos bit must be 0 or 1, got {bit}")
-    if bit == 0:
-        return block.copy()
-    return (255 - block.astype(np.int16)).astype(np.uint8)
-
-
-def apply_color_shuffle(block: np.ndarray, perm3: int) -> np.ndarray:
-    """Reorder RGB channels by permutation index ``perm3`` (lexicographic)."""
-    if not 0 <= perm3 < 6:
-        raise ValueError(f"channel permutation index must be in [0, 6), got {perm3}")
-    if block.ndim != 3 or block.shape[2] != 3:
-        raise ValueError("color shuffle requires a 3-channel block")
-    return np.ascontiguousarray(block[..., CHANNEL_PERMS[perm3]])
-
-
-def invert_color_shuffle(perm3: int) -> int:
-    if not 0 <= perm3 < 6:
-        raise ValueError(f"channel permutation index must be in [0, 6), got {perm3}")
-    return COLOR_INVERSE[perm3]
-
-
 # ---------------------------------------------------------------------------
-# Keyed draws
+# The step table
+#
+# Each map transforms a whole (n, B, B, C) block stack under per-block draws
+# and may overwrite its input. The inverse of every step is the same map under
+# inverted draws, so decryption walks the table backwards.
 
 
-@dataclass(frozen=True)
-class StepDraws:
-    """All per-block randomness for one (key, config, block count) triple."""
-
-    perm: np.ndarray | None
-    orientations: np.ndarray | None
-    negpos_bits: np.ndarray | None
-    shuffles: np.ndarray | None
+def _scramble(blocks: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    return blocks[perm]  # out[i] = blocks[perm[i]]
 
 
-def _index_array(values: list[int]) -> np.ndarray:
-    # fromiter with a count converts a long int list faster than asarray
-    return np.fromiter(values, dtype=np.int64, count=len(values))
+def _rotate_flip(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    for code in range(1, 8):
+        idx = np.flatnonzero(codes == code)
+        if idx.size:
+            blocks[idx] = apply_orientation(blocks[idx], code)
+    return blocks
 
 
-def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> StepDraws:
-    def symbols(tag: int, alphabet: int) -> np.ndarray:
-        return _index_array(gen_symbols(derive_step_seed(key, tag), n_blocks, alphabet))
+def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    # p -> 255 - p on the blocks whose bit is 1
+    np.subtract(255, blocks, out=blocks, where=bits.astype(bool)[:, None, None, None])
+    return blocks
 
-    perm = orients = bits = shuffles = None
-    if SCRAMBLE in cfg.steps:
-        perm = _index_array(gen_permutation(derive_step_seed(key, TAG_SCRAMBLE), n_blocks))
-    if ROTATE_FLIP in cfg.steps:
-        orients = symbols(TAG_ROTATE_FLIP, 8)
-    if NEGPOS in cfg.steps:
-        bits = symbols(TAG_NEGPOS, 2)
-    if COLOR_SHUFFLE in cfg.steps:
-        shuffles = symbols(TAG_COLOR_SHUFFLE, 6)
-    return StepDraws(perm, orients, bits, shuffles)
+
+def _color_shuffle(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    for code in range(1, 6):
+        idx = np.flatnonzero(codes == code)
+        if idx.size:
+            blocks[idx] = blocks[idx][..., CHANNEL_PERMS[code]]
+    return blocks
+
+
+# (name, stream tag, alphabet or None for a permutation, map, invert_draws)
+STEPS = (
+    (SCRAMBLE, TAG_SCRAMBLE, None, _scramble, inverse_permutation),
+    (ROTATE_FLIP, TAG_ROTATE_FLIP, 8, _rotate_flip, lambda c: np.take(ORIENT_INVERSE, c)),
+    (NEGPOS, TAG_NEGPOS, 2, _negpos, lambda bits: bits),
+    (COLOR_SHUFFLE, TAG_COLOR_SHUFFLE, 6, _color_shuffle, lambda c: np.take(COLOR_INVERSE, c)),
+)
+
+
+def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np.ndarray]:
+    """Per-block draws of every enabled step, keyed by step name.
+
+    Each step reads its own keyed stream, so enabling or disabling one step
+    never shifts another step's draws.
+    """
+    draws = {}
+    for name, tag, alphabet, _, _ in STEPS:
+        if name not in cfg.steps:
+            continue
+        seed = derive_step_seed(key, tag)
+        if alphabet is None:
+            values = gen_permutation(seed, n_blocks)
+        else:
+            values = gen_symbols(seed, n_blocks, alphabet)
+        # fromiter with a count converts a long int list faster than asarray
+        draws[name] = np.fromiter(values, dtype=np.int64, count=n_blocks)
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +286,9 @@ def unstack_planes(img: ImageBuffer) -> ImageBuffer:
 
 def _check_geometry(img: ImageBuffer, cfg: CipherConfig) -> None:
     if cfg.scheme == SCHEME_COLOR and img.channels != 3:
-        raise ValueError("color scheme requires a 3-channel image")
+        raise ValueError(
+            f"color scheme requires a 3-channel image, got {img.channels} channel(s)"
+        )
     if img.width % cfg.block_size or img.height % cfg.block_size:
         raise ValueError(
             f"{img.width}x{img.height} not divisible by block size "
@@ -336,22 +322,9 @@ def encrypt(
     work = stack_planes(img) if cfg.scheme == SCHEME_GRAYSCALE else img
     blocks, grid = split_blocks(work, cfg.block_size)
     draws = step_draws(key, cfg, grid.n_blocks)
-
-    if draws.perm is not None:
-        blocks = apply_scramble(blocks, draws.perm)
-    if draws.orientations is not None:
-        blocks = _orient_stack(blocks, draws.orientations)
-    if draws.negpos_bits is not None:
-        blocks = blocks.copy()
-        flip = draws.negpos_bits == 1
-        blocks[flip] = 255 - blocks[flip]
-    if draws.shuffles is not None:
-        blocks = blocks.copy()
-        for idx in range(6):
-            sel = draws.shuffles == idx
-            if sel.any():
-                blocks[sel] = blocks[sel][..., CHANNEL_PERMS[idx]]
-
+    for name, _, _, step_map, _ in STEPS:
+        if name in draws:
+            blocks = step_map(blocks, draws[name])
     return merge_blocks(blocks, grid, work.channels), sidecar
 
 
@@ -369,26 +342,13 @@ def decrypt(img: ImageBuffer, key: MasterKey, sidecar: CipherSidecar) -> ImageBu
         )
     if cfg.scheme == SCHEME_GRAYSCALE and img.channels != 1:
         raise ValueError("grayscale-based ciphertext must be single-channel")
+    _check_geometry(img, cfg)
 
     blocks, grid = split_blocks(img, cfg.block_size)
     draws = step_draws(key, cfg, grid.n_blocks)
-
-    if draws.shuffles is not None:
-        blocks = blocks.copy()
-        for idx in range(6):
-            sel = draws.shuffles == idx
-            if sel.any():
-                blocks[sel] = blocks[sel][..., CHANNEL_PERMS[COLOR_INVERSE[idx]]]
-    if draws.negpos_bits is not None:
-        blocks = blocks.copy()
-        flip = draws.negpos_bits == 1
-        blocks[flip] = 255 - blocks[flip]
-    if draws.orientations is not None:
-        inv = np.asarray(ORIENT_INVERSE, dtype=np.int64)[draws.orientations]
-        blocks = _orient_stack(blocks, inv)
-    if draws.perm is not None:
-        blocks = apply_scramble(blocks, inverse_permutation(draws.perm))
-
+    for name, _, _, step_map, invert_draws in reversed(STEPS):
+        if name in draws:
+            blocks = step_map(blocks, invert_draws(draws[name]))
     out = merge_blocks(blocks, grid, img.channels)
     if stacked:
         out = unstack_planes(out)

@@ -31,6 +31,7 @@ from .cipher import (
     decrypt,
     encrypt,
     normalize_steps,
+    stack_planes,
 )
 from .codec import CodecError, CodecParams, mean_bpp_inflation, mean_psnr_gap, rd_csv, rd_curve
 from .images import ImageBuffer, load_ppm, pad_replicate, save_ppm
@@ -92,7 +93,7 @@ def _load_key(args) -> MasterKey:
     raise UsageError("a key is required: pass --key HEX or --key-file PATH")
 
 
-def _parse_steps(text: str | None, scheme: str):
+def _parse_steps(text: str | None):
     if text is None:
         return None  # scheme default
     try:
@@ -103,7 +104,7 @@ def _parse_steps(text: str | None, scheme: str):
 
 def _config(args) -> CipherConfig:
     scheme = _SCHEMES[args.scheme]
-    steps = _parse_steps(args.steps, scheme)
+    steps = _parse_steps(args.steps)
     kwargs = {"scheme": scheme}
     if args.block_size is not None:
         kwargs["block_size"] = args.block_size
@@ -272,8 +273,6 @@ def _cmd_attack(args) -> int:
     cipher_img = _read_image(args.cipher)
     plain_img = _read_image(args.plain)
     cfg = _config(args)
-    from .cipher import stack_planes
-
     if (
         plain_img.channels == 3
         and cipher_img.channels == 1

@@ -135,7 +135,9 @@ def split_blocks(img: ImageBuffer, block_size: int) -> tuple[np.ndarray, BlockGr
     """Cut into square blocks, raster order by block position.
 
     Returns a ``(n_blocks, block_size, block_size, channels)`` uint8 array and
-    the grid. Dimensions must divide exactly; no implicit padding.
+    the grid. The array is always a fresh copy, never a view of ``img``, so
+    callers may overwrite it. Dimensions must divide exactly; no implicit
+    padding.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -146,8 +148,8 @@ def split_blocks(img: ImageBuffer, block_size: int) -> tuple[np.ndarray, BlockGr
     rows = img.height // block_size
     cols = img.width // block_size
     b = img.data.reshape(rows, block_size, cols, block_size, img.channels)
-    blocks = b.swapaxes(1, 2).reshape(rows * cols, block_size, block_size, img.channels)
-    return np.ascontiguousarray(blocks), BlockGrid(block_size, rows, cols)
+    blocks = b.swapaxes(1, 2).copy().reshape(rows * cols, block_size, block_size, img.channels)
+    return blocks, BlockGrid(block_size, rows, cols)
 
 
 def merge_blocks(blocks: np.ndarray, grid: BlockGrid, channels: int) -> ImageBuffer:

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,17 +12,15 @@ from etckit.cipher import (
     ORIENT_INVERSE,
     SCHEME_COLOR,
     SCHEME_GRAYSCALE,
+    STEP_ORDER,
+    STEPS,
     CipherConfig,
     CipherSidecar,
-    apply_color_shuffle,
-    apply_negpos,
     apply_orientation,
-    apply_scramble,
     compose_orientations,
     decrypt,
     encrypt,
     inverse_permutation,
-    invert_color_shuffle,
     invert_orientation,
     normalize_steps,
     stack_planes,
@@ -30,6 +29,7 @@ from etckit.cipher import (
 )
 from etckit.images import ImageBuffer
 from etckit.keystream import MasterKey, StepStream
+from step_oracles import apply_color_shuffle, apply_negpos, apply_scramble, reference_encrypt
 
 
 def _img(h, w, c=3, seed=0):
@@ -308,6 +308,13 @@ class TestEncryptDecrypt:
         with pytest.raises(ValueError):
             decrypt(_img(48, 48), MasterKey(1), sc)
 
+    @pytest.mark.parametrize("steps", ["srnc", "srn", ""])
+    def test_decrypt_rejects_gray_ciphertext_with_color_sidecar(self, steps):
+        ct, sc = encrypt(_img(32, 32), MasterKey(1), CipherConfig(steps=steps))
+        gray = ImageBuffer(ct.data[:, :, :1])
+        with pytest.raises(ValueError, match="3-channel image, got 1 channel"):
+            decrypt(gray, MasterKey(1), sc)
+
     def test_padding_recorded_and_cropped(self):
         img = _img(30, 41)
         from etckit.images import pad_replicate
@@ -345,15 +352,80 @@ class TestEncryptDecrypt:
         ct_s, _ = encrypt(img, key, CipherConfig(steps="s"))
         ct_sn, _ = encrypt(img, key, CipherConfig(steps="sn"))
         # undoing negpos of ct_sn must reproduce ct_s
-        from etckit.cipher import step_draws
+        from etckit.cipher import NEGPOS, step_draws
         from etckit.images import merge_blocks, split_blocks
 
         blocks, grid = split_blocks(ct_sn, 16)
         draws = step_draws(key, CipherConfig(steps="sn"), grid.n_blocks)
         undone = blocks.copy()
-        flip = draws.negpos_bits == 1
+        flip = draws[NEGPOS] == 1
         undone[flip] = 255 - undone[flip]
         assert merge_blocks(undone, grid, 3) == ct_s
+
+
+def _subsets(letters):
+    return ["".join(c) for r in range(len(letters) + 1) for c in combinations(letters, r)]
+
+
+COLOR_SUBSETS = _subsets("srnc")
+GRAY_SUBSETS = _subsets("srn")
+
+
+class TestStepTable:
+    def test_table_follows_step_order(self):
+        assert tuple(row[0] for row in STEPS) == STEP_ORDER
+
+    # grids of 1x1, 1xn, nx1 and odd nxn blocks
+    GRIDS = st.one_of(
+        st.just((1, 1)),
+        st.integers(2, 6).map(lambda n: (1, n)),
+        st.integers(2, 6).map(lambda n: (n, 1)),
+        st.sampled_from([3, 5, 7]).map(lambda n: (n, n)),
+    )
+
+    @pytest.mark.parametrize(
+        "scheme, steps",
+        [(SCHEME_COLOR, s) for s in COLOR_SUBSETS] + [(SCHEME_GRAYSCALE, s) for s in GRAY_SUBSETS],
+    )
+    @settings(max_examples=8, deadline=None)
+    @given(
+        key_seed=st.integers(0, 2**64 - 1),
+        grid=GRIDS,
+        gray_channels=st.sampled_from([1, 3]),
+        img_seed=st.integers(0, 10),
+    )
+    def test_matches_per_block_reference(
+        self, scheme, steps, key_seed, grid, gray_channels, img_seed
+    ):
+        # the stack maps must equal the per-block oracles applied one block at
+        # a time, and decrypting must undo them
+        bs = 4
+        rows, cols = grid
+        # a 3-channel image under the grayscale-based scheme has 3x the rows
+        channels = 3 if scheme == SCHEME_COLOR else gray_channels
+        img = _img(rows * bs, cols * bs, channels, img_seed)
+        cfg = CipherConfig(scheme=scheme, block_size=bs, steps=steps)
+        key = MasterKey(key_seed)
+        ct, sc = encrypt(img, key, cfg)
+        assert ct == reference_encrypt(img, key, cfg)
+        assert decrypt(ct, key, sc) == img
+
+    @pytest.mark.parametrize(
+        "scheme, steps, shape",
+        [(SCHEME_COLOR, s, (32, 16, 3)) for s in COLOR_SUBSETS]
+        + [(SCHEME_GRAYSCALE, s, (48, 8, 1)) for s in GRAY_SUBSETS],
+    )
+    def test_one_block_wide_inputs_are_left_unchanged(self, scheme, steps, shape):
+        # the step maps overwrite their block stack, which must never be a
+        # view of the caller's image
+        img = _img(*shape, seed=4)
+        before = img.copy()
+        cfg = CipherConfig(scheme=scheme, steps=steps)
+        ct, sc = encrypt(img, MasterKey(11), cfg)
+        assert img == before
+        ct_before = ct.copy()
+        assert decrypt(ct, MasterKey(11), sc) == img
+        assert ct == ct_before
 
 
 class TestGoldenCiphertext:

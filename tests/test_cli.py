@@ -53,6 +53,17 @@ class TestEncryptDecrypt:
         assert not out.exists()
         assert "ct.ppm.meta" in capsys.readouterr().err
 
+    def test_gray_ciphertext_with_color_sidecar_is_data_error(self, tmp_path, plain_ppm, capsys):
+        ct = tmp_path / "ct.ppm"
+        assert main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY]) == EXIT_OK
+        gray = tmp_path / "gray.pgm"
+        gray.write_bytes(save_ppm(ImageBuffer(_read(ct).data[:, :, :1])))
+        out = tmp_path / "back.ppm"
+        args = ["decrypt", str(gray), "--sidecar", str(tmp_path / "ct.ppm.meta")]
+        assert main(args + ["--out", str(out), "--key", KEY]) == EXIT_DATA
+        assert not out.exists()
+        assert "3-channel image, got 1 channel" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path, plain_ppm):
         a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
         main(["encrypt", str(plain_ppm), "--out", str(a), "--key", KEY])

@@ -117,6 +117,17 @@ class TestBlocks:
         with pytest.raises(ValueError):
             merge_blocks(blocks[:3], grid, 1)
 
+    @pytest.mark.parametrize(
+        "h, w, c, bs",
+        [(32, 16, 3, 16), (48, 8, 1, 8), (16, 16, 3, 16), (16, 48, 3, 16), (32, 48, 1, 16)],
+    )
+    def test_split_returns_a_fresh_array(self, h, w, c, bs):
+        # one block wide (w == bs) is the case a plain reshape would alias
+        img = _img(h, w, c)
+        blocks, _ = split_blocks(img, bs)
+        assert not np.shares_memory(blocks, img.data)
+        assert blocks.flags.c_contiguous
+
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.sampled_from([1, 3]))
     def test_split_merge_property(self, rows, cols, bs, c):
         img = _img(rows * bs, cols * bs, c, seed=rows * 31 + cols)
