@@ -40,6 +40,12 @@ ATTACK_CSV_HEADER = "steps,block_size,n_pieces,dc,nc,lc,seconds"
 
 _BRUTE_FORCE_LIMIT = 10
 
+# Largest O(n^2) table set an attack may allocate, in bytes. The greedy solver
+# at 1024 pieces with orientation search (K = 8192) needs 1.5 GiB.
+MAX_TABLE_BYTES = 2 << 30
+# Distance entries per ground-truth chunk: 512 KiB buffers stay in cache.
+_GT_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -86,6 +92,14 @@ class Puzzle:
         return cls(pieces, grid, ground_truth)
 
 
+def _check_table_bytes(what: str, n: int, orientations: int, nbytes: int) -> None:
+    if nbytes > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"{what} of {n} pieces in {orientations} orientation(s) needs {nbytes} bytes "
+            f"of tables, more than the limit of {MAX_TABLE_BYTES} bytes"
+        )
+
+
 def identity_assembly(grid: BlockGrid) -> Assembly:
     ids = np.arange(grid.n_blocks, dtype=np.int64).reshape(grid.rows, grid.cols)
     return Assembly(ids, np.zeros_like(ids))
@@ -123,6 +137,8 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     came from, searching orientation, inversion, and channel-order variants.
 
     Robust to JPEG noise via coarse block features and optimal assignment.
+    Raises ``ValueError`` when the n x n assignment tables would exceed
+    ``MAX_TABLE_BYTES``.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -130,40 +146,34 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     plain_blocks, pgrid = split_blocks(plain, grid.block_size)
     if (pgrid.rows, pgrid.cols) != (grid.rows, grid.cols):
         raise ValueError("plaintext geometry does not match the puzzle grid")
+    n = grid.n_blocks
+    # cost (float64) and orientation choice (int8) per (cell, piece)
+    _check_table_bytes("ground truth", n, 8, n * n * 9)
 
     cell_feat = _block_features(plain_blocks)  # (n, F, F, C)
     piece_feat = _block_features(puzzle.pieces)
-    n, f, _, c = piece_feat.shape
-
-    variants = []  # (orientation, negpos, channel perm index or None)
-    for orient in range(8):
-        for neg in (0, 1):
-            if c == 3:
-                variants.extend((orient, neg, p3) for p3 in range(6))
-            else:
-                variants.append((orient, neg, None))
+    _, f, _, c = piece_feat.shape
+    # variants of a piece in (orientation, negpos, channel perm) order
+    perms = np.asarray(CHANNEL_PERMS if c == 3 else ((0,),))
+    n_variants = 8 * 2 * len(perms)
+    oriented = np.stack([apply_orientation(piece_feat, o) for o in range(8)], axis=1)
 
     flat_cells = cell_feat.reshape(n, -1)
+    cell_sq = (flat_cells * flat_cells).sum(axis=1)
     cost = np.empty((n, n))
-    orient_choice = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        vfeats = np.empty((len(variants), f * f * c))
-        for vi, (orient, neg, p3) in enumerate(variants):
-            feat = apply_orientation(piece_feat[i], orient)
-            if neg:
-                feat = 255.0 - feat
-            if p3 is not None:
-                feat = feat[..., CHANNEL_PERMS[p3]]
-            vfeats[vi] = feat.ravel()
+    orient_choice = np.empty((n, n), dtype=np.int8)
+    step = max(1, _GT_CHUNK // (n_variants * n))
+    for lo in range(0, n, step):
+        o = oriented[lo : lo + step]  # (m, 8, F, F, C)
+        v = np.stack([o, 255.0 - o], axis=2)[..., perms]  # (m, 8, 2, F, F, P, C)
+        vfeats = np.moveaxis(v, -2, 3).reshape(-1, f * f * c)
         # squared distance of every variant to every cell
-        d = (
-            (vfeats * vfeats).sum(axis=1)[:, None]
-            + (flat_cells * flat_cells).sum(axis=1)[None, :]
-            - 2.0 * vfeats @ flat_cells.T
-        )
-        best_v = d.argmin(axis=0)
-        cost[:, i] = d[best_v, np.arange(n)]
-        orient_choice[:, i] = [variants[v][0] for v in best_v]
+        d = (vfeats * vfeats).sum(axis=1)[:, None] + cell_sq[None, :]
+        d -= 2.0 * vfeats @ flat_cells.T
+        d = d.reshape(len(o), n_variants, n)
+        best_v = d.argmin(axis=1)  # (m, n): first minimum, as a per-piece scan
+        cost[:, lo : lo + len(o)] = np.take_along_axis(d, best_v[:, None], axis=1)[:, 0].T
+        orient_choice[:, lo : lo + len(o)] = (best_v // (n_variants // 8)).T
 
     cell_idx, piece_idx = linear_sum_assignment(cost)
     ids = np.empty(n, dtype=np.int64)
@@ -203,32 +213,29 @@ def _edge_tables(
     """
     n, b, _, c = pieces.shape
     no = len(orientations)
-    k = n * no
-    left = np.empty((k, b * c))
-    right = np.empty((k, b * c))
-    top = np.empty((k, b * c))
-    bottom = np.empty((k, b * c))
-    for p in range(n):
-        for oi, code in enumerate(orientations):
-            block = apply_orientation(pieces[p], code).astype(np.float64)
-            idx = p * no + oi
-            left[idx] = block[:, 0].ravel()
-            right[idx] = block[:, -1].ravel()
-            top[idx] = block[0, :].ravel()
-            bottom[idx] = block[-1, :].ravel()
+    edges = np.empty((4, n, no, b * c))  # left, right, top, bottom
+    for oi, code in enumerate(orientations):
+        o = apply_orientation(pieces, code)
+        for e, side in enumerate((o[:, :, 0], o[:, :, -1], o[:, 0], o[:, -1])):
+            edges[e, :, oi] = side.reshape(n, b * c)
+    left, right, top, bottom = edges.reshape(4, n * no, b * c)
 
     def msd(ea, eb):
-        sq_a = (ea * ea).sum(axis=1)
-        sq_b = (eb * eb).sum(axis=1)
-        return (sq_a[:, None] + sq_b[None, :] - 2.0 * ea @ eb.T) / ea.shape[1]
+        # (|a|^2 + |b|^2 - 2 a.b) / d in two K x K buffers; doubling is exact,
+        # so this equals the one-expression form bit for bit
+        s = (ea * ea).sum(axis=1)[:, None] + (eb * eb).sum(axis=1)[None, :]
+        g = ea @ eb.T
+        g *= 2
+        np.subtract(s, g, out=s)
+        s /= ea.shape[1]
+        return s
 
     right_table = msd(right, left)
     below_table = msd(bottom, top)
     # a piece cannot neighbor itself
-    for p in range(n):
-        s = slice(p * no, (p + 1) * no)
-        right_table[s, s] = np.inf
-        below_table[s, s] = np.inf
+    own = np.arange(n)
+    for table in (right_table, below_table):
+        table.reshape(n, no, n, no)[own, :, own, :] = np.inf
     return right_table, below_table
 
 
@@ -241,7 +248,17 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     a placed piece whose occupation keeps the bounding box within the target
     grid. Ties break by (piece id, cell row-major order, orientation code);
     the seed pair breaks ties by (piece, orientation, piece, orientation,
-    relation). The final canvas is shifted so the bounding box is the grid.
+    relation), and on a one-piece-wide grid it uses the one relation that
+    fits. The final canvas is shifted so the bounding box is the grid.
+
+    Scores are kept between placements: each open cell caches its best
+    (value, key) and is rescored only when a neighbor is placed or when its
+    cached piece is used. A rescore sums the placed neighbors' table rows in
+    the fixed order left, right, above, below and divides by their count, so
+    values and ties are those of a full rescan.
+
+    Raises ``ValueError`` when the two K x K tables (K = pieces x
+    orientations) and one build buffer would exceed ``MAX_TABLE_BYTES``.
     """
     grid = puzzle.grid
     n = grid.n_blocks
@@ -249,71 +266,85 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     no = len(orientations)
     if n == 1:
         return identity_assembly(grid)
+    kk = n * no
+    _check_table_bytes("greedy assembly", n, no, 3 * kk * kk * 8)
 
     right_table, below_table = _edge_tables(puzzle.pieces, orientations)
 
-    # seed: global best pair over both relations, relation as the last tie key
-    stacked = np.stack([right_table, below_table], axis=2)  # (K, K, 2)
-    k1, k2, rel = np.unravel_index(np.argmin(stacked), stacked.shape)
-    placed: dict[tuple[int, int], int] = {(0, 0): int(k1)}
-    second = (0, 1) if rel == 0 else (1, 0)
-    placed[second] = int(k2)
+    # seed: global best pair over both relations; on equal values the lower
+    # (k1, k2) wins, then the right relation
+    i_r = int(np.argmin(right_table))
+    i_b = int(np.argmin(below_table))
+    pick_right = grid.rows == 1 or (
+        grid.cols > 1 and (right_table.flat[i_r], i_r) <= (below_table.flat[i_b], i_b)
+    )
+    k1, k2 = divmod(i_r if pick_right else i_b, kk)
+    second = (0, 1) if pick_right else (1, 0)
+    placed: dict[tuple[int, int], int] = {(0, 0): k1, second: k2}
 
-    unplaced = np.ones(n * no, dtype=bool)
-    unplaced[int(k1) // no * no : int(k1) // no * no + no] = False
-    unplaced[int(k2) // no * no : int(k2) // no * no + no] = False
+    unplaced = np.ones(kk, dtype=bool)
+    unplaced[k1 // no * no : k1 // no * no + no] = False
+    unplaced[k2 // no * no : k2 // no * no + no] = False
+    inf_row = np.full(kk, np.inf)
+    rmin, rmax, cmin, cmax = 0, second[0], 0, second[1]
 
-    inf_row = np.full(n * no, np.inf)
+    def fits(cell: tuple[int, int]) -> bool:
+        r, c = cell
+        return (
+            max(rmax, r) - min(rmin, r) < grid.rows
+            and max(cmax, c) - min(cmin, c) < grid.cols
+        )
 
-    while len(placed) < n:
-        rmin = min(r for r, _ in placed)
-        rmax = max(r for r, _ in placed)
-        cmin = min(c for _, c in placed)
-        cmax = max(c for _, c in placed)
+    def best_for(cell: tuple[int, int]) -> tuple[float, int, tuple[int, int], int]:
+        r, c = cell
+        score = np.zeros(kk)
+        cnt = 0
+        nk = placed.get((r, c - 1))
+        if nk is not None:
+            score += right_table[nk]
+            cnt += 1
+        nk = placed.get((r, c + 1))
+        if nk is not None:
+            score += right_table[:, nk]
+            cnt += 1
+        nk = placed.get((r - 1, c))
+        if nk is not None:
+            score += below_table[nk]
+            cnt += 1
+        nk = placed.get((r + 1, c))
+        if nk is not None:
+            score += below_table[:, nk]
+            cnt += 1
+        score = np.where(unplaced, score / cnt, inf_row)
+        k = int(np.argmin(score))
+        return float(score[k]), k // no, cell, k
 
-        open_cells: set[tuple[int, int]] = set()
-        for (r, c) in placed:
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nb in placed or nb in open_cells:
-                    continue
-                h = max(rmax, nb[0]) - min(rmin, nb[0]) + 1
-                w = max(cmax, nb[1]) - min(cmin, nb[1]) + 1
-                if h <= grid.rows and w <= grid.cols:
-                    open_cells.add(nb)
+    def neighbors(cell: tuple[int, int]) -> list[tuple[int, int]]:
+        r, c = cell
+        return [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
 
-        best = None  # (value, piece, cell_rm_index, orient, cell, key)
-        for rm_idx, cell in enumerate(sorted(open_cells)):
-            r, c = cell
-            score = np.zeros(n * no)
-            cnt = 0
-            nk = placed.get((r, c - 1))
-            if nk is not None:
-                score += right_table[nk]
-                cnt += 1
-            nk = placed.get((r, c + 1))
-            if nk is not None:
-                score += right_table[:, nk]
-                cnt += 1
-            nk = placed.get((r - 1, c))
-            if nk is not None:
-                score += below_table[nk]
-                cnt += 1
-            nk = placed.get((r + 1, c))
-            if nk is not None:
-                score += below_table[:, nk]
-                cnt += 1
-            score = np.where(unplaced, score / cnt, inf_row)
-            k = int(np.argmin(score))
-            cand = (float(score[k]), k // no, rm_idx, k % no, cell, k)
-            if best is None or cand[:4] < best[:4]:
-                best = cand
-
-        _, piece, _, _, cell, key = best
+    # open cell -> (value, piece, cell, key); min() orders by value, piece, cell
+    frontier: dict[tuple[int, int], tuple[float, int, tuple[int, int], int]] = {}
+    stale = set(neighbors((0, 0)) + neighbors(second))
+    while True:
+        for cell in stale:
+            if cell not in placed and fits(cell):
+                frontier[cell] = best_for(cell)
+        if len(placed) == n:
+            break
+        _, piece, cell, key = min(frontier.values())
         placed[cell] = key
+        del frontier[cell]
         unplaced[piece * no : (piece + 1) * no] = False
+        r, c = cell
+        box = (min(rmin, r), max(rmax, r), min(cmin, c), max(cmax, c))
+        if box != (rmin, rmax, cmin, cmax):
+            rmin, rmax, cmin, cmax = box
+            frontier = {o: best for o, best in frontier.items() if fits(o)}
+        # dropping other pieces' keys cannot move a cached first minimum
+        stale = {o for o, best in frontier.items() if best[1] == piece}
+        stale.update(neighbors(cell))
 
-    rmin = min(r for r, _ in placed)
-    cmin = min(c for _, c in placed)
     ids = np.empty((grid.rows, grid.cols), dtype=np.int64)
     ors = np.empty((grid.rows, grid.cols), dtype=np.int64)
     for (r, c), k in placed.items():
@@ -324,14 +355,12 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
 
 def render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer:
     """Paint the assembled image (pieces drawn in their assigned orientations)."""
-    grid = puzzle.grid
-    n, b, _, c = puzzle.pieces.shape
-    out = np.empty((n, b, b, c), dtype=np.uint8)
-    flat_ids = assembly.piece_ids.ravel()
+    out = puzzle.pieces[assembly.piece_ids.ravel()]
     flat_ors = assembly.orientations.ravel()
-    for cell in range(n):
-        out[cell] = apply_orientation(puzzle.pieces[flat_ids[cell]], int(flat_ors[cell]))
-    return merge_blocks(out, grid, c)
+    for code in np.unique(flat_ors[flat_ors != 0]):
+        cells = flat_ors == code
+        out[cells] = apply_orientation(out[cells], int(code))
+    return merge_blocks(out, puzzle.grid, out.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .attack import (
+    ATTACK_CSV_HEADER,
     Puzzle,
     attack_report_row,
     greedy_assemble,
@@ -298,8 +299,6 @@ def _cmd_attack(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     seconds = time.perf_counter() - started
-
-    from .attack import ATTACK_CSV_HEADER
 
     steps = normalize_steps(args.steps) if args.steps is not None else ()
     row = attack_report_row(steps, cfg.block_size, puzzle.grid.n_blocks, metrics, seconds)

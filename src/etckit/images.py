@@ -153,16 +153,20 @@ def split_blocks(img: ImageBuffer, block_size: int) -> tuple[np.ndarray, BlockGr
 
 
 def merge_blocks(blocks: np.ndarray, grid: BlockGrid, channels: int) -> ImageBuffer:
-    """Inverse of :func:`split_blocks`."""
+    """Inverse of :func:`split_blocks`.
+
+    The image's data is always a fresh array, never a view of ``blocks``, so
+    callers may go on to overwrite their stack.
+    """
     blocks = np.asarray(blocks)
     expected = (grid.n_blocks, grid.block_size, grid.block_size, channels)
     if blocks.shape != expected:
         raise ValueError(f"expected blocks of shape {expected}, got {blocks.shape}")
     b = blocks.reshape(grid.rows, grid.cols, grid.block_size, grid.block_size, channels)
-    arr = b.swapaxes(1, 2).reshape(
+    arr = b.swapaxes(1, 2).copy().reshape(
         grid.rows * grid.block_size, grid.cols * grid.block_size, channels
     )
-    return ImageBuffer(np.ascontiguousarray(arr))
+    return ImageBuffer(arr)
 
 
 def psnr(a: ImageBuffer, b: ImageBuffer) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from etckit import attack
 from etckit.cli import EXIT_CODEC, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from etckit.images import ImageBuffer, load_ppm, save_ppm
 from etckit.keystream import MasterKey, parse_key_file
@@ -219,6 +220,25 @@ class TestAttack:
         assert row.startswith("s,32,4,")
         assembled = _read(img_out)
         assert (assembled.height, assembled.width) == (64, 64)
+
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            ([], "ground truth of 16 pieces in 8 orientation(s) needs 2304 bytes"),
+            (["--key", KEY], "greedy assembly of 16 pieces in 1 orientation(s) needs 6144 bytes"),
+        ],
+        ids=["plain-truth", "key-truth"],
+    )
+    def test_oversized_tables_are_data_error(self, tmp_path, plain_ppm, capsys, monkeypatch,
+                                             truth, message):
+        monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 1000)
+        ct = tmp_path / "ct.ppm"
+        main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY, "--steps", "s"])
+        code = main(["attack", str(ct), "--plain", str(plain_ppm), "--steps", "s",
+                     "--block-size", "16", *truth])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_geometry_mismatch_is_data_error(self, tmp_path, plain_ppm):
         other = tmp_path / "other.ppm"

@@ -128,6 +128,16 @@ class TestBlocks:
         assert not np.shares_memory(blocks, img.data)
         assert blocks.flags.c_contiguous
 
+    @pytest.mark.parametrize(
+        "h, w, c, bs",
+        [(32, 16, 3, 16), (48, 8, 1, 8), (16, 16, 3, 16), (16, 48, 3, 16), (32, 48, 1, 16)],
+    )
+    def test_merge_returns_a_fresh_array(self, h, w, c, bs):
+        blocks, grid = split_blocks(_img(h, w, c), bs)
+        merged = merge_blocks(blocks, grid, c)
+        assert not np.shares_memory(merged.data, blocks)
+        assert merged.data.flags.c_contiguous
+
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.sampled_from([1, 3]))
     def test_split_merge_property(self, rows, cols, bs, c):
         img = _img(rows * bs, cols * bs, c, seed=rows * 31 + cols)
