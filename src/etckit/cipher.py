@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .images import ImageBuffer, merge_blocks, split_blocks
-from .keystream import (  # the step names are re-exported from here
+from .keystream import (  # the step names and gen_* are re-exported from here
     COLOR_SHUFFLE,
     NEGPOS,
     ROTATE_FLIP,
@@ -33,6 +33,8 @@ from .keystream import (  # the step names are re-exported from here
     gen_permutation,
     gen_symbols,
     normalize_steps,
+    permutation_array,
+    symbol_array,
 )
 
 SCHEME_COLOR = "color"
@@ -205,7 +207,7 @@ def compose_orientations(first: int, then: int) -> int:
 
 
 def _scramble(blocks: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return blocks[perm]  # out[i] = blocks[perm[i]]
+    return np.take(blocks, perm, axis=0)  # out[i] = blocks[perm[i]]
 
 
 def _rotate_flip(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -217,8 +219,11 @@ def _rotate_flip(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    # p -> 255 - p on the blocks whose bit is 1
-    np.subtract(255, blocks, out=blocks, where=bits.astype(bool)[:, None, None, None])
+    # p -> 255 - p, which is p ^ 255 on uint8, on the blocks whose bit is 1;
+    # the mask broadcasts, so the update stays in place on any block layout
+    mask = bits.astype(np.uint8)
+    mask *= 255
+    blocks ^= mask[:, None, None, None]
     return blocks
 
 
@@ -251,11 +256,9 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
             continue
         seed = derive_step_seed(key, tag)
         if alphabet is None:
-            values = gen_permutation(seed, n_blocks)
+            draws[name] = permutation_array(seed, n_blocks)
         else:
-            values = gen_symbols(seed, n_blocks, alphabet)
-        # fromiter with a count converts a long int list faster than asarray
-        draws[name] = np.fromiter(values, dtype=np.int64, count=n_blocks)
+            draws[name] = symbol_array(seed, n_blocks, alphabet)
     return draws
 
 

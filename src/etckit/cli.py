@@ -289,7 +289,8 @@ def _cmd_attack(args) -> int:
     started = time.perf_counter()
     try:
         puzzle = Puzzle.from_image(cipher_img, cfg.block_size)
-        if args.key or args.key_file:
+        from_key = bool(args.key or args.key_file)
+        if from_key:
             gt = ground_truth_from_key(_load_key(args), cfg, puzzle.grid)
         else:
             gt = ground_truth_from_plain(plain_img, puzzle)
@@ -300,7 +301,9 @@ def _cmd_attack(args) -> int:
         raise DataError(str(exc)) from exc
     seconds = time.perf_counter() - started
 
-    steps = normalize_steps(args.steps) if args.steps is not None else ()
+    # a key ground truth is scored against cfg.steps, the scheme default when
+    # --steps is absent; an appearance ground truth names no steps unless given
+    steps = cfg.steps if from_key or args.steps is not None else ()
     row = attack_report_row(steps, cfg.block_size, puzzle.grid.n_blocks, metrics, seconds)
     _emit(ATTACK_CSV_HEADER + "\n" + row + "\n", args.out_csv)
     if args.out_image:

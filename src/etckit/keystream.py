@@ -12,7 +12,10 @@ SplitMix64 is counter-based: the k-th output (k = 1, 2, ...) of a stream
 started at ``seed`` is ``mix(seed + k*gamma) mod 2**64``, with ``gamma`` the
 golden-ratio increment and ``mix`` the output finalizer. So ``n`` draws are
 one numpy ``uint64`` expression (:meth:`StepStream.next_u64_array`), and a
-stream's state after them is simply ``seed + n*gamma``.
+stream's state after them is simply ``seed + n*gamma``. Permutations and
+symbol runs are built from those draws as ``int64`` arrays
+(:func:`permutation_array`, :func:`symbol_array`); the Fisher-Yates swaps are
+resolved without a per-element loop (:func:`resolve_swaps`).
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ STEP_ORDER = (SCRAMBLE, ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE)
 
 STEP_LETTERS = {SCRAMBLE: "s", ROTATE_FLIP: "r", NEGPOS: "n", COLOR_SHUFFLE: "c"}
 _LETTER_STEPS = {v: k for k, v in STEP_LETTERS.items()}
-
-# Draws are made and turned into Python ints this many at a time, so the
-# numpy temporaries stay small and no list but the result is as long as n.
-_DRAW_CHUNK = 1 << 14
 
 _KEY_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -182,42 +181,85 @@ def uniform_below(stream: StepStream, n: int) -> int:
     return stream.next_u64() % n
 
 
-def _draw_chunks(seed: int, n: int):
-    """The first ``n`` draws of a stream seeded with ``seed``, as ``(start,
-    uint64 array)`` pieces of at most ``_DRAW_CHUNK`` draws each."""
-    stream = StepStream(seed)
-    for start in range(0, n, _DRAW_CHUNK):
-        yield start, stream.next_u64_array(min(_DRAW_CHUNK, n - start))
+def resolve_swaps(targets: np.ndarray) -> np.ndarray:
+    """Result of the Fisher-Yates swaps ``for t = n-1 .. 1: swap(t, targets[t])``
+    applied to ``0..n-1``, with no per-element loop.
+
+    ``targets`` holds ``n`` integers with ``0 <= targets[t] <= t`` (so
+    ``targets[0] == 0``). Position t is final after step t: it receives what
+    position ``j = targets[t]`` held just before. That is ``j`` itself unless a
+    step that ran earlier (a larger s) also targeted ``j``; then it is what the
+    most recent of them, the smallest s > t with ``targets[s] == j``, carried.
+    Step s carries what position s held before it: s itself, or by the same
+    rule the carry of the first step that targeted s. (When that first step is
+    s swapping in place, no other step reads the carry of s, so the link may
+    point at s.) One sort of the packed keys ``j*n + t`` gives every link, and
+    pointer doubling follows all carry chains at once. Treating t = 0 as a step
+    that targets 0 makes position 0 follow the same rule. ``n*n`` must stay
+    below 2**63.
+    """
+    n = targets.size
+    keys = targets * n + np.arange(n, dtype=np.int64)
+    keys.sort()
+    key_target = keys // n
+    key_step = keys - key_target * n
+    same = key_target[1:] == key_target[:-1]
+    # nxt[t]: the smallest s > t with the same target as t, or -1
+    nxt = np.empty(n, dtype=np.int64)
+    nxt[key_step[:-1]] = np.where(same, key_step[1:], -1)
+    nxt[key_step[-1:]] = -1
+    # carrier[p]: the first step that targeted p, or p. Only the first key of
+    # each target writes a real slot; the others go to the spare slot n. The
+    # first key of all is 0 (step 0 targets 0), which leaves carrier[0] = 0.
+    carrier = np.arange(n + 1, dtype=np.int64)
+    carrier[np.where(same, n, key_target[1:])] = key_step[1:]
+    carrier = carrier[:n]
+    while True:  # pointer doubling: carrier[p] becomes the end of p's chain
+        hop = carrier[carrier]
+        if np.array_equal(hop, carrier):
+            break
+        carrier = hop
+    return np.where(nxt >= 0, carrier[nxt], targets)
 
 
-def gen_permutation(seed: int, n: int) -> list[int]:
-    """Fisher-Yates shuffle of ``0..n-1`` driven by a stream seeded with ``seed``.
+def permutation_array(seed: int, n: int) -> np.ndarray:
+    """Fisher-Yates shuffle of ``0..n-1`` driven by a stream seeded with ``seed``,
+    as an ``int64`` array.
 
     For i from n-1 down to 1: j = uniform_below(i+1), swap positions i and j.
-    The draws and their reductions are vectorised; only the swaps loop.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    perm = list(range(n))
-    for start, js in _draw_chunks(seed, n - 1):
-        hi = n - 1 - start
-        lo = hi - js.size
-        js %= np.arange(hi + 1, lo + 1, -1, dtype=np.uint64)
-        for i, j in zip(range(hi, lo, -1), js.tolist()):
-            perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    if n * n >= 1 << 63:
+        raise ValueError(f"n must be below sqrt(2**63) (about 3.04e9), got {n}")
+    targets = np.zeros(n, dtype=np.int64)
+    if n > 1:
+        # draw k is for step i = n-1-k and is reduced modulo i+1
+        draws = StepStream(seed).next_u64_array(n - 1)
+        draws %= np.arange(n, 1, -1, dtype=np.uint64)
+        targets[:0:-1] = draws
+    return resolve_swaps(targets)
 
 
-def gen_symbols(seed: int, n: int, alphabet: int) -> list[int]:
-    """``n`` successive draws uniform over ``[0, alphabet)`` from one seeded stream."""
+def symbol_array(seed: int, n: int, alphabet: int) -> np.ndarray:
+    """``n`` successive draws uniform over ``[0, alphabet)`` from one seeded
+    stream, as an ``int64`` array."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _check_modulus(alphabet)
-    out: list[int] = []
-    for _, draws in _draw_chunks(seed, n):
-        draws %= np.uint64(alphabet)
-        out += draws.tolist()
-    return out
+    draws = StepStream(seed).next_u64_array(n)
+    draws %= np.uint64(alphabet)
+    return draws.view(np.int64)  # exact: every value is below 2**32
+
+
+def gen_permutation(seed: int, n: int) -> list[int]:
+    """:func:`permutation_array` as a list of Python ints."""
+    return permutation_array(seed, n).tolist()
+
+
+def gen_symbols(seed: int, n: int, alphabet: int) -> list[int]:
+    """:func:`symbol_array` as a list of Python ints."""
+    return symbol_array(seed, n, alphabet).tolist()
 
 
 def keyspace_bits(n_blocks: int, steps, scheme: str = "color") -> float:

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from etckit.cipher import (
     CHANNEL_PERMS,
     COLOR_INVERSE,
+    COLOR_SHUFFLE,
+    NEGPOS,
     ORIENT_INVERSE,
+    ROTATE_FLIP,
     SCHEME_COLOR,
     SCHEME_GRAYSCALE,
+    SCRAMBLE,
     STEP_ORDER,
     STEPS,
     CipherConfig,
@@ -409,6 +413,23 @@ class TestStepTable:
         ct, sc = encrypt(img, key, cfg)
         assert ct == reference_encrypt(img, key, cfg)
         assert decrypt(ct, key, sc) == img
+
+    @pytest.mark.parametrize("layout", ["every-other-block", "transposed"])
+    def test_stack_maps_on_strided_stacks(self, layout):
+        # a map must return the transformed stack whatever the strides of its
+        # input; one that reshaped a strided stack would update a copy
+        def strided():
+            stack = _img(16 * 4, 4, seed=5).data.reshape(16, 4, 4, 3)
+            return stack[::2] if layout == "every-other-block" else stack.transpose(0, 2, 1, 3)
+
+        n = len(strided())
+        draws = {SCRAMBLE: np.roll(np.arange(n), 1), ROTATE_FLIP: np.arange(n) % 8,
+                 NEGPOS: np.arange(n) % 2, COLOR_SHUFFLE: np.arange(n) % 6}
+        for name, _, _, step_map, _ in STEPS:
+            blocks = strided()
+            assert not blocks.flags.c_contiguous
+            want = step_map(np.ascontiguousarray(blocks), draws[name])
+            assert (step_map(blocks, draws[name]) == want).all(), name
 
     @pytest.mark.parametrize(
         "scheme, steps, shape",

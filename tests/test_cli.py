@@ -221,6 +221,20 @@ class TestAttack:
         assembled = _read(img_out)
         assert (assembled.height, assembled.width) == (64, 64)
 
+    @pytest.mark.parametrize("scheme, want", [("color", "srnc"), ("gray", "srn")])
+    def test_key_ground_truth_reports_the_default_steps(self, tmp_path, plain_ppm, capsys,
+                                                        scheme, want):
+        # without --steps the key ground truth uses the scheme's default steps,
+        # so the row must name them rather than "-"
+        ct = tmp_path / "ct.ppm"
+        main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY, "--scheme", scheme])
+        capsys.readouterr()
+        code = main(["attack", str(ct), "--plain", str(plain_ppm), "--key", KEY,
+                     "--scheme", scheme])
+        assert code == EXIT_OK
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert row.split(",")[0] == want
+
     @pytest.mark.parametrize(
         "truth, message",
         [

@@ -6,6 +6,7 @@ The golden vectors were produced once by a separate minimal implementation
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,8 @@ from etckit.keystream import (
     gen_symbols,
     keyspace_bits,
     parse_key_file,
+    permutation_array,
+    resolve_swaps,
     splitmix_next,
     uniform_below,
 )
@@ -233,7 +236,7 @@ def test_gen_symbols_matches_scalar_oracle(seed, n, alphabet):
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_edge_seeds_match_oracle(seed):
-    # longer than one chunk of draws (16 384), so a chunk seam is crossed
+    # a size well above the hypothesis range, at each edge seed
     n = 20000
     assert gen_permutation(seed, n) == _oracle_permutation(seed, n)
     for alphabet in ALPHABETS:
@@ -269,3 +272,74 @@ def test_step_names_live_in_keystream():
     assert cipher.STEP_ORDER is STEP_ORDER
     assert (cipher.SCRAMBLE, cipher.ROTATE_FLIP, cipher.NEGPOS, cipher.COLOR_SHUFFLE) == STEP_ORDER
     assert cipher.normalize_steps("s,r") == frozenset({"scramble", "rotate_flip"})
+
+
+# ---------------------------------------------------------------------------
+# The loop-free Fisher-Yates against a literal swap loop
+
+
+def _swap_loop(targets):
+    perm = list(range(len(targets)))
+    for t in range(len(targets) - 1, 0, -1):
+        j = targets[t]
+        perm[t], perm[j] = perm[j], perm[t]
+    return perm
+
+
+# target sequences that hashed draws practically never produce: every step
+# swaps in place, every step hits position 0, and j_t = t-1, which chains
+# each step's carry through all later ones (depth n)
+TARGETS = {
+    "in-place": lambda n: np.arange(n),
+    "all-zero": lambda n: np.zeros(n, dtype=np.int64),
+    "chain": lambda n: np.maximum(np.arange(n) - 1, 0),
+    "random": lambda n: np.random.default_rng(n).integers(0, np.arange(1, n + 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 1000])
+def test_resolve_swaps_matches_swap_loop(kind, n):
+    targets = TARGETS[kind](n).astype(np.int64)
+    got = resolve_swaps(targets)
+    assert got.dtype == np.int64
+    assert got.tolist() == _swap_loop(targets.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 1 << 20), max_size=300), st.integers(0, 3))
+def test_resolve_swaps_matches_swap_loop_on_mixed_targets(raw, cap):
+    # j_t = raw[t] mod (t+1), capped at `cap` for odd raw[t]: many steps then
+    # share a few small targets, which makes long carry chains
+    targets = [r % (t + 1) for t, r in enumerate(raw)]
+    targets = [min(j, cap) if r & 1 else j for j, r in zip(targets, raw)]
+    got = resolve_swaps(np.asarray(targets, dtype=np.int64))
+    assert got.tolist() == _swap_loop(targets)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 196608])
+def test_permutation_array_matches_scalar_oracle(n):
+    got = permutation_array(0xC0FFEE, n)
+    assert got.dtype == np.int64
+    assert got.tolist() == _oracle_permutation(0xC0FFEE, n)
+
+
+# math.isqrt(2**63 - 1) == 3037000499: the packed sort keys j*n + t fit in int64
+@pytest.mark.parametrize("n", [3_037_000_500, 1 << 32, 1 << 40])
+def test_permutation_array_rejects_sizes_whose_keys_overflow(n):
+    # the guard runs before any draw or array is made
+    with pytest.raises(ValueError, match="n must be below"):
+        permutation_array(1, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_step_draws_are_int64_arrays_equal_to_the_list_api(n):
+    key = MasterKey(0xABCDEF)
+    cfg = cipher.CipherConfig(steps="srnc")
+    draws = cipher.step_draws(key, cfg, n)
+    assert set(draws) == set(STEP_ORDER)
+    for name, tag, alphabet, _, _ in cipher.STEPS:
+        seed = derive_step_seed(key, tag)
+        want = gen_permutation(seed, n) if alphabet is None else gen_symbols(seed, n, alphabet)
+        assert draws[name].dtype == np.int64
+        assert draws[name].tolist() == want
