@@ -23,6 +23,7 @@ from .cipher import (
     ROTATE_FLIP,
     SCRAMBLE,
     CipherConfig,
+    _rotate_flip,
     apply_orientation,
     compose_orientations,
     inverse_permutation,
@@ -40,11 +41,13 @@ ATTACK_CSV_HEADER = "steps,block_size,n_pieces,dc,nc,lc,seconds"
 
 _BRUTE_FORCE_LIMIT = 10
 
-# Largest O(n^2) table set an attack may allocate, in bytes. The greedy solver
-# at 1024 pieces with orientation search (K = 8192) needs 1.5 GiB.
+# Largest n x n table set the appearance ground truth may allocate, in bytes.
 MAX_TABLE_BYTES = 2 << 30
 # Distance entries per ground-truth chunk: 512 KiB buffers stay in cache.
 _GT_CHUNK = 1 << 16
+# Table entries per block of the solver's seed scan (a 4 MiB buffer): of
+# 2**17, 2**18 and 2**19, the largest scanned K = 8192 fastest.
+_SEED_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,6 @@ class Puzzle:
     ) -> "Puzzle":
         pieces, grid = split_blocks(img, block_size)
         return cls(pieces, grid, ground_truth)
-
-
-def _check_table_bytes(what: str, n: int, orientations: int, nbytes: int) -> None:
-    if nbytes > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"{what} of {n} pieces in {orientations} orientation(s) needs {nbytes} bytes "
-            f"of tables, more than the limit of {MAX_TABLE_BYTES} bytes"
-        )
 
 
 def identity_assembly(grid: BlockGrid) -> Assembly:
@@ -147,8 +142,12 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     if (pgrid.rows, pgrid.cols) != (grid.rows, grid.cols):
         raise ValueError("plaintext geometry does not match the puzzle grid")
     n = grid.n_blocks
-    # cost (float64) and orientation choice (int8) per (cell, piece)
-    _check_table_bytes("ground truth", n, 8, n * n * 9)
+    nbytes = n * n * 9  # cost (float64) and orientation choice (int8) per (cell, piece)
+    if nbytes > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"ground truth of {n} pieces in 8 orientation(s) needs {nbytes} bytes "
+            f"of tables, more than the limit of {MAX_TABLE_BYTES} bytes"
+        )
 
     cell_feat = _block_features(plain_blocks)  # (n, F, F, C)
     piece_feat = _block_features(puzzle.pieces)
@@ -203,40 +202,52 @@ def boundary_dissimilarity(a: np.ndarray, b: np.ndarray, relation: str) -> float
     return float((diff * diff).sum()) / diff.size
 
 
-def _edge_tables(
+def _oriented_edges(
     pieces: np.ndarray, orientations: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dissimilarity tables over oriented pieces, key = piece * n_orients + oi.
-
-    right_table[k1, k2]: k2 placed directly right of k1.
-    below_table[k1, k2]: k2 placed directly below k1.
-    """
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Left, right, top and bottom edges of every oriented piece, each a
+    (K, B*C) float64 array with key = piece * n_orients + oi, paired with
+    its squared norms."""
     n, b, _, c = pieces.shape
     no = len(orientations)
-    edges = np.empty((4, n, no, b * c))  # left, right, top, bottom
+    edges = np.empty((4, n, no, b * c))
     for oi, code in enumerate(orientations):
         o = apply_orientation(pieces, code)
         for e, side in enumerate((o[:, :, 0], o[:, :, -1], o[:, 0], o[:, -1])):
             edges[e, :, oi] = side.reshape(n, b * c)
-    left, right, top, bottom = edges.reshape(4, n * no, b * c)
+    return [(e, (e * e).sum(axis=1)) for e in edges.reshape(4, n * no, b * c)]
 
-    def msd(ea, eb):
-        # (|a|^2 + |b|^2 - 2 a.b) / d in two K x K buffers; doubling is exact,
-        # so this equals the one-expression form bit for bit
-        s = (ea * ea).sum(axis=1)[:, None] + (eb * eb).sum(axis=1)[None, :]
-        g = ea @ eb.T
-        g *= 2
-        np.subtract(s, g, out=s)
-        s /= ea.shape[1]
-        return s
 
-    right_table = msd(right, left)
-    below_table = msd(bottom, top)
-    # a piece cannot neighbor itself
-    own = np.arange(n)
-    for table in (right_table, below_table):
-        table.reshape(n, no, n, no)[own, :, own, :] = np.inf
-    return right_table, below_table
+def _msd_row(fixed: tuple, free: tuple, k: int) -> np.ndarray:
+    """Mean squared difference of edge ``k`` of ``fixed`` against every edge
+    of ``free``. Samples are integers, so |a|^2 + |b|^2 - 2 a.b is exact in
+    any summation order and only the division rounds."""
+    (fe, fsq), (ce, csq) = fixed, free
+    return (csq + fsq[k] - 2 * (ce @ fe[k])) / fe.shape[1]
+
+
+def _first_min(fixed: tuple, free: tuple, no: int) -> tuple[float, int]:
+    """(numerator, flat index) of the first minimum of the K x K table whose
+    row k is ``_msd_row(fixed, free, k)``, self-pairs excluded, scanned in row
+    blocks of whole pieces. Dividing integers below 2**52 by the same d keeps
+    their order and ties, so the numerators pick the table's minimum."""
+    (fe, fsq), (ce, csq) = fixed, free
+    kk = len(fe)
+    step = max(1, _SEED_CHUNK // (kk * no)) * no
+    buf = np.empty((min(step, kk), kk))  # one block buffer, reused
+    best = (np.inf, -1)
+    for lo in range(0, kk, step):
+        part = fe[lo : lo + step]
+        blk = np.matmul(part, ce.T, out=buf[: len(part)])
+        blk *= -2
+        blk += fsq[lo : lo + step, None]
+        blk += csq
+        own = np.arange(len(blk) // no)
+        blk.reshape(len(own), no, -1, no)[own, :, lo // no + own, :] = np.inf
+        i = int(np.argmin(blk))
+        if blk.flat[i] < best[0]:
+            best = (blk.flat[i], lo * kk + i)
+    return best
 
 
 def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembly:
@@ -253,12 +264,13 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
 
     Scores are kept between placements: each open cell caches its best
     (value, key) and is rescored only when a neighbor is placed or when its
-    cached piece is used. A rescore sums the placed neighbors' table rows in
+    cached piece is used. A rescore sums the placed neighbors' score rows in
     the fixed order left, right, above, below and divides by their count, so
     values and ties are those of a full rescan.
 
-    Raises ``ValueError`` when the two K x K tables (K = pieces x
-    orientations) and one build buffer would exceed ``MAX_TABLE_BYTES``.
+    No K x K table is built (K = pieces x orientations): the seed comes from
+    a scan over row blocks, and a placed neighbor's row toward an open cell is
+    computed when that cell is first scored and dropped when it is filled.
     """
     grid = puzzle.grid
     n = grid.n_blocks
@@ -267,25 +279,22 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     if n == 1:
         return identity_assembly(grid)
     kk = n * no
-    _check_table_bytes("greedy assembly", n, no, 3 * kk * kk * 8)
+    left, right, top, bottom = _oriented_edges(puzzle.pieces, orientations)
 
-    right_table, below_table = _edge_tables(puzzle.pieces, orientations)
-
-    # seed: global best pair over both relations; on equal values the lower
-    # (k1, k2) wins, then the right relation
-    i_r = int(np.argmin(right_table))
-    i_b = int(np.argmin(below_table))
-    pick_right = grid.rows == 1 or (
-        grid.cols > 1 and (right_table.flat[i_r], i_r) <= (below_table.flat[i_b], i_b)
-    )
-    k1, k2 = divmod(i_r if pick_right else i_b, kk)
-    second = (0, 1) if pick_right else (1, 0)
+    # seed: global best pair over the relations that fit the grid; on equal
+    # values the lower flat index (k1, k2) wins, then the right relation
+    seeds = []
+    if grid.cols > 1:
+        seeds.append((*_first_min(right, left, no), (0, 1)))
+    if grid.rows > 1:
+        seeds.append((*_first_min(bottom, top, no), (1, 0)))
+    _, i, second = min(seeds)
+    k1, k2 = divmod(i, kk)
     placed: dict[tuple[int, int], int] = {(0, 0): k1, second: k2}
 
     unplaced = np.ones(kk, dtype=bool)
     unplaced[k1 // no * no : k1 // no * no + no] = False
     unplaced[k2 // no * no : k2 // no * no + no] = False
-    inf_row = np.full(kk, np.inf)
     rmin, rmax, cmin, cmax = 0, second[0], 0, second[1]
 
     def fits(cell: tuple[int, int]) -> bool:
@@ -295,37 +304,31 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
             and max(cmax, c) - min(cmin, c) < grid.cols
         )
 
-    def best_for(cell: tuple[int, int]) -> tuple[float, int, tuple[int, int], int]:
+    def around(cell: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         r, c = cell
-        score = np.zeros(kk)
-        cnt = 0
-        nk = placed.get((r, c - 1))
-        if nk is not None:
-            score += right_table[nk]
-            cnt += 1
-        nk = placed.get((r, c + 1))
-        if nk is not None:
-            score += right_table[:, nk]
-            cnt += 1
-        nk = placed.get((r - 1, c))
-        if nk is not None:
-            score += below_table[nk]
-            cnt += 1
-        nk = placed.get((r + 1, c))
-        if nk is not None:
-            score += below_table[:, nk]
-            cnt += 1
-        score = np.where(unplaced, score / cnt, inf_row)
+        return (r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c)
+
+    # per neighbor in around() order: (the placed key's edges, the candidates')
+    sides = ((right, left), (left, right), (bottom, top), (top, bottom))
+    # open cell -> its placed neighbors' score rows, in around() order
+    rows: dict[tuple[int, int], list] = {}
+
+    def best_for(cell: tuple[int, int]) -> tuple[float, int, tuple[int, int], int]:
+        cached = rows.setdefault(cell, [None] * 4)
+        terms = []
+        for s, nb in enumerate(around(cell)):
+            nk = placed.get(nb)
+            if nk is not None:
+                if cached[s] is None:
+                    cached[s] = _msd_row(*sides[s], nk)
+                terms.append(cached[s])
+        score = np.where(unplaced, sum(terms) / len(terms), np.inf)
         k = int(np.argmin(score))
         return float(score[k]), k // no, cell, k
 
-    def neighbors(cell: tuple[int, int]) -> list[tuple[int, int]]:
-        r, c = cell
-        return [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
-
     # open cell -> (value, piece, cell, key); min() orders by value, piece, cell
     frontier: dict[tuple[int, int], tuple[float, int, tuple[int, int], int]] = {}
-    stale = set(neighbors((0, 0)) + neighbors(second))
+    stale = {*around((0, 0)), *around(second)}
     while True:
         for cell in stale:
             if cell not in placed and fits(cell):
@@ -334,16 +337,17 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
             break
         _, piece, cell, key = min(frontier.values())
         placed[cell] = key
-        del frontier[cell]
+        del frontier[cell], rows[cell]
         unplaced[piece * no : (piece + 1) * no] = False
         r, c = cell
         box = (min(rmin, r), max(rmax, r), min(cmin, c), max(cmax, c))
         if box != (rmin, rmax, cmin, cmax):
             rmin, rmax, cmin, cmax = box
             frontier = {o: best for o, best in frontier.items() if fits(o)}
+            rows = {o: rows[o] for o in frontier}
         # dropping other pieces' keys cannot move a cached first minimum
         stale = {o for o, best in frontier.items() if best[1] == piece}
-        stale.update(neighbors(cell))
+        stale.update(around(cell))
 
     ids = np.empty((grid.rows, grid.cols), dtype=np.int64)
     ors = np.empty((grid.rows, grid.cols), dtype=np.int64)
@@ -355,11 +359,7 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
 
 def render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer:
     """Paint the assembled image (pieces drawn in their assigned orientations)."""
-    out = puzzle.pieces[assembly.piece_ids.ravel()]
-    flat_ors = assembly.orientations.ravel()
-    for code in np.unique(flat_ors[flat_ors != 0]):
-        cells = flat_ors == code
-        out[cells] = apply_orientation(out[cells], int(code))
+    out = _rotate_flip(puzzle.pieces[assembly.piece_ids.ravel()], assembly.orientations.ravel())
     return merge_blocks(out, puzzle.grid, out.shape[-1])
 
 

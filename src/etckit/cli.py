@@ -61,19 +61,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_image(path: str) -> ImageBuffer:
+def _read(path: str) -> bytes:
     try:
-        raw = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_image(path: str) -> ImageBuffer:
     try:
-        return load_ppm(raw)
+        return load_ppm(_read(path))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _write_image(path: str, img: ImageBuffer) -> None:
-    Path(path).write_bytes(save_ppm(img))
+def _write(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_key(args) -> MasterKey:
@@ -84,11 +90,7 @@ def _load_key(args) -> MasterKey:
             raise UsageError(str(exc)) from exc
     if getattr(args, "key_file", None):
         try:
-            raw = Path(args.key_file).read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read {args.key_file}: {exc.strerror or exc}") from exc
-        try:
-            return parse_key_file(raw)
+            return parse_key_file(_read(args.key_file))
         except ValueError as exc:
             raise DataError(f"{args.key_file}: {exc}") from exc
     raise UsageError("a key is required: pass --key HEX or --key-file PATH")
@@ -202,7 +204,7 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write(path, text.encode())
 
 
 def _cmd_encrypt(args) -> int:
@@ -212,7 +214,6 @@ def _cmd_encrypt(args) -> int:
         import secrets
 
         key = MasterKey(secrets.randbits(64))
-        Path(args.gen_key).write_bytes(format_key_file(key))
     else:
         key = _load_key(args)
     cfg = _config(args)
@@ -225,9 +226,10 @@ def _cmd_encrypt(args) -> int:
         cipher_img, sidecar = encrypt(img, key, cfg, pad=pad)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    _write_image(args.out, cipher_img)
-    sidecar_path = args.sidecar or args.out + ".meta"
-    Path(sidecar_path).write_text(sidecar.to_text())
+    if args.gen_key:  # only a key that encrypted something is kept
+        _write(args.gen_key, format_key_file(key))
+    _write(args.out, save_ppm(cipher_img))
+    _write(args.sidecar or args.out + ".meta", sidecar.to_text().encode())
     return EXIT_OK
 
 
@@ -235,11 +237,7 @@ def _cmd_decrypt(args) -> int:
     key = _load_key(args)
     sidecar_path = args.sidecar or args.image + ".meta"
     try:
-        sidecar_text = Path(sidecar_path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {sidecar_path}: {exc.strerror or exc}") from exc
-    try:
-        sidecar = CipherSidecar.from_text(sidecar_text)
+        sidecar = CipherSidecar.from_text(_read(sidecar_path).decode())
     except ValueError as exc:
         raise DataError(f"{sidecar_path}: {exc}") from exc
     img = _read_image(args.image)
@@ -247,7 +245,7 @@ def _cmd_decrypt(args) -> int:
         plain = decrypt(img, key, sidecar)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    _write_image(args.out, plain)
+    _write(args.out, save_ppm(plain))
     return EXIT_OK
 
 
@@ -260,6 +258,8 @@ def _cmd_rd_curve(args) -> int:
         params = CodecParams(subsampling=args.subsampling, progressive=args.progressive)
         if not qualities:
             raise ValueError("qualities must be non-empty")
+        for q in qualities:  # raises on a quality outside 1..100
+            CodecParams(quality=q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
@@ -307,7 +307,7 @@ def _cmd_attack(args) -> int:
     row = attack_report_row(steps, cfg.block_size, puzzle.grid.n_blocks, metrics, seconds)
     _emit(ATTACK_CSV_HEADER + "\n" + row + "\n", args.out_csv)
     if args.out_image:
-        _write_image(args.out_image, render_assembly(assembly, puzzle))
+        _write(args.out_image, save_ppm(render_assembly(assembly, puzzle)))
     return EXIT_OK
 
 
@@ -329,17 +329,10 @@ def _cmd_keyspace(args) -> int:
     return EXIT_OK
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _cmd_protect(args) -> int:
     key = _load_key(args)
     try:
-        templates = parse_template_csv(_read_text(args.templates))
+        templates = parse_template_csv(_read(args.templates).decode())
         protected = [protect_template(t, key) for t in templates]
         out = format_template_csv(protected)
     except ValueError as exc:
@@ -350,8 +343,8 @@ def _cmd_protect(args) -> int:
 
 def _cmd_classify(args) -> int:
     try:
-        enrolled = parse_template_csv(_read_text(args.model), protected=True)
-        queries = parse_template_csv(_read_text(args.queries), protected=True)
+        enrolled = parse_template_csv(_read(args.model).decode(), protected=True)
+        queries = parse_template_csv(_read(args.queries).decode(), protected=True)
         model = enroll(enrolled)
         lines = ["client_id,predicted,distance"]
         for q in queries:

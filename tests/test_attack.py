@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from etckit.attack import (
     GroundTruth,
     Metrics,
     Puzzle,
-    _edge_tables,
+    _first_min,
+    _msd_row,
+    _oriented_edges,
     attack_report_row,
     boundary_dissimilarity,
     brute_force_scramble,
@@ -354,9 +357,16 @@ class TestAgainstReference:
     def test_greedy_matches_reference(self, grid, kind, c, search, key, seed):
         _, pz = _cipher_case(grid, kind, c, 4, key, seed)
         orientations = list(range(8)) if search else [0]
-        for got, want in zip(_edge_tables(pz.pieces, orientations),
-                             reference_edge_tables(pz.pieces, orientations)):
-            assert np.array_equal(got, want)
+        left, right, top, bottom = _oriented_edges(pz.pieces, orientations)
+        piece = np.arange(len(pz.pieces) * len(orientations)) // len(orientations)
+        # every row and column the solver can compute is the reference table's
+        # off the self-pairs, which it never reads
+        for (fixed, free), table in zip(((right, left), (bottom, top)),
+                                        reference_edge_tables(pz.pieces, orientations)):
+            for k in range(len(table)):
+                other = piece != piece[k]
+                assert np.array_equal(_msd_row(fixed, free, k)[other], table[k, other])
+                assert np.array_equal(_msd_row(free, fixed, k)[other], table[other, k])
         asm = greedy_assemble(pz, orientation_search=search)
         try:
             ref = reference_greedy_assemble(pz, orientation_search=search)
@@ -379,6 +389,27 @@ class TestAgainstReference:
         ref = reference_greedy_assemble(pz, orientation_search=search)
         assert np.array_equal(asm.piece_ids, ref.piece_ids)
         assert np.array_equal(asm.orientations, ref.orientations)
+
+    @pytest.mark.parametrize("kind", ["natural", "uniform"])
+    @pytest.mark.parametrize("search", [False, True])
+    def test_seed_scan_matches_reference_across_chunks(self, monkeypatch, kind, search):
+        # uniform pieces tie across many pairs, so the first minimum must
+        # survive block boundaries
+        _, pz = _cipher_case((3, 5), kind, 3, 4, 0x5EED, 7)
+        orientations = list(range(8)) if search else [0]
+        no, kk, d = len(orientations), 15 * len(orientations), 4 * 3
+        left, right, top, bottom = _oriented_edges(pz.pieces, orientations)
+        tables = reference_edge_tables(pz.pieces, orientations)
+        want = reference_greedy_assemble(pz, orientation_search=search)
+        for chunk in (1, 2 * kk * no, 1 << 30):  # one piece, two pieces, all pieces
+            monkeypatch.setattr(attack, "_SEED_CHUNK", chunk)
+            for (fixed, free), table in zip(((right, left), (bottom, top)), tables):
+                value, i = _first_min(fixed, free, no)
+                assert i == int(np.argmin(table))
+                assert value / d == table.flat[i]
+            asm = greedy_assemble(pz, orientation_search=search)
+            assert np.array_equal(asm.piece_ids, want.piece_ids)
+            assert np.array_equal(asm.orientations, want.orientations)
 
     @pytest.mark.parametrize(
         "values, shape, want",
@@ -442,20 +473,18 @@ class TestAgainstReference:
 
 
 class TestMemoryGuard:
-    def test_greedy_refuses_before_building_tables(self, monkeypatch):
-        def build(*_):
-            raise AssertionError("edge tables built past the guard")
-
-        monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 100_000)
-        monkeypatch.setattr(attack, "_edge_tables", build)
-        pz = Puzzle.from_image(_img(32, 32), 8)  # 16 pieces, K = 128 with orientations
-        with pytest.raises(ValueError, match=r"16 pieces in 8 orientation\(s\) needs 393216 bytes"):
+    def test_greedy_stays_far_below_one_table(self):
+        # 256 RGB pieces in 8 orientations: K = 2048, and one K x K float64
+        # table is 32 MiB
+        pz = Puzzle.from_image(_img(128, 128), 8)
+        kk = pz.grid.n_blocks * 8
+        tracemalloc.start()
+        try:
             greedy_assemble(pz, orientation_search=True)
-
-    def test_greedy_within_the_limit_runs(self, monkeypatch):
-        monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 3 * 16 * 16 * 8)
-        pz = Puzzle.from_image(_img(32, 32), 8)
-        assert greedy_assemble(pz).piece_ids.shape == (4, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kk * kk * 8 // 4
 
     def test_ground_truth_refuses_oversized_cost_matrix(self, monkeypatch):
         monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 2000)
