@@ -19,15 +19,14 @@ import numpy as np
 
 from .cipher import (
     CHANNEL_PERMS,
+    ORIENT_COMPOSE,
     ORIENT_INVERSE,
     ROTATE_FLIP,
     SCRAMBLE,
     CipherConfig,
     _rotate_flip,
     apply_orientation,
-    compose_orientations,
     inverse_permutation,
-    invert_orientation,
     step_draws,
     steps_to_letters,
 )
@@ -367,110 +366,70 @@ def render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer:
 # Scoring
 
 
-def _rotate_direction(k: int, delta: tuple[int, int]) -> tuple[int, int]:
-    dr, dc = delta
-    for _ in range(k % 4):
-        dr, dc = -dc, dr
-    return dr, dc
-
-
-def _rotate_codes(codes: np.ndarray, k: int) -> np.ndarray:
-    r = codes % 4
-    flipped = codes >= 4
-    rn = np.where(flipped, (r - k) % 4, (r + k) % 4)
-    return np.where(flipped, rn + 4, rn)
-
-
-def _correct_pairs(assembly: Assembly, gt: GroundTruth) -> list[tuple[int, int, int, int]]:
-    """Adjacent cell pairs realizing a true seam, as (r1, c1, r2, c2).
-
-    A pair placed with relative offset ``delta`` and orientations (ou, ov) is
-    correct when one global rotation maps both placements onto the ground
-    truth: the per-piece correction ``gt_orient o ou^-1`` must be the same
-    pure rotation for both pieces and must map ``delta`` onto the pieces'
-    true relative offset.
-    """
-    rows, cols = assembly.piece_ids.shape
-    n = rows * cols
-    t_cell = np.empty((n, 2), dtype=np.int64)
-    t_orient = np.empty(n, dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            p = int(gt.piece_ids[r, c])
-            t_cell[p] = (r, c)
-            t_orient[p] = gt.orientations[r, c]
-
-    good = []
-    for r in range(rows):
-        for c in range(cols):
-            for delta in ((0, 1), (1, 0)):
-                r2, c2 = r + delta[0], c + delta[1]
-                if r2 >= rows or c2 >= cols:
-                    continue
-                u = int(assembly.piece_ids[r, c])
-                v = int(assembly.piece_ids[r2, c2])
-                ou = int(assembly.orientations[r, c])
-                ov = int(assembly.orientations[r2, c2])
-                rho_u = compose_orientations(invert_orientation(ou), int(t_orient[u]))
-                rho_v = compose_orientations(invert_orientation(ov), int(t_orient[v]))
-                if rho_u != rho_v or rho_u >= 4:
-                    continue
-                want = _rotate_direction(rho_u, delta)
-                have = (
-                    int(t_cell[v][0] - t_cell[u][0]),
-                    int(t_cell[v][1] - t_cell[u][1]),
-                )
-                if have == want:
-                    good.append((r, c, r2, c2))
-    return good
+# [seam, k]: the right (seam 0) or below (seam 1) neighbour's offset, turned as
+# code k turns a block; read off where cells 5 and 7 of a 3x3 block go
+_SPOT = np.stack([apply_orientation(np.arange(9).reshape(3, 3, 1), k) for k in range(4)])
+_SEAM_TURNS = np.stack([np.argwhere(_SPOT[..., 0] == cell)[:, 1:] - 1 for cell in (5, 7)])
 
 
 def score_assembly(
     assembly: Assembly, puzzle: Puzzle, allow_global_rotation: bool = True
 ) -> Metrics:
-    """Direct, neighbor, and largest-component scores against the ground truth."""
+    """Direct, neighbor, and largest-component scores against the ground truth.
+
+    Dc is the share of cells holding their true piece in its true orientation,
+    maximized over whole-assembly rotations when ``allow_global_rotation``.
+    Nc is the share of right and below seams that are correct, and Lc the
+    share of cells in the largest 4-connected region joined by correct seams.
+
+    A seam between pieces placed at offset ``delta`` in orientations (ou, ov)
+    is correct when one global rotation maps both placements onto the ground
+    truth: the per-piece correction ``rho = ou^-1 then true orientation`` is
+    the same pure rotation for both pieces, and ``delta`` turned by ``rho``
+    is the pieces' true relative offset.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     gt = puzzle.ground_truth
     if gt is None:
         raise ValueError("puzzle has no ground truth to score against")
-    rows, cols = gt.piece_ids.shape
+    ids, ors = assembly.piece_ids, assembly.orientations
+    if ids.shape != gt.piece_ids.shape:
+        raise ValueError(f"assembly grid {ids.shape} differs from the ground truth's "
+                         f"{gt.piece_ids.shape}")
+    rows, cols = ids.shape
     n = rows * cols
 
-    # direct comparison, maximized over whole-assembly rotations
-    best_direct = 0
-    rotations = (0, 1, 2, 3) if allow_global_rotation else (0,)
-    for k in rotations:
-        if k % 2 and rows != cols:
-            continue
-        ids_r = np.rot90(assembly.piece_ids, k)
-        ors_r = _rotate_codes(np.rot90(assembly.orientations, k), k)
-        match = (ids_r == gt.piece_ids) & (ors_r == gt.orientations)
-        best_direct = max(best_direct, int(match.sum()))
-    dc = best_direct / n
+    ks = (0, 1, 2, 3) if allow_global_rotation else (0,)
+    direct = max(
+        int(((np.rot90(ids, k) == gt.piece_ids)
+             & (ORIENT_COMPOSE[np.rot90(ors, k), k] == gt.orientations)).sum())
+        for k in ks
+        if k % 2 == 0 or rows == cols
+    )
 
-    pairs = _correct_pairs(assembly, gt)
+    true_cell = inverse_permutation(gt.piece_ids.ravel())[ids]  # of each placed piece
+    true_r, true_c = np.divmod(true_cell, cols)
+    rho = ORIENT_COMPOSE[ORIENT_INVERSE[ors], gt.orientations.ravel()[true_cell]]
+    cell = np.arange(n).reshape(rows, cols)
+    src, dst = [], []
+    for seam, a, b in ((0, np.s_[:, :-1], np.s_[:, 1:]), (1, np.s_[:-1], np.s_[1:])):
+        want = _SEAM_TURNS[seam, rho[a] % 4]
+        good = (
+            (rho[a] == rho[b]) & (rho[a] < 4)
+            & (true_r[b] - true_r[a] == want[..., 0])
+            & (true_c[b] - true_c[a] == want[..., 1])
+        )
+        src.append(cell[a][good])
+        dst.append(cell[b][good])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+
     total_pairs = rows * (cols - 1) + cols * (rows - 1)
-    nc = len(pairs) / total_pairs if total_pairs else 1.0
-
-    # largest 4-connected region whose internal seams are all correct
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r1, c1, r2, c2 in pairs:
-        a, b = find(r1 * cols + c1), find(r2 * cols + c2)
-        if a != b:
-            parent[a] = b
-    sizes: dict[int, int] = {}
-    for cell in range(n):
-        root = find(cell)
-        sizes[root] = sizes.get(root, 0) + 1
-    lc = max(sizes.values()) / n
-
-    return Metrics(dc, nc, lc)
+    nc = len(src) / total_pairs if total_pairs else 1.0
+    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    return Metrics(direct / n, nc, int(np.bincount(labels).max()) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ SIDECAR_VERSION = 1
 CHANNEL_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 COLOR_INVERSE = (0, 1, 2, 4, 3, 5)
 
-# Dihedral-group inverse of each orientation code (reflections are involutions).
-ORIENT_INVERSE = (0, 3, 2, 1, 4, 5, 6, 7)
-
 
 def steps_to_letters(steps) -> str:
     enabled = normalize_steps(steps)
@@ -182,20 +179,20 @@ def apply_orientation(block: np.ndarray, code: int) -> np.ndarray:
     return np.flip(out, axis=-2) if code >= 4 else out
 
 
-def invert_orientation(code: int) -> int:
-    if not 0 <= code < 8:
-        raise ValueError(f"orientation code must be in [0, 8), got {code}")
-    return ORIENT_INVERSE[code]
+def _orientation_tables() -> tuple[np.ndarray, np.ndarray]:
+    """ORIENT_COMPOSE[a, b], the code of applying ``a`` and afterwards ``b``,
+    and ORIENT_INVERSE[a], the code that undoes ``a``, read off
+    :func:`apply_orientation` on a 2x2 block of distinct values."""
+    once = np.stack([apply_orientation(np.arange(4).reshape(2, 2, 1), c) for c in range(8)])
+    code = {block.tobytes(): c for c, block in enumerate(once)}
+    twice = [apply_orientation(once, b) for b in range(8)]  # twice[b][a]: a, then b
+    compose = np.array([[code[t.tobytes()] for t in row] for row in twice]).T
+    inverse = np.argwhere(compose == 0)[:, 1]  # row a hits the identity at a^-1
+    compose.flags.writeable = inverse.flags.writeable = False
+    return compose, inverse
 
 
-def compose_orientations(first: int, then: int) -> int:
-    """Code of applying ``first`` and afterwards ``then`` (both in [0, 8))."""
-    f1, r1 = first >= 4, first % 4
-    f2, r2 = then >= 4, then % 4
-    # then o first: flip parts xor; the later rotation acts mirrored when it
-    # lands on an already-flipped block.
-    r = (r1 + r2 * (-1 if f1 else 1)) % 4
-    return (4 if f1 != f2 else 0) + r
+ORIENT_COMPOSE, ORIENT_INVERSE = _orientation_tables()
 
 
 # ---------------------------------------------------------------------------

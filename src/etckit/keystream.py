@@ -87,10 +87,7 @@ def splitmix_next(state: int) -> tuple[int, int]:
     All arithmetic wraps modulo 2**64.
     """
     state = (state + _GOLDEN) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
+    return state, _mix64(state)
 
 
 def normalize_steps(steps) -> frozenset[str]:

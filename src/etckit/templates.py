@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,20 +21,25 @@ from .keystream import TAG_TEMPLATE, MasterKey, StepStream
 
 _LUMA = (0.299, 0.587, 0.114)
 _RANK_TOL = 1e-12
+# Largest orthogonal-matrix build, in bytes: the draws, the QR workspace and
+# the result peak at about 4.5 d x d float64 arrays.
+MAX_MATRIX_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
-class Template:
+class _Vector:
     values: np.ndarray
     client_id: int
     label: int | None = None
 
+    _kind: ClassVar[str]  # names the type in error messages
+
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("template values must form a non-empty 1-d vector")
+            raise ValueError(f"{self._kind} values must form a non-empty 1-d vector")
         if not np.isfinite(vals).all():
-            raise ValueError("template values must be finite")
+            raise ValueError(f"{self._kind} values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -41,23 +47,15 @@ class Template:
         return self.values.size
 
 
+# Two sibling types, so a protected vector is never taken for a plain one.
 @dataclass(frozen=True)
-class ProtectedTemplate:
-    values: np.ndarray
-    client_id: int
-    label: int | None = None
+class Template(_Vector):
+    _kind = "template"
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("protected values must form a non-empty 1-d vector")
-        if not np.isfinite(vals).all():
-            raise ValueError("protected values must be finite")
-        object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        return self.values.size
+@dataclass(frozen=True)
+class ProtectedTemplate(_Vector):
+    _kind = "protected"
 
 
 @dataclass(frozen=True)
@@ -126,6 +124,12 @@ def _gaussian_draws(stream: StepStream, count: int) -> np.ndarray:
 def _cached_orthogonal(key: MasterKey, d: int) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be positive")
+    nbytes = 36 * d * d
+    if nbytes > MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"a {d} x {d} orthogonal matrix needs about {nbytes} bytes to build, "
+            f"more than the limit of {MAX_MATRIX_BYTES} bytes"
+        )
     tag = TAG_TEMPLATE
     while True:
         stream = StepStream.for_step(key, tag)

@@ -1,8 +1,9 @@
 """Reference implementations of the jigsaw attack's hot paths.
 
 These are the straightforward versions the library started from: the greedy
-solver rescans every open cell after every placement, and the ground truth
-and the renderer work one piece at a time. The library's vectorised and
+solver rescans every open cell after every placement, the ground truth and the
+renderer work one piece at a time, and the scorer checks one seam at a time
+with its own hand-written orientation algebra. The library's vectorised and
 incremental versions must return exactly what these return, so tests compare
 the two.
 """
@@ -10,7 +11,14 @@ the two.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from etckit.attack import Assembly, GroundTruth, Puzzle, _block_features, identity_assembly
+from etckit.attack import (
+    Assembly,
+    GroundTruth,
+    Metrics,
+    Puzzle,
+    _block_features,
+    identity_assembly,
+)
 from etckit.cipher import CHANNEL_PERMS, apply_orientation
 from etckit.images import ImageBuffer, merge_blocks, split_blocks
 
@@ -208,3 +216,138 @@ def reference_render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer
     for cell in range(n):
         out[cell] = apply_orientation(puzzle.pieces[flat_ids[cell]], int(flat_ors[cell]))
     return merge_blocks(out, grid, c)
+
+
+# ---------------------------------------------------------------------------
+# Scoring: orientation algebra written out by hand, one seam at a time
+
+# Dihedral-group inverse of each orientation code (reflections are involutions).
+REFERENCE_ORIENT_INVERSE = (0, 3, 2, 1, 4, 5, 6, 7)
+
+
+def reference_invert_orientation(code: int) -> int:
+    if not 0 <= code < 8:
+        raise ValueError(f"orientation code must be in [0, 8), got {code}")
+    return REFERENCE_ORIENT_INVERSE[code]
+
+
+def reference_compose_orientations(first: int, then: int) -> int:
+    """Code of applying ``first`` and afterwards ``then`` (both in [0, 8))."""
+    f1, r1 = first >= 4, first % 4
+    f2, r2 = then >= 4, then % 4
+    # then o first: flip parts xor; the later rotation acts mirrored when it
+    # lands on an already-flipped block.
+    r = (r1 + r2 * (-1 if f1 else 1)) % 4
+    return (4 if f1 != f2 else 0) + r
+
+
+def reference_rotate_direction(k: int, delta: tuple[int, int]) -> tuple[int, int]:
+    dr, dc = delta
+    for _ in range(k % 4):
+        dr, dc = -dc, dr
+    return dr, dc
+
+
+def reference_rotate_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    r = codes % 4
+    flipped = codes >= 4
+    rn = np.where(flipped, (r - k) % 4, (r + k) % 4)
+    return np.where(flipped, rn + 4, rn)
+
+
+def reference_correct_pairs(
+    assembly: Assembly, gt: GroundTruth
+) -> list[tuple[int, int, int, int]]:
+    """Adjacent cell pairs realizing a true seam, as (r1, c1, r2, c2).
+
+    A pair placed with relative offset ``delta`` and orientations (ou, ov) is
+    correct when one global rotation maps both placements onto the ground
+    truth: the per-piece correction ``gt_orient o ou^-1`` must be the same
+    pure rotation for both pieces and must map ``delta`` onto the pieces'
+    true relative offset.
+    """
+    rows, cols = assembly.piece_ids.shape
+    n = rows * cols
+    t_cell = np.empty((n, 2), dtype=np.int64)
+    t_orient = np.empty(n, dtype=np.int64)
+    for r in range(rows):
+        for c in range(cols):
+            p = int(gt.piece_ids[r, c])
+            t_cell[p] = (r, c)
+            t_orient[p] = gt.orientations[r, c]
+
+    good = []
+    for r in range(rows):
+        for c in range(cols):
+            for delta in ((0, 1), (1, 0)):
+                r2, c2 = r + delta[0], c + delta[1]
+                if r2 >= rows or c2 >= cols:
+                    continue
+                u = int(assembly.piece_ids[r, c])
+                v = int(assembly.piece_ids[r2, c2])
+                ou = int(assembly.orientations[r, c])
+                ov = int(assembly.orientations[r2, c2])
+                rho_u = reference_compose_orientations(
+                    reference_invert_orientation(ou), int(t_orient[u])
+                )
+                rho_v = reference_compose_orientations(
+                    reference_invert_orientation(ov), int(t_orient[v])
+                )
+                if rho_u != rho_v or rho_u >= 4:
+                    continue
+                want = reference_rotate_direction(rho_u, delta)
+                have = (
+                    int(t_cell[v][0] - t_cell[u][0]),
+                    int(t_cell[v][1] - t_cell[u][1]),
+                )
+                if have == want:
+                    good.append((r, c, r2, c2))
+    return good
+
+
+def reference_score_assembly(
+    assembly: Assembly, puzzle: Puzzle, allow_global_rotation: bool = True
+) -> Metrics:
+    """Direct, neighbor, and largest-component scores against the ground truth."""
+    gt = puzzle.ground_truth
+    if gt is None:
+        raise ValueError("puzzle has no ground truth to score against")
+    rows, cols = gt.piece_ids.shape
+    n = rows * cols
+
+    # direct comparison, maximized over whole-assembly rotations
+    best_direct = 0
+    rotations = (0, 1, 2, 3) if allow_global_rotation else (0,)
+    for k in rotations:
+        if k % 2 and rows != cols:
+            continue
+        ids_r = np.rot90(assembly.piece_ids, k)
+        ors_r = reference_rotate_codes(np.rot90(assembly.orientations, k), k)
+        match = (ids_r == gt.piece_ids) & (ors_r == gt.orientations)
+        best_direct = max(best_direct, int(match.sum()))
+    dc = best_direct / n
+
+    pairs = reference_correct_pairs(assembly, gt)
+    total_pairs = rows * (cols - 1) + cols * (rows - 1)
+    nc = len(pairs) / total_pairs if total_pairs else 1.0
+
+    # largest 4-connected region whose internal seams are all correct
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r1, c1, r2, c2 in pairs:
+        a, b = find(r1 * cols + c1), find(r2 * cols + c2)
+        if a != b:
+            parent[a] = b
+    sizes: dict[int, int] = {}
+    for cell in range(n):
+        root = find(cell)
+        sizes[root] = sizes.get(root, 0) + 1
+    lc = max(sizes.values()) / n
+
+    return Metrics(dc, nc, lc)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +28,7 @@ from etckit.attack import (
     render_assembly,
     score_assembly,
 )
-from etckit.cipher import SCHEME_GRAYSCALE, CipherConfig, encrypt
+from etckit.cipher import ORIENT_COMPOSE, SCHEME_GRAYSCALE, CipherConfig, encrypt
 from etckit.images import BlockGrid, ImageBuffer, merge_blocks
 from etckit.keystream import MasterKey
 from etckit.synth import synth_natural_image
@@ -35,6 +38,8 @@ from attack_oracles import (
     reference_greedy_assemble,
     reference_ground_truth_from_plain,
     reference_render_assembly,
+    reference_rotate_codes,
+    reference_score_assembly,
 )
 
 
@@ -229,12 +234,10 @@ class TestScoreAssembly:
         assert score_assembly(identity_assembly(pz.grid), pz) == Metrics(1.0, 1.0, 1.0)
 
     def test_global_rotation_allowance(self):
-        from etckit.attack import _rotate_codes
-
         pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
         for k in (1, 2, 3):
             ids = np.rot90(np.arange(4).reshape(2, 2), k)
-            ors = _rotate_codes(np.zeros((2, 2), np.int64), k)
+            ors = ORIENT_COMPOSE[np.zeros((2, 2), np.int64), k]
             asm = Assembly(ids, ors)
             assert score_assembly(asm, pz) == Metrics(1.0, 1.0, 1.0), k
             strict = score_assembly(asm, pz, allow_global_rotation=False)
@@ -255,6 +258,21 @@ class TestScoreAssembly:
         pz = Puzzle.from_image(_img(32, 32), 16)
         with pytest.raises(ValueError):
             score_assembly(identity_assembly(pz.grid), pz)
+
+    def test_rejects_a_grid_unlike_the_ground_truth(self):
+        pz = Puzzle.from_image(_img(32, 48), 16, _identity_gt(2, 3))
+        asm = identity_assembly(BlockGrid(16, 3, 2))
+        with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
+            score_assembly(asm, pz)
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs tens of MiB of RSS; the library imports it only where used
+        code = ("import sys, etckit; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_orientation_mismatch_breaks_dc_and_nc(self):
         pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
@@ -470,6 +488,57 @@ class TestAgainstReference:
         pz = Puzzle.from_image(_img(rows * 4, cols * 4, c, seed=seed % 997), 4)
         asm = Assembly(rng.permutation(rows * cols).reshape(grid), rng.integers(0, 8, grid))
         assert render_assembly(asm, pz) == reference_render_assembly(asm, pz)
+
+
+@st.composite
+def _scored_cases(draw):
+    """(assembly, puzzle) on grids up to 6 x 6: a random assembly, the ground
+    truth turned by a global rotation, or that rotation perturbed by swapped
+    cells and re-drawn orientations."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "rotated", "perturbed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = rows * cols
+    gt_ids = rng.permutation(n).reshape(rows, cols)
+    gt_ors = rng.integers(0, 8, (rows, cols)) if draw(st.booleans()) else np.zeros_like(gt_ids)
+    if kind == "random":
+        ids, ors = rng.permutation(n).reshape(rows, cols), rng.integers(0, 8, (rows, cols))
+    else:
+        k = int(rng.integers(4)) if rows == cols else 2 * int(rng.integers(2))
+        ids = np.rot90(gt_ids, k).copy()
+        ors = np.rot90(reference_rotate_codes(gt_ors, k), k).copy()
+    if kind == "perturbed":
+        flat_ids, flat_ors = ids.reshape(-1), ors.reshape(-1)
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = rng.integers(n, size=2)
+            flat_ids[[i, j]], flat_ors[[i, j]] = flat_ids[[j, i]], flat_ors[[j, i]]
+        redraw = rng.random(n) < 0.2
+        flat_ors[redraw] = rng.integers(0, 8, int(redraw.sum()))
+    pieces = np.zeros((n, 1, 1, 1), np.uint8)
+    pz = Puzzle(pieces, BlockGrid(1, rows, cols), GroundTruth(gt_ids, gt_ors))
+    return Assembly(ids, ors), pz
+
+
+class TestScoreAgainstReference:
+    """The array scorer returns exactly what the per-seam reference in
+    ``attack_oracles`` returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_cases(), st.booleans())
+    def test_matches_reference(self, case, allow_rotation):
+        asm, pz = case
+        got = score_assembly(asm, pz, allow_rotation)
+        assert got == reference_score_assembly(asm, pz, allow_rotation)
+        assert all(type(v) is float for v in (got.dc, got.nc, got.lc))
+
+    @pytest.mark.parametrize("allow_rotation", [False, True])
+    def test_one_cell_grid_matches_reference(self, allow_rotation):
+        for placed, true in itertools.product(range(8), repeat=2):
+            pz = Puzzle(np.zeros((1, 1, 1, 1), np.uint8), BlockGrid(1, 1, 1),
+                        GroundTruth(np.zeros((1, 1), np.int64), np.full((1, 1), true)))
+            asm = Assembly(np.zeros((1, 1), np.int64), np.full((1, 1), placed))
+            got = score_assembly(asm, pz, allow_rotation)
+            assert got == reference_score_assembly(asm, pz, allow_rotation), (placed, true)
 
 
 class TestMemoryGuard:

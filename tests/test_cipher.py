@@ -11,6 +11,7 @@ from etckit.cipher import (
     COLOR_INVERSE,
     COLOR_SHUFFLE,
     NEGPOS,
+    ORIENT_COMPOSE,
     ORIENT_INVERSE,
     ROTATE_FLIP,
     SCHEME_COLOR,
@@ -21,11 +22,9 @@ from etckit.cipher import (
     CipherConfig,
     CipherSidecar,
     apply_orientation,
-    compose_orientations,
     decrypt,
     encrypt,
     inverse_permutation,
-    invert_orientation,
     normalize_steps,
     stack_planes,
     steps_to_letters,
@@ -99,14 +98,15 @@ class TestOrientation:
         for code in range(8):
             back = apply_orientation(apply_orientation(block, code), ORIENT_INVERSE[code])
             assert (back == block).all()
-            assert invert_orientation(code) == ORIENT_INVERSE[code]
+            inv = ORIENT_INVERSE[code]
+            assert ORIENT_COMPOSE[code, inv] == ORIENT_COMPOSE[inv, code] == 0
 
     def test_composition_law(self):
         block = _img(4, 4).data
         for first in range(8):
             for then in range(8):
                 direct = apply_orientation(apply_orientation(block, first), then)
-                composed = apply_orientation(block, compose_orientations(first, then))
+                composed = apply_orientation(block, ORIENT_COMPOSE[first, then])
                 assert (direct == composed).all(), (first, then)
 
     def test_rejects_non_square(self):

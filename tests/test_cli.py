@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etckit import attack
+from etckit import attack, templates
 from etckit.cli import EXIT_CODEC, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from etckit.images import ImageBuffer, load_ppm, save_ppm
 from etckit.keystream import MasterKey, parse_key_file
@@ -357,6 +357,16 @@ class TestTemplatesCli:
         assert main(
             ["classify", str(tmp_path / "q.csv"), "--model", str(tmp_path / "m.csv")]
         ) == EXIT_DATA
+
+    def test_protect_oversized_dimension_is_data_error(self, tmp_path, capsys, monkeypatch):
+        templates._cached_orthogonal.cache_clear()
+        monkeypatch.setattr(templates, "MAX_MATRIX_BYTES", 1000)
+        self._write_csv(tmp_path / "in.csv", [Template(np.ones(6), client_id=0)])
+        code = main(["protect", str(tmp_path / "in.csv"), "--key", KEY])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "6 x 6 orthogonal matrix needs about 1296 bytes" in err
+        assert "Traceback" not in err
 
     def test_protect_garbage_csv_is_data_error(self, tmp_path):
         (tmp_path / "bad.csv").write_text("nonsense\n")

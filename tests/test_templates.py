@@ -112,6 +112,20 @@ class TestOrthogonalMatrix:
         with pytest.raises(ValueError):
             orthogonal_matrix(MasterKey(1), 0)
 
+    def test_refuses_an_oversized_matrix_before_drawing(self, monkeypatch):
+        def no_draws(stream, count):
+            raise AssertionError("drew before the size check")
+
+        templates._cached_orthogonal.cache_clear()
+        monkeypatch.setattr(templates, "MAX_MATRIX_BYTES", 36 * 16 * 16 - 1)
+        monkeypatch.setattr(templates, "_gaussian_draws", no_draws)
+        with pytest.raises(ValueError, match=r"16 x 16 .* 9216 bytes.* 9215 bytes"):
+            protect_template(Template(np.ones(16), client_id=0), MasterKey(0x5151))
+        monkeypatch.undo()
+        monkeypatch.setattr(templates, "MAX_MATRIX_BYTES", 36 * 16 * 16)
+        assert orthogonal_matrix(MasterKey(0x5151), 16).shape == (16, 16)
+        templates._cached_orthogonal.cache_clear()
+
 
 class TestProtectTemplate:
     def test_isometry(self):
