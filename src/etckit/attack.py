@@ -12,8 +12,10 @@ property the evaluation harness measures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,35 +44,45 @@ _BRUTE_FORCE_LIMIT = 10
 
 # Largest n x n table set the appearance ground truth may allocate, in bytes.
 MAX_TABLE_BYTES = 2 << 30
-# Distance entries per ground-truth chunk: 512 KiB buffers stay in cache.
-_GT_CHUNK = 1 << 16
+# Entries of one pieces x cells block of the ground truth (128 KiB). Of 2**12
+# to 2**16 (median of 5 calls, one BLAS thread), 2**14 ran 256 pieces fastest
+# with the least memory; 2**15 and 2**16 ran 1024 pieces about 13% faster.
+_GT_CHUNK = 1 << 14
 # Table entries per block of the solver's seed scan (a 4 MiB buffer): of
 # 2**17, 2**18 and 2**19, the largest scanned K = 8192 fastest.
 _SEED_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """Per-cell (piece id, orientation) that reconstructs the plaintext."""
+class _Placement:
+    """Per-cell (piece id, orientation), each piece used once."""
 
     piece_ids: np.ndarray
     orientations: np.ndarray
 
-
-@dataclass(frozen=True)
-class Assembly:
-    """A solver's answer: per-cell (piece id, orientation), each piece used once."""
-
-    piece_ids: np.ndarray
-    orientations: np.ndarray
+    _kind: ClassVar[str]  # names the type in error messages
 
     def __post_init__(self):
         ids = np.asarray(self.piece_ids)
         if sorted(ids.ravel().tolist()) != list(range(ids.size)):
-            raise ValueError("assembly must place every piece exactly once")
+            raise ValueError(f"{self._kind} must place every piece exactly once")
         ors = np.asarray(self.orientations)
         if ors.shape != ids.shape or ((ors < 0) | (ors > 7)).any():
-            raise ValueError("orientations must match the grid and lie in [0, 8)")
+            raise ValueError(f"{self._kind} orientations must match the grid and lie in [0, 8)")
+
+
+@dataclass(frozen=True)
+class GroundTruth(_Placement):
+    """Per-cell (piece id, orientation) that reconstructs the plaintext."""
+
+    _kind = "ground truth"
+
+
+@dataclass(frozen=True)
+class Assembly(_Placement):
+    """A solver's answer: per-cell (piece id, orientation), each piece used once."""
+
+    _kind = "assembly"
 
 
 @dataclass(frozen=True)
@@ -116,68 +128,112 @@ def ground_truth_from_key(key: MasterKey, cfg: CipherConfig, grid: BlockGrid) ->
     return GroundTruth(cell_piece.reshape(shape), cell_orient.reshape(shape))
 
 
-def _block_features(pieces: np.ndarray) -> np.ndarray:
-    """Coarse per-block features: cell means on the largest power-of-two grid
-    (up to 8x8) dividing the block size. Shape (n, F, F, C) float64."""
-    n, b, _, c = pieces.shape
-    f = next(s for s in (8, 4, 2, 1) if b % s == 0)
+def _cell_sums(blocks: np.ndarray, f: int) -> np.ndarray:
+    """Per-block features: pixel sums over an ``f`` x ``f`` grid of cells,
+    shape (n, F, F, C) float64. Integers, so exact in any summation order."""
+    n, b, _, c = blocks.shape
     cell = b // f
-    arr = pieces.astype(np.float64).reshape(n, f, cell, f, cell, c)
-    return arr.mean(axis=(2, 4))
+    rows = np.zeros((n, f, b, c))  # sums over each cell's rows first
+    for dy in range(cell):
+        rows += blocks[:, dy::cell]
+    sums = np.zeros((n, f, f, c))
+    for dx in range(cell):
+        sums += rows[:, :, dx::cell]
+    return sums
 
 
 def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     """Appearance-based ground truth: match each piece to the plaintext cell it
     came from, searching orientation, inversion, and channel-order variants.
 
-    Robust to JPEG noise via coarse block features and optimal assignment.
-    Raises ``ValueError`` when the n x n assignment tables would exceed
-    ``MAX_TABLE_BYTES``.
+    Robust to JPEG noise via coarse block features and optimal assignment. A
+    block's features are its pixel sums over the largest power-of-two grid of
+    cells (up to 8x8) that divides the block size. The cost of a (cell,
+    piece) pair is the least squared distance from the cell's features to
+    those of any of the piece's variants, and its orientation is that of the
+    first variant reaching it in (orientation, negpos, channel order) order.
+
+    Every cost is an exact integer in float64: orientation and channel order
+    permute a piece's features, and negation maps a cell sum ``p`` to
+    ``255 * area - p``, so all 96 distances come from the 8 x 3 x 3 channel
+    products of each orientation. Exactness needs ``2 * F**2 * C * (255 *
+    area)**2 < 2**53``; every power-of-two block size up to 1024 and every
+    size below 391 meet it. Raises ``ValueError``, before allocating
+    anything, for a block size past it or when the n x n assignment tables
+    would exceed ``MAX_TABLE_BYTES``.
     """
     from scipy.optimize import linear_sum_assignment
 
     grid = puzzle.grid
-    plain_blocks, pgrid = split_blocks(plain, grid.block_size)
-    if (pgrid.rows, pgrid.cols) != (grid.rows, grid.cols):
-        raise ValueError("plaintext geometry does not match the puzzle grid")
-    n = grid.n_blocks
-    nbytes = n * n * 9  # cost (float64) and orientation choice (int8) per (cell, piece)
+    n, b, _, c = puzzle.pieces.shape
+    f = next(s for s in (8, 4, 2, 1) if b % s == 0)
+    full = 255 * (b // f) ** 2  # a cell sum of 255s: negpos maps p to full - p
+    if 2 * f * f * c * full * full >= 2**53:
+        raise ValueError(
+            f"block size {b} with {c} channel(s) gives feature distances that may "
+            "reach 2**53, past float64's exact integers"
+        )
+    # 8 cost bytes per (cell, piece); the ninth, once an orientation table,
+    # keeps the limit where it was
+    nbytes = n * n * 9
     if nbytes > MAX_TABLE_BYTES:
         raise ValueError(
             f"ground truth of {n} pieces in 8 orientation(s) needs {nbytes} bytes "
             f"of tables, more than the limit of {MAX_TABLE_BYTES} bytes"
         )
+    plain_blocks, _ = split_blocks(plain, grid.block_size)
+    if plain_blocks.shape != puzzle.pieces.shape:
+        raise ValueError("plaintext geometry does not match the puzzle grid")
 
-    cell_feat = _block_features(plain_blocks)  # (n, F, F, C)
-    piece_feat = _block_features(puzzle.pieces)
-    _, f, _, c = piece_feat.shape
-    # variants of a piece in (orientation, negpos, channel perm) order
-    perms = np.asarray(CHANNEL_PERMS if c == 3 else ((0,),))
-    n_variants = 8 * 2 * len(perms)
-    oriented = np.stack([apply_orientation(piece_feat, o) for o in range(8)], axis=1)
+    cells = _cell_sums(plain_blocks, f)
+    pieces = _cell_sums(puzzle.pieces, f)
+    perms = CHANNEL_PERMS if c == 3 else ((0,),)
+    cols = np.ascontiguousarray(cells.reshape(n, f * f, c).transpose(2, 1, 0))  # (C, F*F, n)
+    piece_sq = (pieces * pieces).sum(axis=(1, 2, 3))
+    neg_sq = ((full - pieces) ** 2).sum(axis=(1, 2, 3))
+    cell_sq = (cells * cells).sum(axis=(1, 2, 3))
+    # |c|^2 - 2 * full * sum(c): the cell's part of every negated distance
+    cell_neg = cell_sq - 2 * full * cells.sum(axis=(1, 2, 3))
 
-    flat_cells = cell_feat.reshape(n, -1)
-    cell_sq = (flat_cells * flat_cells).sum(axis=1)
     cost = np.empty((n, n))
-    orient_choice = np.empty((n, n), dtype=np.int8)
-    step = max(1, _GT_CHUNK // (n_variants * n))
+    step = max(1, _GT_CHUNK // n)
     for lo in range(0, n, step):
-        o = oriented[lo : lo + step]  # (m, 8, F, F, C)
-        v = np.stack([o, 255.0 - o], axis=2)[..., perms]  # (m, 8, 2, F, F, P, C)
-        vfeats = np.moveaxis(v, -2, 3).reshape(-1, f * f * c)
-        # squared distance of every variant to every cell
-        d = (vfeats * vfeats).sum(axis=1)[:, None] + cell_sq[None, :]
-        d -= 2.0 * vfeats @ flat_cells.T
-        d = d.reshape(len(o), n_variants, n)
-        best_v = d.argmin(axis=1)  # (m, n): first minimum, as a per-piece scan
-        cost[:, lo : lo + len(o)] = np.take_along_axis(d, best_v[:, None], axis=1)[:, 0].T
-        orient_choice[:, lo : lo + len(o)] = (best_v // (n_variants // 8)).T
+        hi = lo + step
+        part = pieces[lo:hi]
+        # extreme dots with the cells over the non-negated variants of part
+        most = np.full((len(part), n), -np.inf)
+        least = np.full((len(part), n), np.inf)
+        for o in range(8):
+            # rows[a, i]: channel a of piece lo + i in orientation o
+            rows = apply_orientation(part, o).reshape(len(part), f * f, c).transpose(2, 0, 1)
+            g = np.matmul(np.ascontiguousarray(rows)[:, None], cols)  # g[a, b]: channel a . b
+            for perm in perms:
+                dot = functools.reduce(np.add, [g[a, ch] for ch, a in enumerate(perm)])
+                np.maximum(most, dot, out=most)
+                np.minimum(least, dot, out=least)
+        # |v - c|^2 = |c|^2 + |p|^2 - 2 v.c, or for a negated variant
+        # |c|^2 + |full - p|^2 - 2 full sum(c) + 2 v.c
+        most *= -2
+        most += piece_sq[lo:hi, None]
+        most += cell_sq
+        least *= 2
+        least += neg_sq[lo:hi, None]
+        least += cell_neg
+        cost[:, lo:hi] = np.minimum(most, least).T
 
     cell_idx, piece_idx = linear_sum_assignment(cost)
+    # the 96 exact distances of each assigned pair give its orientation
+    mine, mates = pieces[piece_idx], cells[cell_idx].reshape(n, f * f, c)
+    g = np.stack([np.matmul(apply_orientation(mine, o).reshape(n, f * f, c).transpose(0, 2, 1),
+                            mates) for o in range(8)], axis=1)  # (n, 8, C, C)
+    dots = g[..., np.asarray(perms), np.arange(c)].sum(axis=-1)  # (n, 8, P)
+    plain_dist = (piece_sq[piece_idx] + cell_sq[cell_idx])[:, None, None] - 2 * dots
+    neg_dist = (neg_sq[piece_idx] + cell_neg[cell_idx])[:, None, None] + 2 * dots
+    dist = np.stack([plain_dist, neg_dist], axis=2)  # (n, 8, 2, P)
     ids = np.empty(n, dtype=np.int64)
     ors = np.empty(n, dtype=np.int64)
     ids[cell_idx] = piece_idx
-    ors[cell_idx] = orient_choice[cell_idx, piece_idx]
+    ors[cell_idx] = dist.reshape(n, -1).argmin(axis=1) // (2 * len(perms))
     shape = (grid.rows, grid.cols)
     return GroundTruth(ids.reshape(shape), ors.reshape(shape))
 

@@ -16,27 +16,43 @@ from etckit.attack import (
     GroundTruth,
     Metrics,
     Puzzle,
-    _block_features,
     identity_assembly,
 )
 from etckit.cipher import CHANNEL_PERMS, apply_orientation
 from etckit.images import ImageBuffer, merge_blocks, split_blocks
 
 
-def reference_ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
+def _block_features(pieces: np.ndarray, sums: bool = False) -> np.ndarray:
+    """Coarse per-block features: cell means (or, with ``sums``, cell sums) on
+    the largest power-of-two grid (up to 8x8) dividing the block size. Shape
+    (n, F, F, C) float64."""
+    n, b, _, c = pieces.shape
+    f = next(s for s in (8, 4, 2, 1) if b % s == 0)
+    cell = b // f
+    arr = pieces.astype(np.float64).reshape(n, f, cell, f, cell, c)
+    return arr.sum(axis=(2, 4)) if sums else arr.mean(axis=(2, 4))
+
+
+def reference_ground_truth_from_plain(
+    plain: ImageBuffer, puzzle: Puzzle, sums: bool = False
+) -> GroundTruth:
     """Appearance-based ground truth: match each piece to the plaintext cell it
     came from, searching orientation, inversion, and channel-order variants.
 
     Robust to JPEG noise via coarse block features and optimal assignment.
+    With ``sums`` the features are integer cell sums, which a cell of
+    ``area`` pixels negates to ``255 * area - sum``, so every distance is
+    exact; cell means are exact only when the area is a power of two.
     """
     grid = puzzle.grid
     plain_blocks, pgrid = split_blocks(plain, grid.block_size)
     if (pgrid.rows, pgrid.cols) != (grid.rows, grid.cols):
         raise ValueError("plaintext geometry does not match the puzzle grid")
 
-    cell_feat = _block_features(plain_blocks)  # (n, F, F, C)
-    piece_feat = _block_features(puzzle.pieces)
+    cell_feat = _block_features(plain_blocks, sums)  # (n, F, F, C)
+    piece_feat = _block_features(puzzle.pieces, sums)
     n, f, _, c = piece_feat.shape
+    white = 255.0 * (grid.block_size // f) ** 2 if sums else 255.0
 
     variants = []  # (orientation, negpos, channel perm index or None)
     for orient in range(8):
@@ -54,7 +70,7 @@ def reference_ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> Gro
         for vi, (orient, neg, p3) in enumerate(variants):
             feat = apply_orientation(piece_feat[i], orient)
             if neg:
-                feat = 255.0 - feat
+                feat = white - feat
             if p3 is not None:
                 feat = feat[..., CHANNEL_PERMS[p3]]
             vfeats[vi] = feat.ravel()

@@ -28,7 +28,13 @@ from etckit.attack import (
     render_assembly,
     score_assembly,
 )
-from etckit.cipher import ORIENT_COMPOSE, SCHEME_GRAYSCALE, CipherConfig, encrypt
+from etckit.cipher import (
+    ORIENT_COMPOSE,
+    SCHEME_GRAYSCALE,
+    CipherConfig,
+    apply_orientation,
+    encrypt,
+)
 from etckit.images import BlockGrid, ImageBuffer, merge_blocks
 from etckit.keystream import MasterKey
 from etckit.synth import synth_natural_image
@@ -61,6 +67,18 @@ class TestTypes:
     def test_assembly_orientation_range(self):
         with pytest.raises(ValueError):
             Assembly(np.asarray([[0, 1], [2, 3]]), np.full((2, 2), 8))
+
+    def test_ground_truth_must_use_each_piece_once(self):
+        # scored, it would give Metrics(0.25, 0.0, 0.25)
+        with pytest.raises(ValueError, match="ground truth must place every piece exactly once"):
+            GroundTruth(np.zeros((2, 2), np.int64), np.zeros((2, 2), np.int64))
+
+    def test_ground_truth_orientation_range(self):
+        # scored, it would index past the 8 x 8 composition table
+        with pytest.raises(ValueError, match="ground truth orientations"):
+            GroundTruth(np.asarray([[0, 1], [2, 3]]), np.asarray([[0, 9], [0, 0]]))
+        with pytest.raises(ValueError, match="ground truth orientations"):
+            GroundTruth(np.asarray([[0, 1], [2, 3]]), np.zeros((1, 4), np.int64))
 
     def test_puzzle_from_image(self):
         pz = Puzzle.from_image(_img(32, 48), 16)
@@ -460,21 +478,48 @@ class TestAgainstReference:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(_GRIDS), st.sampled_from(_PIECE_KINDS), st.sampled_from([1, 3]),
-           st.sampled_from([4, 6, 8]), _KEYS, st.integers(0, 2**32 - 1))
+           st.sampled_from([4, 8, 16]), _KEYS, st.integers(0, 2**32 - 1))
     def test_ground_truth_matches_reference(self, grid, kind, c, bs, key, seed):
-        # block size 6 gives feature means in ninths, which no float holds exactly
+        # cell means over a power-of-two area are exact, so the mean oracle's
+        # distances are the library's divided by area**2, with equal ties
         plain, pz = _cipher_case(grid, kind, c, bs, key, seed)
         got = ground_truth_from_plain(plain, pz)
         want = reference_ground_truth_from_plain(plain, pz)
         assert np.array_equal(got.piece_ids, want.piece_ids)
         assert np.array_equal(got.orientations, want.orientations)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_GRIDS), st.sampled_from(_PIECE_KINDS), st.sampled_from([1, 3]),
+           st.sampled_from([4, 6, 8, 12]), _KEYS, st.integers(0, 2**32 - 1))
+    def test_ground_truth_matches_sum_reference(self, grid, kind, c, bs, key, seed):
+        # block sizes 6 and 12 have 9-pixel cells, whose means no float holds
+        # exactly; their sums are integers
+        plain, pz = _cipher_case(grid, kind, c, bs, key, seed)
+        got = ground_truth_from_plain(plain, pz)
+        want = reference_ground_truth_from_plain(plain, pz, sums=True)
+        assert np.array_equal(got.piece_ids, want.piece_ids)
+        assert np.array_equal(got.orientations, want.orientations)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_ground_truth_ties_take_the_first_variant_at_block_6(self, c):
+        # an antisymmetric piece turned by 180 degrees is its own negative, so
+        # (orientation 0, negated) and (orientation 2, plain) undo both
+        # ciphertexts exactly; orientation 0 comes first
+        grid = BlockGrid(6, 2, 3)
+        plain = _pieces("antisymmetric", 6, 6, c, 5)
+        for ct in (255 - plain, apply_orientation(plain, 2)):
+            pz = Puzzle(np.ascontiguousarray(ct), grid)
+            gt = ground_truth_from_plain(merge_blocks(plain, grid, c), pz)
+            assert gt.piece_ids.tolist() == [[0, 1, 2], [3, 4, 5]]
+            assert gt.orientations.tolist() == [[0, 0, 0], [0, 0, 0]]
+
     def test_ground_truth_matches_reference_across_chunks(self, monkeypatch):
         img = synth_natural_image(96, 96, seed=12)
         ct, _ = encrypt(img, MasterKey(0xD1CE), CipherConfig(steps="srnc", block_size=12))
         pz = Puzzle.from_image(ct, 12)
-        want = reference_ground_truth_from_plain(img, pz)
-        for chunk in (1, 96 * 64 * 5, 1 << 30):  # one piece, five pieces, all pieces
+        want = reference_ground_truth_from_plain(img, pz, sums=True)
+        n = pz.grid.n_blocks  # 64 pieces: five-piece chunks leave a partial one
+        for chunk in (1, 5 * n, 1 << 30):  # one piece, five pieces, all pieces
             monkeypatch.setattr(attack, "_GT_CHUNK", chunk)
             got = ground_truth_from_plain(img, pz)
             assert np.array_equal(got.piece_ids, want.piece_ids)
@@ -560,6 +605,30 @@ class TestMemoryGuard:
         img = _img(32, 32)
         with pytest.raises(ValueError, match=r"16 pieces in 8 orientation\(s\) needs 2304 bytes"):
             ground_truth_from_plain(img, Puzzle.from_image(img, 8))
+
+    @pytest.mark.parametrize("c, bs", [(3, 391), (1, 515), (3, 1104), (3, 2048)])
+    def test_ground_truth_refuses_inexact_block_sizes_before_allocating(self, c, bs):
+        # the smallest sizes past 2**53 with 1x1 cell grids (odd sizes) and
+        # with 8x8 cell grids, and the first power of two past it
+        pieces = np.zeros((1, bs, bs, c), np.uint8)
+        pz = Puzzle(pieces, BlockGrid(bs, 1, 1))
+        plain = ImageBuffer(pieces[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"block size {bs} with {c} channel"):
+                ground_truth_from_plain(plain, pz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10 < pieces.nbytes
+
+    @pytest.mark.parametrize("c, bs", [(3, 389), (1, 513), (3, 1096), (3, 1024)])
+    def test_ground_truth_accepts_the_largest_exact_block_sizes(self, c, bs):
+        rng = np.random.default_rng(bs)
+        plain = rng.integers(0, 256, (1, bs, bs, c), dtype=np.uint8)
+        gt = ground_truth_from_plain(ImageBuffer(plain[0]),
+                                     Puzzle(255 - plain, BlockGrid(bs, 1, 1)))
+        assert (gt.piece_ids.tolist(), gt.orientations.tolist()) == ([[0]], [[0]])
 
 
 class TestRenderAssembly:

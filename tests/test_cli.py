@@ -272,6 +272,15 @@ class TestAttack:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_inexact_ground_truth_block_size_is_data_error(self, tmp_path, capsys):
+        plain = tmp_path / "plain.ppm"
+        plain.write_bytes(save_ppm(ImageBuffer(np.zeros((391, 391, 3), np.uint8))))
+        code = main(["attack", str(plain), "--plain", str(plain), "--steps", "s",
+                     "--block-size", "391"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "block size 391 with 3 channel(s)" in err and "Traceback" not in err
+
     def test_geometry_mismatch_is_data_error(self, tmp_path, plain_ppm):
         other = tmp_path / "other.ppm"
         other.write_bytes(save_ppm(synth_natural_image(32, 32, seed=9)))
