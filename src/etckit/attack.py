@@ -42,7 +42,7 @@ ATTACK_CSV_HEADER = "steps,block_size,n_pieces,dc,nc,lc,seconds"
 
 _BRUTE_FORCE_LIMIT = 10
 
-# Largest n x n table set the appearance ground truth may allocate, in bytes.
+# Largest n x n cost table the appearance ground truth may allocate, in bytes.
 MAX_TABLE_BYTES = 2 << 30
 # Entries of one pieces x cells block of the ground truth (128 KiB). Of 2**12
 # to 2**16 (median of 5 calls, one BLAS thread), 2**14 ran 256 pieces fastest
@@ -159,7 +159,7 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     products of each orientation. Exactness needs ``2 * F**2 * C * (255 *
     area)**2 < 2**53``; every power-of-two block size up to 1024 and every
     size below 391 meet it. Raises ``ValueError``, before allocating
-    anything, for a block size past it or when the n x n assignment tables
+    anything, for a block size past it or when the n x n float64 cost table
     would exceed ``MAX_TABLE_BYTES``.
     """
     from scipy.optimize import linear_sum_assignment
@@ -173,13 +173,11 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
             f"block size {b} with {c} channel(s) gives feature distances that may "
             "reach 2**53, past float64's exact integers"
         )
-    # 8 cost bytes per (cell, piece); the ninth, once an orientation table,
-    # keeps the limit where it was
-    nbytes = n * n * 9
+    nbytes = n * n * 8
     if nbytes > MAX_TABLE_BYTES:
         raise ValueError(
-            f"ground truth of {n} pieces in 8 orientation(s) needs {nbytes} bytes "
-            f"of tables, more than the limit of {MAX_TABLE_BYTES} bytes"
+            f"ground truth of {n} pieces needs a {n}x{n} cost table of {nbytes} "
+            f"bytes, more than the limit of {MAX_TABLE_BYTES} bytes"
         )
     plain_blocks, _ = split_blocks(plain, grid.block_size)
     if plain_blocks.shape != puzzle.pieces.shape:

@@ -208,10 +208,13 @@ def _scramble(blocks: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def _rotate_flip(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    # np.take gathers much faster than fancy indexing, and a contiguous
+    # oriented copy scatters faster than the strided view apply_orientation
+    # returns; one code at a time holds only two copies of that code's blocks
     for code in range(1, 8):
         idx = np.flatnonzero(codes == code)
-        if idx.size:
-            blocks[idx] = apply_orientation(blocks[idx], code)
+        moved = apply_orientation(np.take(blocks, idx, axis=0), code)
+        blocks[idx] = np.ascontiguousarray(moved)
     return blocks
 
 

@@ -1,8 +1,9 @@
-"""Per-block reference implementations of the four cipher steps.
+"""Per-block reference implementations of block cutting and of the four
+cipher steps.
 
-The library applies each step to a whole block stack at once; these apply it
-one block at a time, written as plainly as possible, so tests can compare the
-two.
+The library cuts an image and applies each step to a whole block stack at
+once; these slice out and transform one block at a time, written as plainly
+as possible, so tests can compare the two.
 """
 
 import numpy as np
@@ -17,7 +18,26 @@ from etckit.cipher import (
     stack_planes,
     step_draws,
 )
-from etckit.images import merge_blocks, split_blocks
+from etckit.images import ImageBuffer
+
+
+def cut_blocks(data: np.ndarray, b: int) -> np.ndarray:
+    """The ``b x b`` blocks of an ``(H, W, C)`` array, row by row, as an
+    ``(n, b, b, C)`` stack."""
+    rows, cols = data.shape[0] // b, data.shape[1] // b
+    return np.stack(
+        [data[r * b : (r + 1) * b, c * b : (c + 1) * b] for r in range(rows) for c in range(cols)]
+    )
+
+
+def paste_blocks(blocks: np.ndarray, cols: int) -> np.ndarray:
+    """Inverse of :func:`cut_blocks` for a grid ``cols`` blocks wide."""
+    n, b, _, channels = blocks.shape
+    out = np.empty((n // cols * b, cols * b, channels), np.uint8)
+    for i, block in enumerate(blocks):
+        r, c = divmod(i, cols)
+        out[r * b : (r + 1) * b, c * b : (c + 1) * b] = block
+    return out
 
 
 def apply_scramble(blocks: np.ndarray, perm) -> np.ndarray:
@@ -56,8 +76,8 @@ def apply_color_shuffle(block: np.ndarray, perm3: int) -> np.ndarray:
 def reference_encrypt(img, key, cfg):
     """Ciphertext of ``encrypt(img, key, cfg)``, built block by block."""
     work = stack_planes(img) if cfg.scheme == SCHEME_GRAYSCALE else img
-    blocks, grid = split_blocks(work, cfg.block_size)
-    draws = step_draws(key, cfg, grid.n_blocks)
+    blocks = cut_blocks(work.data, cfg.block_size)
+    draws = step_draws(key, cfg, len(blocks))
     if SCRAMBLE in draws:
         blocks = apply_scramble(blocks, draws[SCRAMBLE])
     per_block = [
@@ -68,4 +88,4 @@ def reference_encrypt(img, key, cfg):
     for name, step in per_block:
         if name in draws:
             blocks = np.stack([step(b, int(d)) for b, d in zip(blocks, draws[name])])
-    return merge_blocks(blocks, grid, work.channels)
+    return ImageBuffer(paste_blocks(blocks, work.width // cfg.block_size))

@@ -603,8 +603,30 @@ class TestMemoryGuard:
     def test_ground_truth_refuses_oversized_cost_matrix(self, monkeypatch):
         monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 2000)
         img = _img(32, 32)
-        with pytest.raises(ValueError, match=r"16 pieces in 8 orientation\(s\) needs 2304 bytes"):
+        with pytest.raises(ValueError, match="16 pieces needs a 16x16 cost table of 2048 bytes"):
             ground_truth_from_plain(img, Puzzle.from_image(img, 8))
+
+    def test_ground_truth_limit_counts_only_the_cost_table(self, monkeypatch):
+        # 16 pieces need exactly 16 * 16 * 8 bytes, so that limit admits them
+        monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 2048)
+        img = _img(32, 32)
+        gt = ground_truth_from_plain(img, Puzzle.from_image(img, 8))
+        assert gt.piece_ids.ravel().tolist() == list(range(16))
+
+    def test_ground_truth_refuses_16385_pieces_before_allocating(self):
+        # 16385**2 * 8 bytes is just past the default 2 GiB limit
+        n = 16385
+        pieces = np.zeros((n, 1, 1, 1), np.uint8)
+        pz = Puzzle(pieces, BlockGrid(1, 1, n))
+        plain = ImageBuffer(pieces.reshape(1, n, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n} pieces needs a {n}x{n} cost table"):
+                ground_truth_from_plain(plain, pz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     @pytest.mark.parametrize("c, bs", [(3, 391), (1, 515), (3, 1104), (3, 2048)])
     def test_ground_truth_refuses_inexact_block_sizes_before_allocating(self, c, bs):

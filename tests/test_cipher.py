@@ -402,17 +402,19 @@ class TestStepTable:
         self, scheme, steps, key_seed, grid, gray_channels, img_seed
     ):
         # the stack maps must equal the per-block oracles applied one block at
-        # a time, and decrypting must undo them
-        bs = 4
+        # a time, and decrypting must undo them. Block sizes 3, 4, 6 and 8 or
+        # 16 make split and merge move block rows as 1-, 4-, 2- and 8-byte
+        # words
         rows, cols = grid
         # a 3-channel image under the grayscale-based scheme has 3x the rows
         channels = 3 if scheme == SCHEME_COLOR else gray_channels
-        img = _img(rows * bs, cols * bs, channels, img_seed)
-        cfg = CipherConfig(scheme=scheme, block_size=bs, steps=steps)
         key = MasterKey(key_seed)
-        ct, sc = encrypt(img, key, cfg)
-        assert ct == reference_encrypt(img, key, cfg)
-        assert decrypt(ct, key, sc) == img
+        for bs in (3, 4, 6, 8, 16):
+            img = _img(rows * bs, cols * bs, channels, img_seed)
+            cfg = CipherConfig(scheme=scheme, block_size=bs, steps=steps)
+            ct, sc = encrypt(img, key, cfg)
+            assert ct == reference_encrypt(img, key, cfg), bs
+            assert decrypt(ct, key, sc) == img, bs
 
     @pytest.mark.parametrize("layout", ["every-other-block", "transposed"])
     def test_stack_maps_on_strided_stacks(self, layout):

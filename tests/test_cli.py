@@ -257,7 +257,7 @@ class TestAttack:
     @pytest.mark.parametrize(
         "truth, message",
         [
-            ([], "ground truth of 16 pieces in 8 orientation(s) needs 2304 bytes"),
+            ([], "ground truth of 16 pieces needs a 16x16 cost table of 2048 bytes"),
         ],
         ids=["plain-truth"],
     )

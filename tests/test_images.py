@@ -15,6 +15,7 @@ from etckit.images import (
     save_ppm,
     split_blocks,
 )
+from step_oracles import cut_blocks, paste_blocks
 
 
 def _img(h, w, c, seed=0):
@@ -117,6 +118,13 @@ class TestBlocks:
         with pytest.raises(ValueError):
             merge_blocks(blocks[:3], grid, 1)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
+    def test_merge_rejects_other_dtypes(self, dtype):
+        # merge moves bytes as words, which would reinterpret any other dtype
+        blocks, grid = split_blocks(_img(32, 32, 1), 16)
+        with pytest.raises(ValueError, match="expected uint8 blocks"):
+            merge_blocks(blocks.astype(dtype), grid, 1)
+
     @pytest.mark.parametrize(
         "h, w, c, bs",
         [(32, 16, 3, 16), (48, 8, 1, 8), (16, 16, 3, 16), (16, 48, 3, 16), (32, 48, 1, 16)],
@@ -138,11 +146,38 @@ class TestBlocks:
         assert not np.shares_memory(merged.data, blocks)
         assert merged.data.flags.c_contiguous
 
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.sampled_from([1, 3]))
-    def test_split_merge_property(self, rows, cols, bs, c):
-        img = _img(rows * bs, cols * bs, c, seed=rows * 31 + cols)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.sampled_from([1, 3]),
+        st.integers(0, 7),
+    )
+    def test_split_merge_property(self, rows, cols, bs, c, offset):
+        # split and merge move block rows of bs * c bytes as 1-, 2-, 4- or
+        # 8-byte words; both must equal plain slicing, not only undo each
+        # other, also on samples that start at an unaligned address
+        h, w = rows * bs, cols * bs
+        samples = np.empty(h * w * c + offset, np.uint8)[offset:].reshape(h, w, c)
+        samples[...] = _img(h, w, c, seed=rows * 31 + cols).data
+        img = ImageBuffer(samples)
         blocks, grid = split_blocks(img, bs)
-        assert merge_blocks(blocks, grid, c) == img
+        assert np.array_equal(blocks, cut_blocks(samples, bs))
+        merged = merge_blocks(blocks, grid, c)
+        assert np.array_equal(merged.data, paste_blocks(blocks, cols))
+        assert merged == img
+
+    @pytest.mark.parametrize("layout", ["every-other-block", "transposed"])
+    @pytest.mark.parametrize("bs, c", [(3, 1), (2, 3), (4, 1), (8, 3)])  # 1, 2, 4, 8-byte words
+    def test_merge_of_a_strided_stack(self, layout, bs, c):
+        big, _ = split_blocks(_img(4 * bs, 3 * bs, c), bs)
+        stack = big[::2] if layout == "every-other-block" else big[:6].transpose(0, 2, 1, 3)
+        assert not stack.flags.c_contiguous
+        grid = BlockGrid(bs, 2, 3)
+        merged = merge_blocks(stack, grid, c)
+        assert merged == merge_blocks(np.ascontiguousarray(stack), grid, c)
+        assert not np.shares_memory(merged.data, big)
+        assert merged.data.flags.c_contiguous
 
 
 class TestPadReplicate:
