@@ -36,7 +36,7 @@ from .cipher import (
 )
 from .codec import CodecError, CodecParams, mean_bpp_inflation, mean_psnr_gap, rd_csv, rd_curve
 from .images import ImageBuffer, load_ppm, pad_replicate, save_ppm
-from .keystream import MasterKey, format_key_file, keyspace_bits, parse_key_file
+from .keystream import MASK64, MasterKey, format_key_file, keyspace_bits, parse_key_file
 from .templates import classify, enroll, format_template_csv, parse_template_csv, protect_template
 
 EXIT_OK = 0
@@ -325,7 +325,10 @@ def _cmd_keyspace(args) -> int:
         bits = keyspace_bits(n_blocks, cfg.steps, cfg.scheme)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    sys.stdout.write(f"n_blocks {n_blocks}\nkeyspace_bits {bits:.6f}\n")
+    # every keyed choice derives from one 64-bit key, which bounds a search
+    sys.stdout.write(
+        f"n_blocks {n_blocks}\nkeyspace_bits {bits:.6f}\nkey_bits {MASK64.bit_length()}\n"
+    )
     return EXIT_OK
 
 

@@ -257,18 +257,25 @@ def reference_compose_orientations(first: int, then: int) -> int:
     return (4 if f1 != f2 else 0) + r
 
 
-def reference_rotate_direction(k: int, delta: tuple[int, int]) -> tuple[int, int]:
+def reference_pose_direction(g: int, delta: tuple[int, int]) -> tuple[int, int]:
+    """Offset ``delta`` carried by pose ``g``: turned 90 degrees
+    counter-clockwise ``g % 4`` times, then mirrored left to right iff
+    ``g >= 4``."""
     dr, dc = delta
-    for _ in range(k % 4):
+    for _ in range(g % 4):
         dr, dc = -dc, dr
-    return dr, dc
+    return (dr, -dc) if g >= 4 else (dr, dc)
 
 
-def reference_rotate_codes(codes: np.ndarray, k: int) -> np.ndarray:
-    r = codes % 4
-    flipped = codes >= 4
-    rn = np.where(flipped, (r - k) % 4, (r + k) % 4)
-    return np.where(flipped, rn + 4, rn)
+def reference_pose_grid(cells: np.ndarray, g: int) -> np.ndarray:
+    """A rows x cols array of cells laid out as pose ``g`` moves them."""
+    turned = np.rot90(cells, g % 4)
+    return turned[:, ::-1] if g >= 4 else turned
+
+
+def reference_pose_codes(codes: np.ndarray, g: int) -> np.ndarray:
+    """Each orientation code followed by pose ``g``."""
+    return np.vectorize(lambda code: reference_compose_orientations(int(code), g))(codes)
 
 
 def reference_correct_pairs(
@@ -277,10 +284,10 @@ def reference_correct_pairs(
     """Adjacent cell pairs realizing a true seam, as (r1, c1, r2, c2).
 
     A pair placed with relative offset ``delta`` and orientations (ou, ov) is
-    correct when one global rotation maps both placements onto the ground
-    truth: the per-piece correction ``gt_orient o ou^-1`` must be the same
-    pure rotation for both pieces and must map ``delta`` onto the pieces'
-    true relative offset.
+    correct when one global pose maps both placements onto the ground truth:
+    the per-piece correction ``gt_orient o ou^-1`` must be the same code for
+    both pieces and must carry ``delta`` onto the pieces' true relative
+    offset.
     """
     rows, cols = assembly.piece_ids.shape
     n = rows * cols
@@ -309,9 +316,9 @@ def reference_correct_pairs(
                 rho_v = reference_compose_orientations(
                     reference_invert_orientation(ov), int(t_orient[v])
                 )
-                if rho_u != rho_v or rho_u >= 4:
+                if rho_u != rho_v:
                     continue
-                want = reference_rotate_direction(rho_u, delta)
+                want = reference_pose_direction(rho_u, delta)
                 have = (
                     int(t_cell[v][0] - t_cell[u][0]),
                     int(t_cell[v][1] - t_cell[u][1]),
@@ -322,7 +329,7 @@ def reference_correct_pairs(
 
 
 def reference_score_assembly(
-    assembly: Assembly, puzzle: Puzzle, allow_global_rotation: bool = True
+    assembly: Assembly, puzzle: Puzzle, allow_global_pose: bool = True
 ) -> Metrics:
     """Direct, neighbor, and largest-component scores against the ground truth."""
     gt = puzzle.ground_truth
@@ -331,15 +338,14 @@ def reference_score_assembly(
     rows, cols = gt.piece_ids.shape
     n = rows * cols
 
-    # direct comparison, maximized over whole-assembly rotations
+    # direct comparison, maximized over whole-assembly poses that keep the shape
     best_direct = 0
-    rotations = (0, 1, 2, 3) if allow_global_rotation else (0,)
-    for k in rotations:
-        if k % 2 and rows != cols:
+    for g in range(8) if allow_global_pose else (0,):
+        ids_g = reference_pose_grid(assembly.piece_ids, g)
+        if ids_g.shape != (rows, cols):
             continue
-        ids_r = np.rot90(assembly.piece_ids, k)
-        ors_r = reference_rotate_codes(np.rot90(assembly.orientations, k), k)
-        match = (ids_r == gt.piece_ids) & (ors_r == gt.orientations)
+        ors_g = reference_pose_grid(reference_pose_codes(assembly.orientations, g), g)
+        match = (ids_g == gt.piece_ids) & (ors_g == gt.orientations)
         best_direct = max(best_direct, int(match.sum()))
     dc = best_direct / n
 

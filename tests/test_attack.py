@@ -15,9 +15,9 @@ from etckit.attack import (
     GroundTruth,
     Metrics,
     Puzzle,
-    _first_min,
-    _msd_row,
-    _oriented_edges,
+    _SEAM_SIDES,
+    _seed,
+    _SideTable,
     attack_report_row,
     boundary_dissimilarity,
     brute_force_scramble,
@@ -44,7 +44,8 @@ from attack_oracles import (
     reference_greedy_assemble,
     reference_ground_truth_from_plain,
     reference_render_assembly,
-    reference_rotate_codes,
+    reference_pose_codes,
+    reference_pose_grid,
     reference_score_assembly,
 )
 
@@ -242,7 +243,7 @@ class TestMetricOracle:
     def test_spec_worked_example(self):
         pz = self._puzzle()
         asm = Assembly(np.asarray([[1, 0], [2, 3]]), np.zeros((2, 2), np.int64))
-        got = score_assembly(asm, pz, allow_global_rotation=False)
+        got = score_assembly(asm, pz, allow_global_pose=False)
         assert got == Metrics(0.5, 0.25, 0.5)
 
 
@@ -258,7 +259,7 @@ class TestScoreAssembly:
             ors = ORIENT_COMPOSE[np.zeros((2, 2), np.int64), k]
             asm = Assembly(ids, ors)
             assert score_assembly(asm, pz) == Metrics(1.0, 1.0, 1.0), k
-            strict = score_assembly(asm, pz, allow_global_rotation=False)
+            strict = score_assembly(asm, pz, allow_global_pose=False)
             assert strict.dc == 0.0 and strict.nc == 1.0, k
 
     def test_odd_rotations_skipped_on_rectangular_grids(self):
@@ -266,10 +267,33 @@ class TestScoreAssembly:
         m = score_assembly(identity_assembly(pz.grid), pz)
         assert m == Metrics(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_every_shape_keeping_pose_of_the_truth_scores_perfect(self, shape):
+        # a pose moves the cells as np.rot90 then a left-right mirror, and
+        # turns every piece with it; the rendered assembly is the plaintext
+        # in that pose
+        plain = _img(4 * shape[0], 4 * shape[1], seed=6)
+        key, cfg = MasterKey(0xFACE), CipherConfig(steps="sr", block_size=4)
+        ct, _ = encrypt(plain, key, cfg)
+        pz = Puzzle.from_image(ct, 4)
+        gt = ground_truth_from_key(key, cfg, pz.grid)
+        pz = Puzzle(pz.pieces, pz.grid, gt)
+        assert len(set(gt.orientations.ravel().tolist())) > 1
+
+        def pose(a, g):
+            turned = np.rot90(a, g % 4)
+            return np.flip(turned, axis=1) if g >= 4 else turned
+
+        poses = range(8) if shape[0] == shape[1] else (0, 2, 4, 6)
+        for g in poses:
+            asm = Assembly(pose(gt.piece_ids, g), ORIENT_COMPOSE[pose(gt.orientations, g), g])
+            assert render_assembly(asm, pz) == ImageBuffer(np.ascontiguousarray(pose(plain.data, g)))
+            assert score_assembly(asm, pz) == Metrics(1.0, 1.0, 1.0), g
+
     def test_lc_lower_bound(self):
         pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
         worst = Assembly(np.asarray([[3, 2], [1, 0]]), np.zeros((2, 2), np.int64))
-        m = score_assembly(worst, pz, allow_global_rotation=False)
+        m = score_assembly(worst, pz, allow_global_pose=False)
         assert m.lc >= 1 / 4
 
     def test_requires_ground_truth(self):
@@ -393,16 +417,15 @@ class TestAgainstReference:
     def test_greedy_matches_reference(self, grid, kind, c, search, key, seed):
         _, pz = _cipher_case(grid, kind, c, 4, key, seed)
         orientations = list(range(8)) if search else [0]
-        left, right, top, bottom = _oriented_edges(pz.pieces, orientations)
+        table = _SideTable(pz.pieces, orientations)
         piece = np.arange(len(pz.pieces) * len(orientations)) // len(orientations)
         # every row and column the solver can compute is the reference table's
         # off the self-pairs, which it never reads
-        for (fixed, free), table in zip(((right, left), (bottom, top)),
-                                        reference_edge_tables(pz.pieces, orientations)):
-            for k in range(len(table)):
+        for (first, second), ref in zip(_SEAM_SIDES, reference_edge_tables(pz.pieces, orientations)):
+            for k in range(len(ref)):
                 other = piece != piece[k]
-                assert np.array_equal(_msd_row(fixed, free, k)[other], table[k, other])
-                assert np.array_equal(_msd_row(free, fixed, k)[other], table[other, k])
+                assert np.array_equal(table.row(first, second, k)[other], ref[k, other])
+                assert np.array_equal(table.row(second, first, k)[other], ref[other, k])
         asm = greedy_assemble(pz, orientation_search=search)
         try:
             ref = reference_greedy_assemble(pz, orientation_search=search)
@@ -433,19 +456,51 @@ class TestAgainstReference:
         # survive block boundaries
         _, pz = _cipher_case((3, 5), kind, 3, 4, 0x5EED, 7)
         orientations = list(range(8)) if search else [0]
-        no, kk, d = len(orientations), 15 * len(orientations), 4 * 3
-        left, right, top, bottom = _oriented_edges(pz.pieces, orientations)
+        # the seed's first key takes 4 orientations per piece with search
+        reps, kk, d = 4 if search else 1, 15 * len(orientations), 4 * 3
+        table = _SideTable(pz.pieces, orientations)
         tables = reference_edge_tables(pz.pieces, orientations)
         want = reference_greedy_assemble(pz, orientation_search=search)
-        for chunk in (1, 2 * kk * no, 1 << 30):  # one piece, two pieces, all pieces
+        for chunk in (1, 2 * kk * reps, 1 << 30):  # one piece, two pieces, all pieces
             monkeypatch.setattr(attack, "_SEED_CHUNK", chunk)
-            for (fixed, free), table in zip(((right, left), (bottom, top)), tables):
-                value, i = _first_min(fixed, free, no)
-                assert i == int(np.argmin(table))
-                assert value / d == table.flat[i]
+            for rel, ref in enumerate(tables):
+                value, k1, k2, got = _seed(table, (rel,), orientations)
+                assert (k1 * kk + k2, got) == (int(np.argmin(ref)), rel)
+                assert value / d == ref.flat[k1 * kk + k2]
             asm = greedy_assemble(pz, orientation_search=search)
             assert np.array_equal(asm.piece_ids, want.piece_ids)
             assert np.array_equal(asm.orientations, want.orientations)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from(_GRIDS), st.integers(2, 9).map(lambda n: (1, n)),
+                     st.integers(2, 9).map(lambda n: (n, 1))),
+           st.sampled_from(["flat", 2, 4]), st.sampled_from([1, 3]), st.sampled_from([2, 3]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_seed_matches_reference_on_ties(self, grid, levels, c, bs, search, seed):
+        # flat pieces (one value each, of 4) and pieces of 2 or 4 sample
+        # values tie across many pairs; the seed maps each tie through the
+        # poses and must land on the two-relation table's first minimum
+        rows, cols = grid
+        rng = np.random.default_rng(seed)
+        n = rows * cols
+        if levels == "flat":
+            values = np.asarray([0, 85, 170, 255], np.uint8)[rng.integers(0, 4, n)]
+            pieces = np.broadcast_to(values[:, None, None, None], (n, bs, bs, c))
+        else:
+            values = np.linspace(0, 255, levels).astype(np.uint8)
+            pieces = values[rng.integers(0, levels, (n, bs, bs, c))]
+        pieces = np.ascontiguousarray(pieces)
+        orientations = list(range(8)) if search else [0]
+        fitting = [rel for rel, size in enumerate((cols, rows)) if size > 1]
+        tables = np.stack(reference_edge_tables(pieces, orientations), axis=2)[..., fitting]
+        k1, k2, r = np.unravel_index(np.argmin(tables), tables.shape)
+        table = _SideTable(pieces, orientations)
+        for chunk in (1, 1 << 30):  # one piece per block, all pieces in one
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(attack, "_SEED_CHUNK", chunk)
+                value, *got = _seed(table, tuple(fitting), orientations)
+            assert got == [k1, k2, fitting[r]]
+            assert value / (bs * c) == tables[k1, k2, r]
 
     @pytest.mark.parametrize(
         "values, shape, want",
@@ -538,10 +593,10 @@ class TestAgainstReference:
 @st.composite
 def _scored_cases(draw):
     """(assembly, puzzle) on grids up to 6 x 6: a random assembly, the ground
-    truth turned by a global rotation, or that rotation perturbed by swapped
-    cells and re-drawn orientations."""
+    truth moved by a global pose that keeps the grid's shape, or that pose
+    perturbed by swapped cells and re-drawn orientations."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["random", "rotated", "perturbed"]))
+    kind = draw(st.sampled_from(["random", "posed", "perturbed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = rows * cols
     gt_ids = rng.permutation(n).reshape(rows, cols)
@@ -549,9 +604,9 @@ def _scored_cases(draw):
     if kind == "random":
         ids, ors = rng.permutation(n).reshape(rows, cols), rng.integers(0, 8, (rows, cols))
     else:
-        k = int(rng.integers(4)) if rows == cols else 2 * int(rng.integers(2))
-        ids = np.rot90(gt_ids, k).copy()
-        ors = np.rot90(reference_rotate_codes(gt_ors, k), k).copy()
+        g = int(rng.integers(8)) if rows == cols else 2 * int(rng.integers(4))
+        ids = reference_pose_grid(gt_ids, g).copy()
+        ors = reference_pose_grid(reference_pose_codes(gt_ors, g), g).copy()
     if kind == "perturbed":
         flat_ids, flat_ors = ids.reshape(-1), ors.reshape(-1)
         for _ in range(int(rng.integers(1, 4))):
@@ -570,20 +625,20 @@ class TestScoreAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(_scored_cases(), st.booleans())
-    def test_matches_reference(self, case, allow_rotation):
+    def test_matches_reference(self, case, allow_pose):
         asm, pz = case
-        got = score_assembly(asm, pz, allow_rotation)
-        assert got == reference_score_assembly(asm, pz, allow_rotation)
+        got = score_assembly(asm, pz, allow_pose)
+        assert got == reference_score_assembly(asm, pz, allow_pose)
         assert all(type(v) is float for v in (got.dc, got.nc, got.lc))
 
-    @pytest.mark.parametrize("allow_rotation", [False, True])
-    def test_one_cell_grid_matches_reference(self, allow_rotation):
+    @pytest.mark.parametrize("allow_pose", [False, True])
+    def test_one_cell_grid_matches_reference(self, allow_pose):
         for placed, true in itertools.product(range(8), repeat=2):
             pz = Puzzle(np.zeros((1, 1, 1, 1), np.uint8), BlockGrid(1, 1, 1),
                         GroundTruth(np.zeros((1, 1), np.int64), np.full((1, 1), true)))
             asm = Assembly(np.zeros((1, 1), np.int64), np.full((1, 1), placed))
-            got = score_assembly(asm, pz, allow_rotation)
-            assert got == reference_score_assembly(asm, pz, allow_rotation), (placed, true)
+            got = score_assembly(asm, pz, allow_pose)
+            assert got == reference_score_assembly(asm, pz, allow_pose), (placed, true)
 
 
 class TestMemoryGuard:

@@ -301,6 +301,8 @@ class TestKeyspace:
         out = capsys.readouterr().out
         assert "n_blocks 1024" in out
         assert "keyspace_bits 15512.007744" in out
+        # a brute-force search tries keys, not keyed choices
+        assert out.splitlines()[-1] == "key_bits 64"
 
     def test_indivisible_geometry_is_usage_error(self):
         assert main(["keyspace", "--width", "65", "--height", "64"]) == EXIT_USAGE
