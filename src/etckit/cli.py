@@ -106,15 +106,8 @@ def _parse_steps(text: str | None):
 
 
 def _config(args) -> CipherConfig:
-    scheme = _SCHEMES[args.scheme]
-    steps = _parse_steps(args.steps)
-    kwargs = {"scheme": scheme}
-    if args.block_size is not None:
-        kwargs["block_size"] = args.block_size
-    if steps is not None:
-        kwargs["steps"] = steps
-    try:
-        return CipherConfig(**kwargs)
+    try:  # None selects the scheme's default block size and steps
+        return CipherConfig(_SCHEMES[args.scheme], args.block_size, _parse_steps(args.steps))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -222,10 +215,7 @@ def _cmd_encrypt(args) -> int:
     if args.pad:
         img, pad_r, pad_b = pad_replicate(img, cfg.block_size)
         pad = (pad_r, pad_b)
-    try:
-        cipher_img, sidecar = encrypt(img, key, cfg, pad=pad)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    cipher_img, sidecar = encrypt(img, key, cfg, pad=pad)
     if args.gen_key:  # only a key that encrypted something is kept
         _write(args.gen_key, format_key_file(key))
     _write(args.out, save_ppm(cipher_img))
@@ -241,11 +231,7 @@ def _cmd_decrypt(args) -> int:
     except ValueError as exc:
         raise DataError(f"{sidecar_path}: {exc}") from exc
     img = _read_image(args.image)
-    try:
-        plain = decrypt(img, key, sidecar)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _write(args.out, save_ppm(plain))
+    _write(args.out, save_ppm(decrypt(img, key, sidecar)))
     return EXIT_OK
 
 
@@ -262,10 +248,7 @@ def _cmd_rd_curve(args) -> int:
             CodecParams(quality=q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    try:
-        plain_pts, enc_pts = rd_curve(img, key, cfg, qualities, params)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    plain_pts, enc_pts = rd_curve(img, key, cfg, qualities, params)
     _emit(rd_csv(plain_pts, enc_pts), args.out)
     return EXIT_OK
 
@@ -287,18 +270,15 @@ def _cmd_attack(args) -> int:
         )
 
     started = time.perf_counter()
-    try:
-        puzzle = Puzzle.from_image(cipher_img, cfg.block_size)
-        from_key = bool(args.key or args.key_file)
-        if from_key:
-            gt = ground_truth_from_key(_load_key(args), cfg, puzzle.grid)
-        else:
-            gt = ground_truth_from_plain(plain_img, puzzle)
-        puzzle = Puzzle(puzzle.pieces, puzzle.grid, gt)
-        assembly = greedy_assemble(puzzle, orientation_search=args.orientation_search)
-        metrics = score_assembly(assembly, puzzle)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    puzzle = Puzzle.from_image(cipher_img, cfg.block_size)
+    from_key = bool(args.key or args.key_file)
+    if from_key:
+        gt = ground_truth_from_key(_load_key(args), cfg, puzzle.grid)
+    else:
+        gt = ground_truth_from_plain(plain_img, puzzle)
+    puzzle = Puzzle(puzzle.pieces, puzzle.grid, gt)
+    assembly = greedy_assemble(puzzle, orientation_search=args.orientation_search)
+    metrics = score_assembly(assembly, puzzle)
     seconds = time.perf_counter() - started
 
     # a key ground truth is scored against cfg.steps, the scheme default when
@@ -334,27 +314,19 @@ def _cmd_keyspace(args) -> int:
 
 def _cmd_protect(args) -> int:
     key = _load_key(args)
-    try:
-        templates = parse_template_csv(_read(args.templates).decode())
-        protected = [protect_template(t, key) for t in templates]
-        out = format_template_csv(protected)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    _emit(out, args.out)
+    templates = parse_template_csv(_read(args.templates).decode())
+    _emit(format_template_csv([protect_template(t, key) for t in templates]), args.out)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    try:
-        enrolled = parse_template_csv(_read(args.model).decode(), protected=True)
-        queries = parse_template_csv(_read(args.queries).decode(), protected=True)
-        model = enroll(enrolled)
-        lines = ["client_id,predicted,distance"]
-        for q in queries:
-            cid, dist = classify(q, model)
-            lines.append(f"{q.client_id},{cid},{dist:.6f}")
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    enrolled = parse_template_csv(_read(args.model).decode(), protected=True)
+    queries = parse_template_csv(_read(args.queries).decode(), protected=True)
+    model = enroll(enrolled)
+    lines = ["client_id,predicted,distance"]
+    for q in queries:
+        cid, dist = classify(q, model)
+        lines.append(f"{q.client_id},{cid},{dist:.6f}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -378,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"etckit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, ValueError) as exc:  # a ValueError from the library is bad input data
         print(f"etckit: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CodecError as exc:

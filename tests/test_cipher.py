@@ -255,6 +255,24 @@ class TestSidecar:
         with pytest.raises(ValueError):
             CipherSidecar(SCHEME_COLOR, 16, frozenset(), orig_w=16, orig_h=16, pad_r=-8)
 
+    _SPLICES = st.one_of(
+        st.text(max_size=3),
+        st.sampled_from(["\n", "=", "-", "0", "8", "gray", "scheme=", "steps=q", "9" * 30, "\x00"]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fuzzed_text_parses_or_raises_value_error(self, data):
+        text = list(self.VALID)
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            text[at : at + data.draw(st.integers(0, 4))] = data.draw(self._SPLICES)
+        try:
+            sc = CipherSidecar.from_text("".join(text))
+        except ValueError:
+            return
+        assert CipherSidecar.from_text(sc.to_text()) == sc
+
 
 class TestEncryptDecrypt:
     def test_empty_steps_is_identity(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from etckit import attack, templates
 from etckit.cli import EXIT_CODEC, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -422,3 +424,90 @@ class TestVersion:
         out = capsys.readouterr().out
         assert out.startswith("etckit 0.")
         assert "sidecar format" in out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: argv drawn from the real grammar, over valid and broken files
+
+
+def _part(good, bad):
+    """One part of an argv: tokens from ``good`` three times in four, else from ``bad``."""
+    return st.sampled_from(good * 3 * len(bad) + bad * len(good))
+
+
+def _arg(flag, good, bad, required=False):
+    """``flag`` (None: a positional) with a value; absent is bad only when ``required``."""
+    good, bad = ([[flag, v] if flag else [v] for v in values] for values in (good, bad))
+    return _part(good, bad + [[]]) if required else _part(good + [[]], bad)
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+# the outputs are never read back, so examples stay independent of each other
+_OUTS = (["out.bin"], ["nodir/x", "dir"])
+_IMAGE = _arg(None, ["a.ppm", "ct.ppm", "g.pgm"], ["odd.ppm", "trunc.ppm", "nofile", "dir"], True)
+_CSV = _arg(None, ["t.csv", "p.csv"], ["a.ppm", "nofile", "dir"], True)
+_KEYS = _part(
+    [["--key", KEY], ["--key-file", "k.key"]],
+    [[], ["--key", KEY.upper()], ["--key", "xyz"]]
+    + [["--key-file", path] for path in ("bad.key", "nofile", "dir")],
+)
+_CIPHER = [
+    _arg("--scheme", ["color", "gray"], ["bogus"]),
+    _arg("--block-size", ["8", "16"], ["0", "-3", "7", "x"]),
+    _arg("--steps", ["", "s", "s,r", "srn", "negpos"], ["q", "c", "srnc"]),
+]
+_GRAMMAR = {
+    "encrypt": [_IMAGE, _arg("--out", *_OUTS, True), _arg("--sidecar", *_OUTS), _switch("--pad"),
+                _KEYS, _arg("--gen-key", [], ["out.bin", "nodir/x"]), *_CIPHER],
+    "decrypt": [_IMAGE, _arg("--out", *_OUTS, True), _KEYS,
+                _arg("--sidecar", ["ct.ppm.meta"], ["bad.meta", "dir"])],
+    "rd-curve": [_IMAGE, _arg("--qualities", ["50", "95,50"], ["", "0", "x", "50,101"]),
+                 _arg("--subsampling", ["420", "444"], ["411"]), _switch("--progressive"),
+                 _arg("--out", *_OUTS), _KEYS, *_CIPHER],
+    "attack": [_IMAGE, _arg("--plain", ["a.ppm"], ["g.pgm", "odd.ppm", "dir"], True),
+               _switch("--orientation-search"), _arg("--out-csv", *_OUTS),
+               _arg("--out-image", *_OUTS), _KEYS, *_CIPHER],
+    "keyspace": [_arg("--width", ["32", "64"], ["13", "0", "-1", "x"], True),
+                 _arg("--height", ["32", "64"], ["13", "0", "-1", "x"], True), *_CIPHER],
+    "protect": [_CSV, _arg("--out", *_OUTS), _KEYS],
+    "classify": [_CSV, _arg("--model", ["p.csv", "t.csv"], ["a.ppm", "dir"], True),
+                 _arg("--out", *_OUTS)],
+}
+
+
+@pytest.fixture
+def fuzz_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    img = synth_natural_image(32, 32, seed=31)
+    plain = [Template(np.arange(4.0) * i, client_id=i, label=i % 2) for i in range(4)]
+    protected = [protect_template(t, MasterKey.from_hex(KEY)) for t in plain]
+    files = {
+        "a.ppm": save_ppm(img),
+        "g.pgm": save_ppm(ImageBuffer(img.data[:16, :16, :1].copy())),
+        "odd.ppm": save_ppm(synth_natural_image(13, 7, seed=32)),
+        "trunc.ppm": save_ppm(img)[:-5],
+        "k.key": f"{KEY}\n".encode(),
+        "bad.key": b"not a key\n",
+        "bad.meta": b"version=1\nscheme=color\n",
+        "t.csv": format_template_csv(plain).encode(),
+        "p.csv": format_template_csv(protected).encode(),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "dir").mkdir()
+    assert main(["encrypt", "a.ppm", "--out", "ct.ppm", "--key", KEY]) == EXIT_OK
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, capsys, data):
+    # --help and --version exit through argparse, so the grammar leaves them out
+    command = data.draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command] + [token for part in _GRAMMAR[command] for token in data.draw(part)]
+    assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_CODEC)
+    assert "Traceback" not in capsys.readouterr().err

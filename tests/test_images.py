@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etckit.images import (
@@ -92,6 +92,34 @@ class TestPPM:
     def test_round_trip_property(self, h, w, c, seed):
         img = _img(h, w, c, seed)
         assert load_ppm(save_ppm(img)) == img
+
+    # a header as the grammar builds it, then a cut and byte splices
+    _GAP = st.sampled_from([b" ", b"\n", b"\t", b" #c\n", b"#c", b""])
+    _FIELD = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["255", "9" * 30, "x", ""]))
+    _SPLICES = st.one_of(st.binary(max_size=3), st.sampled_from([b" ", b"\n", b"#", b"0", b"255"]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([b"P5", b"P6", b"P3", b""]),
+        st.lists(st.tuples(_GAP, _FIELD.map(str.encode)), min_size=3, max_size=3),
+        _GAP,
+        st.binary(max_size=20),
+        st.data(),
+    )
+    def test_fuzzed_input_parses_or_raises_value_error(self, magic, fields, gap, payload, data):
+        head = magic + b"".join(g + f for g, f in fields)
+        raw = bytearray(head + gap + payload)
+        # cut anywhere, but most often where the header meets the payload
+        near = st.integers(max(len(head) - 2, 0), len(head) + 2)
+        del raw[data.draw(st.just(len(raw)) | st.integers(0, len(raw)) | near) :]
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(raw)))
+            raw[at : at + data.draw(st.integers(0, 3))] = data.draw(self._SPLICES)
+        try:
+            img = load_ppm(bytes(raw))
+        except ValueError:
+            return
+        assert img.data.size > 0 and load_ppm(save_ppm(img)) == img
 
 
 class TestBlocks:

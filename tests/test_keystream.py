@@ -160,6 +160,17 @@ def test_key_hex_round_trip():
         MasterKey.from_hex("0123456789ABCDEF")  # uppercase rejected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=4), st.binary(max_size=20), st.booleans())
+def test_fuzzed_key_file_parses_or_raises_value_error(head, tail, keyed):
+    raw = head + (b"00000000000000ab" if keyed else b"") + tail
+    try:
+        key = parse_key_file(raw)
+    except ValueError:
+        return
+    assert parse_key_file(format_key_file(key)) == key
+
+
 def test_key_file_round_trip():
     key = MasterKey(77)
     assert parse_key_file(format_key_file(key)) == key

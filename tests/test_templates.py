@@ -286,6 +286,28 @@ class TestCsv:
         with pytest.raises(ValueError, match="finite"):
             parse_template_csv(f"client_id,label,v0,v1\n1,0,0.5,{bad}\n", protected=True)
 
+    _SPLICES = st.one_of(
+        st.text(max_size=3),
+        st.sampled_from([",", "\n", "-", ".", "e", "1e999", "nan", "v2", "9" * 30, "\x00"]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["client_id,label,v0,v1\n1,0,0.5,-1.5\n2,,3e-2,4\n", "a,b\n", ""]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_fuzzed_text_parses_or_raises_value_error(self, base, protected, data):
+        text = list(base)
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            text[at : at + data.draw(st.integers(0, 4))] = data.draw(self._SPLICES)
+        try:
+            rows = parse_template_csv("".join(text), protected=protected)
+        except ValueError:
+            return
+        assert len({t.values.size for t in rows}) <= 1
+
 
 # ---------------------------------------------------------------------------
 # Vectorised Box-Muller and QR against the scalar code they replace
