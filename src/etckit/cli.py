@@ -34,7 +34,7 @@ from .cipher import (
     normalize_steps,
     stack_planes,
 )
-from .codec import CodecError, CodecParams, mean_bpp_inflation, mean_psnr_gap, rd_csv, rd_curve
+from .codec import CodecError, CodecParams, rd_csv, rd_curve
 from .images import ImageBuffer, load_ppm, pad_replicate, save_ppm
 from .keystream import MASK64, MasterKey, format_key_file, keyspace_bits, parse_key_file
 from .templates import classify, enroll, format_template_csv, parse_template_csv, protect_template
