@@ -207,15 +207,23 @@ def _scramble(blocks: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.take(blocks, perm, axis=0)  # out[i] = blocks[perm[i]]
 
 
-def _rotate_flip(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    # np.take gathers much faster than fancy indexing, and a contiguous
-    # oriented copy scatters faster than the strided view apply_orientation
-    # returns; one code at a time holds only two copies of that code's blocks
-    for code in range(1, 8):
-        idx = np.flatnonzero(codes == code)
-        moved = apply_orientation(np.take(blocks, idx, axis=0), code)
-        blocks[idx] = np.ascontiguousarray(moved)
-    return blocks
+def _by_code(n_codes: int, planes):
+    # per code in [1, n_codes): np.take its blocks and fill the scatter source plane by
+    # plane, not pixel by pixel (a C-sample inner loop); two copies of them at most
+    def step_map(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        for code in range(1, n_codes):
+            idx = np.flatnonzero(codes == code)
+            moved = np.take(blocks, idx, axis=0)
+            out = np.empty_like(moved)
+            for ch, plane in enumerate(planes(moved, code)):
+                out[..., ch] = plane
+            blocks[idx] = out
+        return blocks
+    return step_map
+
+
+_rotate_flip = _by_code(8, lambda m, code: np.moveaxis(apply_orientation(m, code), -1, 0))
+_color_shuffle = _by_code(6, lambda m, code: (m[..., ch] for ch in CHANNEL_PERMS[code]))
 
 
 def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -224,14 +232,6 @@ def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
     mask = bits.astype(np.uint8)
     mask *= 255
     blocks ^= mask[:, None, None, None]
-    return blocks
-
-
-def _color_shuffle(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    for code in range(1, 6):
-        idx = np.flatnonzero(codes == code)
-        if idx.size:
-            blocks[idx] = blocks[idx][..., CHANNEL_PERMS[code]]
     return blocks
 
 

@@ -78,7 +78,7 @@ def jpeg_encode(img: ImageBuffer, params: CodecParams) -> bytes:
         except _jpeg.JpegError as exc:
             raise CodecError(f"JPEG encode failed: {exc}") from exc
     arr = img.data[:, :, 0] if img.channels == 1 else img.data
-    pil = _PILImage.fromarray(arr, mode="L" if img.channels == 1 else "RGB")
+    pil = _PILImage.fromarray(arr)  # uint8 (H, W) is "L", (H, W, 3) "RGB"
     buf = io.BytesIO()
     kwargs = {"format": "JPEG", "quality": params.quality, "progressive": params.progressive}
     if img.channels == 3:

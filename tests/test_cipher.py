@@ -21,6 +21,8 @@ from etckit.cipher import (
     STEPS,
     CipherConfig,
     CipherSidecar,
+    _color_shuffle,
+    _rotate_flip,
     apply_orientation,
     decrypt,
     encrypt,
@@ -32,7 +34,13 @@ from etckit.cipher import (
 )
 from etckit.images import ImageBuffer
 from etckit.keystream import MasterKey, StepStream
-from step_oracles import apply_color_shuffle, apply_negpos, apply_scramble, reference_encrypt
+from step_oracles import (
+    apply_color_shuffle,
+    apply_negpos,
+    apply_scramble,
+    orient_block,
+    reference_encrypt,
+)
 
 
 def _img(h, w, c=3, seed=0):
@@ -450,6 +458,44 @@ class TestStepTable:
             assert not blocks.flags.c_contiguous
             want = step_map(np.ascontiguousarray(blocks), draws[name])
             assert (step_map(blocks, draws[name]) == want).all(), name
+
+    @staticmethod
+    def _code_draws(kind, n_codes, rng):
+        # stacks where every code occurs at least twice, where one
+        # non-identity code is absent, and of one block each
+        if kind == "every-code-twice":
+            return [rng.permutation(np.arange(3 * n_codes) % n_codes)]
+        if kind == "one-code-absent":
+            codes = np.repeat(np.delete(np.arange(n_codes), 3), 2)
+            return [rng.permutation(codes)]
+        return [np.array([code]) for code in range(n_codes)]
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("kind", ["every-code-twice", "one-code-absent", "single-block"])
+    def test_code_maps_match_per_block_oracles(self, b, channels, strided, kind):
+        # each per-code map equals its oracle applied block by block, on
+        # contiguous stacks and on views that skip every other block and
+        # every other sample, and the map under the inverse draws undoes it
+        rng = np.random.default_rng(b)
+        maps = [(_rotate_flip, orient_block, ORIENT_INVERSE)]
+        if channels == 3:
+            maps.append((_color_shuffle, apply_color_shuffle, COLOR_INVERSE))
+        for step_map, oracle, inverse in maps:
+            for codes in self._code_draws(kind, len(inverse), rng):
+                n = len(codes)
+                if strided:
+                    base = rng.integers(0, 256, (2 * n, b, b, 2 * channels), dtype=np.uint8)
+                    blocks = base[::2, :, :, ::2]
+                    assert blocks.size == 1 or not blocks.flags.c_contiguous
+                else:
+                    blocks = rng.integers(0, 256, (n, b, b, channels), dtype=np.uint8)
+                before = blocks.copy()
+                want = np.stack([oracle(block, int(c)) for block, c in zip(before, codes)])
+                out = step_map(blocks, codes)
+                assert (out == want).all(), (oracle.__name__, codes)
+                assert (step_map(out, np.take(inverse, codes)) == before).all(), (oracle.__name__, codes)
 
     @pytest.mark.parametrize(
         "scheme, steps, shape",
