@@ -16,14 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from etckit.attack import Puzzle, greedy_assemble, ground_truth_from_key, score_assembly
-from etckit.cipher import CipherConfig, encrypt
-from etckit.codec import CodecParams, mean_bpp_inflation, mean_psnr_gap, rd_curve
-from etckit.keystream import MasterKey
-from etckit.synth import reference_images, synth_natural_image
-from etckit.templates import Template, classify, enroll, protect_template
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, installed or not
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+from etckit.attack import Puzzle, greedy_assemble, ground_truth_from_key, score_assembly  # noqa: E402
+from etckit.cipher import CipherConfig, encrypt  # noqa: E402
+from etckit.codec import CodecParams, mean_bpp_inflation, mean_psnr_gap, rd_curve  # noqa: E402
+from etckit.keystream import MasterKey  # noqa: E402
+from etckit.synth import reference_images, synth_natural_image  # noqa: E402
+from etckit.templates import Template, classify, enroll, protect_template  # noqa: E402
+
+RESULTS = ROOT / "results"
 
 
 def rd():

@@ -1,6 +1,18 @@
 """Built-in JPEG codec (ITU-T T.81): baseline sequential and spectral-selection
 progressive Huffman coding of 8-bit greyscale and YCbCr images, in numpy.
 
+Both directions work on one frame, built by :func:`_frame`: the image size,
+the components with their sampling factors and quantisation tables, and one
+int16 store of quantised zigzag coefficients laid out as whole MCUs. The codec
+is two inverse pairs over it: ``encode = _write(_forward(pixels, frame))`` and
+``decode = _inverse(_read(data))``. ``_forward`` and ``_inverse`` map pixels to
+the store and back; ``_write`` and ``_read`` map the store to a stream and
+back, visiting blocks in :func:`_block_order`. Entropy coding is lossless, so
+``_inverse(_read(_write(f)))`` equals ``_inverse(f)``. The stores themselves
+can differ: a single-component scan, such as a progressive AC scan, codes only
+the component's own block grid (the blocks holding its samples of the image),
+not the padding blocks that complete its MCUs, and ``_inverse`` crops those.
+
 Encoding uses the Annex K quantisation tables scaled by the IJG quality
 formula and the Annex K Huffman tables. 4:2:0 chroma is a 2x2 box average of
 the edge-padded image, and decoding replicates each chroma sample back over
@@ -171,29 +183,62 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _geometry(width: int, height: int, sampling) -> tuple[int, int, list, list]:
-    """MCU columns and rows, each component's padded block grid (whole MCUs),
-    and its own block grid (the blocks a single-component scan codes)."""
-    hmax = max(h for h, _ in sampling)
-    vmax = max(v for _, v in sampling)
+# ----------------------------------------------------------------------- frame
+
+
+class _Component:
+    __slots__ = ("cid", "h", "v", "tq", "q", "offset", "rows", "cols", "own")
+
+    def __init__(self, cid, h, v, tq, q=None):
+        self.cid, self.h, self.v, self.tq, self.q = cid, h, v, tq, q
+
+
+def _frame(width: int, height: int, comps: list, progressive: bool, stream_bytes: int | None = None) -> dict:
+    """The frame of both directions: each component's padded block grid
+    (``rows`` x ``cols``, whole MCUs), its own grid and its offset in a zeroed
+    store. The decoder passes its stream length: every coded block takes at
+    least one bit, so a header claiming more blocks is refused before the
+    store is allocated."""
+    hmax = max(c.h for c in comps)
+    vmax = max(c.v for c in comps)
     mcux = _ceil_div(width, 8 * hmax)
     mcuy = _ceil_div(height, 8 * vmax)
-    padded = [(mcuy * v, mcux * h) for h, v in sampling]
-    own = [(_ceil_div(_ceil_div(height * v, vmax), 8), _ceil_div(_ceil_div(width * h, hmax), 8))
-           for h, v in sampling]
-    return mcux, mcuy, padded, own
+    offset = 0
+    for c in comps:
+        c.rows, c.cols = mcuy * c.v, mcux * c.h
+        c.own = (_ceil_div(_ceil_div(height * c.v, vmax), 8), _ceil_div(_ceil_div(width * c.h, hmax), 8))
+        c.offset = offset
+        offset += c.rows * c.cols * 64
+    if stream_bytes is not None and sum(r * k for r, k in (c.own for c in comps)) > 8 * stream_bytes:
+        raise JpegError(f"a {width}x{height} frame needs more data than the {stream_bytes}-byte stream holds")
+    return {
+        "width": width, "height": height, "progressive": progressive, "comps": comps,
+        "mcux": mcux, "mcuy": mcuy, "hmax": hmax, "vmax": vmax,
+        "coefs": array("h", [0]) * offset,
+    }
 
 
-def _to_blocks(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    return plane.reshape(h // 8, 8, w // 8, 8).swapaxes(1, 2).reshape(-1, 64)
+def _grids(frame) -> list[np.ndarray]:
+    """Each component's padded grid of the store, as a writable (rows, cols, 64) view."""
+    coefs = np.frombuffer(frame["coefs"], np.int16)
+    return [coefs[c.offset:c.offset + c.rows * c.cols * 64].reshape(c.rows, c.cols, 64) for c in frame["comps"]]
 
 
-def _from_blocks(blocks: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return blocks.reshape(rows, cols, 8, 8).swapaxes(1, 2).reshape(rows * 8, cols * 8)
-
-
-# --------------------------------------------------------------------- encoder
+def _block_order(frame, comps) -> tuple[np.ndarray, np.ndarray]:
+    """Offset in the store and scan-component index of every block a scan over
+    ``comps`` codes, in coding order: MCU by MCU, each component's blocks row
+    by row. A single-component scan's MCU is one block of its own grid."""
+    one = len(comps) == 1
+    rows, cols = comps[0].own if one else (frame["mcuy"], frame["mcux"])
+    my = np.arange(rows)[:, None, None]
+    mx = np.arange(cols)[None, :, None]
+    parts, index = [], []
+    for k, c in enumerate(comps):
+        h, v = (1, 1) if one else (c.h, c.v)
+        dv, dh = np.divmod(np.arange(h * v), h)
+        parts.append(c.offset + 64 * ((my * v + dv) * c.cols + mx * h + dh))
+        index += [k] * (h * v)
+    return np.concatenate(parts, axis=2).ravel(), np.tile(index, rows * cols)
 
 
 def encode(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> bytes:
@@ -202,38 +247,112 @@ def encode(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool
     if height > 0xFFFF or width > 0xFFFF:
         raise JpegError(f"{width}x{height} exceeds JPEG's 65535-pixel limit")
     sampling = ((1, 1),) if channels == 1 else _SAMPLING[subsampling]
-    table_ids = (0, 1, 1)[:channels]
-    qtables = [_quant_table(quality, False), _quant_table(quality, True)][: min(channels, 2)]
-    coefs = _forward(pixels, sampling, [qtables[t] for t in table_ids])
+    comps = [_Component(i + 1, h, v, tq, _quant_table(quality, tq == 1))
+             for i, ((h, v), tq) in enumerate(zip(sampling, (0, 1, 1)))]
+    return _write(_forward(pixels, _frame(width, height, comps, progressive)))
 
+
+def decode(data: bytes) -> np.ndarray:
+    """(H, W, 1|3) uint8 raster of a baseline or spectral-selection progressive JPEG."""
+    return _inverse(_read(data))
+
+
+# ---------------------------------------------------- pixels <-> coefficients
+
+
+def _forward(pixels: np.ndarray, frame: dict) -> dict:
+    """Fill the frame's store with the quantised zigzag DCT coefficients of an
+    (H, W, 1|3) raster, edge-padded to whole MCUs; returns the frame."""
+    height, width, channels = pixels.shape
+    comps, hmax, vmax = frame["comps"], frame["hmax"], frame["vmax"]
+    mcu_h, mcu_w = 8 * vmax, 8 * hmax
+    img = np.pad(pixels, ((0, frame["mcuy"] * mcu_h - height), (0, frame["mcux"] * mcu_w - width), (0, 0)),
+                 mode="edge")
+    basis = _dct_basis()
+    rgb_to_ycc = np.array(_RGB_TO_YCC).T
+    grids = _grids(frame)
+    strip = mcu_h * max(1, _STRIP_PIXELS // (img.shape[1] * mcu_h))
+    for y0 in range(0, img.shape[0], strip):
+        x = img[y0:y0 + strip].astype(np.float64)
+        if channels == 3:
+            x = x @ rgb_to_ycc
+        x[..., 0] -= 128.0
+        for ci, (c, grid) in enumerate(zip(comps, grids)):
+            plane = x[..., ci]
+            fy, fx = vmax // c.v, hmax // c.h
+            if fy > 1 or fx > 1:
+                plane = plane.reshape(plane.shape[0] // fy, fy, -1, fx).mean(axis=(1, 3))
+            rows = plane.shape[0] // 8
+            blocks = plane.reshape(rows, 8, -1, 8).swapaxes(1, 2).reshape(-1, 64)
+            grid[y0 // 8 // fy:y0 // 8 // fy + rows] = np.rint(blocks @ basis.T / c.q).reshape(rows, -1, 64)
+    return frame
+
+
+def _inverse(frame) -> np.ndarray:
+    """Dequantise, inverse-DCT, upsample by replication and convert to RGB, in strips."""
+    width, height, comps = frame["width"], frame["height"], frame["comps"]
+    hmax, vmax = frame["hmax"], frame["vmax"]
+    mcu_h = 8 * vmax
+    grids = _grids(frame)
+    basis = _dct_basis()
+    ycc_to_rgb = np.array(_YCC_TO_RGB).T
+    out = np.empty((height, width, len(comps)), np.uint8)
+    step = max(1, _STRIP_PIXELS // (frame["mcux"] * 8 * hmax * mcu_h))
+    for m0 in range(0, frame["mcuy"], step):
+        n = min(step, frame["mcuy"] - m0)
+        y0 = m0 * mcu_h
+        y1 = min(height, y0 + n * mcu_h)
+        planes = []
+        for c, grid in zip(comps, grids):
+            q = c.q if c.q is not None else np.zeros(64)
+            rows = grid[m0 * c.v:(m0 + n) * c.v]
+            plane = ((rows.reshape(-1, 64) * q) @ basis).reshape(len(rows), c.cols, 8, 8)
+            plane = plane.swapaxes(1, 2).reshape(8 * len(rows), 8 * c.cols)
+            np.clip(plane, -128.0, 127.0, out=plane)  # 8-bit samples before colour conversion, as libjpeg
+            plane = plane.repeat(vmax // c.v, axis=0).repeat(hmax // c.h, axis=1)
+            planes.append(plane[:y1 - y0, :width])
+        x = np.stack(planes, axis=-1)
+        if len(comps) == 3:
+            x = x @ ycc_to_rgb
+        out[y0:y1] = np.clip(np.rint(x + 128.0), 0, 255)
+    return out
+
+
+# ----------------------------------------------------- coefficients <-> bytes
+
+
+def _write(frame) -> bytes:
+    """JFIF bytes of a frame: its headers and tables, then each scan's blocks
+    coded with the Annex K Huffman tables of their quantisation table ids, in
+    chunks of at most ``_CHUNK_BLOCKS``. The bit writer and the DC predictors
+    carry across chunks, so the chunk bounds do not change the bytes."""
+    comps = frame["comps"]
+    qtables = {c.tq: c.q for c in comps}
     out = [b"\xff\xd8", _segment(0xE0, b"JFIF\x00" + struct.pack(">BBBHHBB", 1, 1, 0, 1, 1, 0, 0))]
-    out.append(_segment(0xDB, b"".join(bytes([t]) + q.astype(np.uint8).tobytes()
-                                       for t, q in enumerate(qtables))))
-    frame = struct.pack(">BHHB", 8, height, width, channels) + b"".join(
-        bytes([i + 1, h << 4 | v, t]) for i, ((h, v), t) in enumerate(zip(sampling, table_ids))
-    )
-    out.append(_segment(0xC2 if progressive else 0xC0, frame))
+    out.append(_segment(0xDB, b"".join(bytes([t]) + q.astype(np.uint8).tobytes() for t, q in qtables.items())))
+    sof = struct.pack(">BHHB", 8, frame["height"], frame["width"], len(comps))
+    sof += b"".join(bytes([c.cid, c.h << 4 | c.v, c.tq]) for c in comps)
+    out.append(_segment(0xC2 if frame["progressive"] else 0xC0, sof))
     out.append(_segment(0xC4, b"".join(
         bytes([cls << 4 | tid]) + bytes.fromhex(spec)
-        for (cls, tid), spec in _HUFFMAN_SPECS.items() if tid < len(qtables)
+        for (cls, tid), spec in _HUFFMAN_SPECS.items() if tid in qtables
     )))
 
-    everyone = tuple(range(channels))
-    if progressive:
-        scans = [(everyone, 0, 0)] + [((c,), ss, se) for c in everyone for ss, se in _AC_BANDS]
+    if frame["progressive"]:
+        scans = [(comps, 0, 0)] + [([c], ss, se) for c in comps for ss, se in _AC_BANDS]
     else:
-        scans = [(everyone, 0, 63)]
-    geometry = _geometry(width, height, sampling)
-    table_of = np.array(table_ids)
-    for comps, ss, se in scans:
-        header = bytes([len(comps)]) + b"".join(
-            bytes([c + 1, table_ids[c] << 4 | table_ids[c]]) for c in comps
-        ) + bytes([ss, se, 0])
-        out.append(_segment(0xDA, header))
+        scans = [(comps, 0, 63)]
+    blocks = np.frombuffer(frame["coefs"], np.int16).reshape(-1, 64)
+    for scan, ss, se in scans:
+        sos = b"".join(bytes([c.cid, c.tq << 4 | c.tq]) for c in scan)
+        out.append(_segment(0xDA, bytes([len(scan)]) + sos + bytes([ss, se, 0])))
+        tables = np.array([c.tq for c in scan])
+        bases, which = _block_order(frame, scan)
         writer = _BitWriter()
-        pred = [0] * channels
-        for blocks, comp in _scan_blocks(coefs, sampling, geometry, comps):
-            writer.write(*_scan_codes(blocks, table_of[comp], comp, ss, se, pred))
+        pred = [0] * len(scan)
+        for i in range(0, len(bases), _CHUNK_BLOCKS):
+            k = which[i:i + _CHUNK_BLOCKS]
+            writer.write(*_scan_codes(blocks[bases[i:i + _CHUNK_BLOCKS] >> 6], tables[k], k, ss, se, pred))
         out.append(writer.finish())
     out.append(b"\xff\xd9")
     return b"".join(out)
@@ -241,58 +360,6 @@ def encode(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool
 
 def _segment(marker: int, payload: bytes) -> bytes:
     return struct.pack(">HH", 0xFF00 | marker, len(payload) + 2) + payload
-
-
-def _forward(pixels: np.ndarray, sampling, qtables) -> list[np.ndarray]:
-    """Quantised zigzag DCT coefficients per component, shape (block rows, block cols, 64) int16."""
-    height, width, channels = pixels.shape
-    mcux, mcuy, padded, _ = _geometry(width, height, sampling)
-    hmax = max(h for h, _ in sampling)
-    vmax = max(v for _, v in sampling)
-    mcu_h, mcu_w = 8 * vmax, 8 * hmax
-    img = np.pad(pixels, ((0, mcuy * mcu_h - height), (0, mcux * mcu_w - width), (0, 0)), mode="edge")
-    basis = _dct_basis()
-    rgb_to_ycc = np.array(_RGB_TO_YCC).T
-    coefs = [np.empty((rows, cols, 64), np.int16) for rows, cols in padded]
-    strip = mcu_h * max(1, _STRIP_PIXELS // (img.shape[1] * mcu_h))
-    for y0 in range(0, img.shape[0], strip):
-        x = img[y0:y0 + strip].astype(np.float64)
-        if channels == 3:
-            x = x @ rgb_to_ycc
-        x[..., 0] -= 128.0
-        for ci, (h, v) in enumerate(sampling):
-            plane = x[..., ci]
-            fy, fx = vmax // v, hmax // h
-            if fy > 1 or fx > 1:
-                plane = plane.reshape(plane.shape[0] // fy, fy, -1, fx).mean(axis=(1, 3))
-            q = np.rint(_to_blocks(plane) @ basis.T / qtables[ci])
-            rows = plane.shape[0] // 8
-            coefs[ci][y0 // 8 // fy:y0 // 8 // fy + rows] = q.reshape(rows, -1, 64)
-    return coefs
-
-
-def _scan_blocks(coefs, sampling, geometry, comps):
-    """Yield (blocks (n, 64), component (n,)) in the scan's coding order, in bounded chunks."""
-    mcux, mcuy, _, own = geometry
-    if len(comps) == 1:  # non-interleaved: the component's own grid in raster order
-        ci = comps[0]
-        rows, cols = own[ci]
-        step = max(1, _CHUNK_BLOCKS // cols)
-        grid = coefs[ci][:rows, :cols]
-        for r0 in range(0, rows, step):
-            blocks = grid[r0:r0 + step].reshape(-1, 64)
-            yield blocks, np.full(len(blocks), ci)
-        return
-    per_mcu = np.concatenate([np.full(h * v, ci) for ci in comps for h, v in [sampling[ci]]])
-    step = max(1, _CHUNK_BLOCKS // (mcux * len(per_mcu)))
-    for m0 in range(0, mcuy, step):
-        n = min(step, mcuy - m0)
-        parts = []
-        for ci in comps:
-            h, v = sampling[ci]
-            part = coefs[ci][m0 * v:(m0 + n) * v].reshape(n, v, mcux, h, 64)
-            parts.append(part.transpose(0, 2, 1, 3, 4).reshape(n, mcux, v * h, 64))
-        yield np.concatenate(parts, axis=2).reshape(-1, 64), np.tile(per_mcu, n * mcux)
 
 
 def _magnitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +370,9 @@ def _magnitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _scan_codes(blocks, tables, comp, ss, se, pred) -> tuple[np.ndarray, np.ndarray]:
     """Bits of one chunk of a scan, as (value, length) per Huffman code with
-    its appended magnitude bits, in stream order. ``pred`` carries each
-    component's DC predictor from chunk to chunk."""
+    its appended magnitude bits, in stream order. ``comp`` is each block's
+    index among the scan's components; ``pred`` carries their DC predictors
+    from chunk to chunk."""
     dc_code, dc_len, ac_code, ac_len = _encode_tables()
     n = len(blocks)
     has_dc = int(ss == 0)
@@ -415,18 +483,8 @@ class _BitWriter:
         return b"".join(self._parts)
 
 
-# --------------------------------------------------------------------- decoder
-
-
-class _Component:
-    __slots__ = ("cid", "h", "v", "tq", "q", "offset", "rows", "cols", "own")
-
-    def __init__(self, cid, h, v, tq):
-        self.cid, self.h, self.v, self.tq, self.q = cid, h, v, tq, None
-
-
-def decode(data: bytes) -> np.ndarray:
-    """(H, W, 1|3) uint8 raster of a baseline or spectral-selection progressive JPEG."""
+def _read(data: bytes) -> dict:
+    """The frame of a JPEG stream, its store filled from every scan."""
     buf = bytes(data)
     if buf[:2] != b"\xff\xd8":
         raise JpegError("not a JPEG stream: no SOI marker")
@@ -472,7 +530,7 @@ def decode(data: bytes) -> np.ndarray:
             raise JpegError(f"unsupported marker 0xFF{marker:02X}")
     if not scans:
         raise JpegError("no scan data")
-    return _inverse(frame)
+    return frame
 
 
 def _next_marker(buf: bytes, pos: int) -> tuple[int, int]:
@@ -541,20 +599,7 @@ def _parse_sof(seg: bytes, progressive: bool, stream_bytes: int) -> dict:
         not (1 <= c.h <= 4 and 1 <= c.v <= 4) or hmax % c.h or vmax % c.v or c.tq > 3 for c in comps
     ):
         raise JpegError("unsupported component sampling or table selection")
-    sampling = [(c.h, c.v) for c in comps]
-    mcux, mcuy, padded, own = _geometry(width, height, sampling)
-    if sum(rows * cols for rows, cols in own) > 8 * stream_bytes:
-        # every block takes at least one bit, so the header cannot be true
-        raise JpegError(f"a {width}x{height} frame needs more data than the {stream_bytes}-byte stream holds")
-    offset = 0
-    for c, (rows, cols), grid in zip(comps, padded, own):
-        c.offset, c.rows, c.cols, c.own = offset, rows, cols, grid
-        offset += rows * cols * 64
-    return {
-        "width": width, "height": height, "progressive": progressive, "comps": comps,
-        "mcux": mcux, "mcuy": mcuy, "hmax": hmax, "vmax": vmax,
-        "coefs": array("h", bytes(2 * offset)),
-    }
+    return _frame(width, height, comps, progressive, stream_bytes)
 
 
 def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
@@ -599,29 +644,10 @@ def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
 
     bases, which = _block_order(frame, [c for c, _, _ in selected])
     try:
-        _huffman_decode(scan, bases, which, dcluts, acluts, ss, se, frame["coefs"])
+        _huffman_decode(scan, bases.tolist(), which.tolist(), dcluts, acluts, ss, se, frame["coefs"])
     except OverflowError:
         raise JpegError("DC coefficient out of range") from None
     return pos + end
-
-
-def _block_order(frame, comps) -> tuple[list[int], list[int]]:
-    """Offset in the frame's coefficients and scan-component index of every block, in coding order."""
-    if len(comps) == 1:
-        c = comps[0]
-        rows, cols = c.own
-        grid = np.arange(rows)[:, None] * c.cols + np.arange(cols)
-        return (c.offset + 64 * grid.ravel()).tolist(), [0] * grid.size
-    mcux, mcuy = frame["mcux"], frame["mcuy"]
-    my = np.arange(mcuy)[:, None, None]
-    mx = np.arange(mcux)[None, :, None]
-    parts, index = [], []
-    for k, c in enumerate(comps):
-        v, h = np.divmod(np.arange(c.h * c.v), c.h)
-        parts.append(c.offset + 64 * ((my * c.v + v) * c.cols + mx * c.h + h))
-        index += [k] * (c.h * c.v)
-    bases = np.concatenate(parts, axis=2).ravel()
-    return bases.tolist(), index * (mcux * mcuy)
 
 
 def _windows(scan: np.ndarray, start: int) -> list[int]:
@@ -697,33 +723,3 @@ def _huffman_decode(scan, bases, which, dcluts, acluts, ss, se, coefs) -> None:
         raise JpegError("truncated scan data")
     if nbits - p >= 8:
         raise JpegError(f"{(nbits - p) // 8} extraneous bytes after scan data")
-
-
-def _inverse(frame) -> np.ndarray:
-    """Dequantise, inverse-DCT, upsample by replication and convert to RGB, in strips."""
-    width, height, comps = frame["width"], frame["height"], frame["comps"]
-    hmax, vmax = frame["hmax"], frame["vmax"]
-    mcu_h = 8 * vmax
-    coefs = np.frombuffer(frame["coefs"], np.int16)
-    basis = _dct_basis()
-    ycc_to_rgb = np.array(_YCC_TO_RGB).T
-    out = np.empty((height, width, len(comps)), np.uint8)
-    step = max(1, _STRIP_PIXELS // (frame["mcux"] * 8 * hmax * mcu_h))
-    for m0 in range(0, frame["mcuy"], step):
-        n = min(step, frame["mcuy"] - m0)
-        y0 = m0 * mcu_h
-        y1 = min(height, y0 + n * mcu_h)
-        planes = []
-        for c in comps:
-            q = c.q if c.q is not None else np.zeros(64)
-            block = coefs[c.offset:c.offset + c.rows * c.cols * 64].reshape(c.rows, c.cols, 64)
-            rows = block[m0 * c.v:(m0 + n) * c.v]
-            plane = _from_blocks((rows.reshape(-1, 64) * q) @ basis, len(rows), c.cols)
-            np.clip(plane, -128.0, 127.0, out=plane)  # 8-bit samples before colour conversion, as libjpeg
-            plane = plane.repeat(vmax // c.v, axis=0).repeat(hmax // c.h, axis=1)
-            planes.append(plane[:y1 - y0, :width])
-        x = np.stack(planes, axis=-1)
-        if len(comps) == 3:
-            x = x @ ycc_to_rgb
-        out[y0:y1] = np.clip(np.rint(x + 128.0), 0, 255)
-    return out

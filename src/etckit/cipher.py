@@ -96,8 +96,7 @@ class CipherSidecar:
     version: int = SIDECAR_VERSION
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        self.config()  # the scheme, block size and steps must form a valid configuration
         if self.orig_w < 1 or self.orig_h < 1:
             raise ValueError(
                 f"original size must be at least 1x1, got {self.orig_w}x{self.orig_h}"

@@ -254,6 +254,18 @@ class TestSidecar:
         with pytest.raises(ValueError, match="block_size"):
             CipherSidecar.from_text(self.VALID.replace("block_size=16", f"block_size={value}"))
 
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [
+            ("bogus", "unknown scheme 'bogus'"),
+            # VALID enables the channel shuffle, which only the color scheme has
+            ("grayscale_based", "color_shuffle requires the color scheme"),
+        ],
+    )
+    def test_rejects_invalid_configuration(self, scheme, message):
+        with pytest.raises(ValueError, match=message):
+            CipherSidecar.from_text(self.VALID.replace("scheme=color", f"scheme={scheme}"))
+
     @pytest.mark.parametrize("line", ["pad_r=8", "pad_r=0", "version=1", "steps=s"])
     def test_rejects_repeated_field(self, line):
         with pytest.raises(ValueError, match="repeats"):

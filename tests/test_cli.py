@@ -43,8 +43,11 @@ class TestEncryptDecrypt:
             lambda t: t.replace("orig_h=64", "orig_h=0"),
             lambda t: t.replace("block_size=16", "block_size=0"),
             lambda t: t + "pad_r=0\n",
+            lambda t: t.replace("scheme=color", "scheme=bogus"),
+            lambda t: t.replace("scheme=color", "scheme=grayscale_based"),  # with steps=srnc
         ],
-        ids=["negative-pad", "pad-too-large", "zero-height", "zero-block", "repeated-key"],
+        ids=["negative-pad", "pad-too-large", "zero-height", "zero-block", "repeated-key",
+             "unknown-scheme", "shuffle-without-color"],
     )
     def test_bad_sidecar_is_data_error(self, tmp_path, plain_ppm, edit, capsys):
         ct = tmp_path / "ct.ppm"

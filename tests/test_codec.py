@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -259,6 +260,80 @@ class TestBuiltinCodec:
         for n in range(len(data)):
             with pytest.raises(_jpeg.JpegError):
                 _jpeg.decode(data[:n])
+
+
+ENTROPY_CASES = [
+    (mode, size, progressive)
+    for mode in ("gray", "420", "444")
+    for size in ((1, 1), (17, 9), (50, 37))
+    for progressive in (False, True)
+]
+
+
+def integer_frame(mode, size, progressive):
+    """A frame whose every block, padding included, holds seeded integer
+    coefficients, about 80% of them zero. RandomState's stream is frozen, so
+    the frame is the same on every numpy."""
+    width, height = size
+    sampling = ((1, 1),) if mode == "gray" else _jpeg._SAMPLING[mode]
+    comps = [_jpeg._Component(i + 1, h, v, tq, _jpeg._quant_table(75, tq == 1))
+             for i, ((h, v), tq) in enumerate(zip(sampling, (0, 1, 1)))]
+    frame = _jpeg._frame(width, height, comps, progressive)
+    store = np.frombuffer(frame["coefs"], np.int16)
+    rng = np.random.RandomState(width * 100 + height)
+    category = rng.randint(1, 11, store.size)  # 1..10 bits, so DC differences stay within category 11
+    magnitude = (1 << (category - 1)) + rng.randint(0, 1 << 9, store.size) % (1 << (category - 1))
+    sign = np.where(rng.randint(0, 2, store.size) == 1, -1, 1)
+    store[:] = np.where(rng.random_sample(store.size) < 0.8, 0, sign * magnitude)
+    return frame
+
+
+# SHA-256 of _write(integer_frame(*case)), first 16 hex digits. Integer frames
+# keep the float DCT out of the pins, so only the entropy layer moves them.
+STREAM_PINS = {
+    ("gray", (1, 1), False): "eb06af7b90997b05",
+    ("gray", (1, 1), True): "f659bd11a72442bc",
+    ("gray", (17, 9), False): "105a920bd9b4bbd2",
+    ("gray", (17, 9), True): "9861842767d526c8",
+    ("gray", (50, 37), False): "39f65ae88e90e064",
+    ("gray", (50, 37), True): "ff1f2d801bce9c7b",
+    ("420", (1, 1), False): "e44b3344cb71dd4e",
+    ("420", (1, 1), True): "deb8cccb42eb0c37",
+    ("420", (17, 9), False): "492bf9b9d182991c",
+    ("420", (17, 9), True): "b6f328c3fae3162e",
+    ("420", (50, 37), False): "2c333da8f18017d6",
+    ("420", (50, 37), True): "a8f225b834a8d97f",
+    ("444", (1, 1), False): "cf06442e8c6fdbbf",
+    ("444", (1, 1), True): "43215c4f848dccbf",
+    ("444", (17, 9), False): "d5c19d8f3f16c56a",
+    ("444", (17, 9), True): "50a8732390c75e9b",
+    ("444", (50, 37), False): "32172a65d0983b2e",
+    ("444", (50, 37), True): "4e2b294200ec0867",
+}
+
+
+class TestEntropyLayer:
+    """``_write`` and ``_read`` are lossless inverses over a frame's coefficients."""
+
+    @pytest.mark.parametrize("mode, size, progressive", ENTROPY_CASES)
+    def test_read_inverts_write(self, mode, size, progressive):
+        frame = integer_frame(mode, size, progressive)
+        data = _jpeg._write(frame)
+        back = _jpeg._read(data)
+        assert np.array_equal(_jpeg._inverse(back), _jpeg._inverse(frame))
+        for c, ours, theirs in zip(frame["comps"], _jpeg._grids(frame), _jpeg._grids(back)):
+            rows, cols = c.own
+            assert np.array_equal(ours[:rows, :cols], theirs[:rows, :cols])
+        if not progressive:
+            # a progressive AC scan codes only its component's own block grid,
+            # so in 4:2:0 the luma padding blocks of the two stores differ
+            assert back["coefs"] == frame["coefs"]
+            assert _jpeg._write(back) == data
+
+    @pytest.mark.parametrize("mode, size, progressive", ENTROPY_CASES)
+    def test_stream_is_pinned(self, mode, size, progressive):
+        data = _jpeg._write(integer_frame(mode, size, progressive))
+        assert hashlib.sha256(data).hexdigest()[:16] == STREAM_PINS[mode, size, progressive]
 
 
 def test_builtin_and_pillow_agree():
