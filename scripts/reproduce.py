@@ -5,9 +5,8 @@
 - attack.csv: a greedy jigsaw solver per step set and piece count, averaged over keys.
 - templates.csv: nearest-centroid accuracy in the plain and protected domains.
 
-Every input is fixed here, so the files are a pure function of the code and of
-the JPEG codec (Pillow, when installed, replaces the built-in one and moves the
-RD rows). Timings go to stderr only.
+Every input is fixed here, so the files are a pure function of the code.
+Timings go to stderr only.
 """
 
 import sys

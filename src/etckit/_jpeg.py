@@ -8,10 +8,11 @@ is two inverse pairs over it: ``encode = _write(_forward(pixels, frame))`` and
 ``decode = _inverse(_read(data))``. ``_forward`` and ``_inverse`` map pixels to
 the store and back; ``_write`` and ``_read`` map the store to a stream and
 back, visiting blocks in :func:`_block_order`. Entropy coding is lossless, so
-``_inverse(_read(_write(f)))`` equals ``_inverse(f)``. The stores themselves
-can differ: a single-component scan, such as a progressive AC scan, codes only
-the component's own block grid (the blocks holding its samples of the image),
-not the padding blocks that complete its MCUs, and ``_inverse`` crops those.
+``_inverse(_read(_write(f)))`` equals ``_inverse(f)``, and :func:`roundtrip`
+skips ``_read``. The stores themselves can differ: a single-component scan,
+such as a progressive AC scan, codes only the component's own block grid (the
+blocks holding its samples of the image), not the padding blocks that complete
+its MCUs, and ``_inverse`` crops those.
 
 Encoding uses the Annex K quantisation tables scaled by the IJG quality
 formula and the Annex K Huffman tables. 4:2:0 chroma is a 2x2 box average of
@@ -241,15 +242,27 @@ def _block_order(frame, comps) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(parts, axis=2).ravel(), np.tile(index, rows * cols)
 
 
-def encode(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> bytes:
-    """JFIF bytes of an (H, W, 1|3) uint8 raster."""
+def _coded(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> dict:
+    """The frame of an (H, W, 1|3) uint8 raster, its store filled by :func:`_forward`."""
     height, width, channels = pixels.shape
     if height > 0xFFFF or width > 0xFFFF:
         raise JpegError(f"{width}x{height} exceeds JPEG's 65535-pixel limit")
     sampling = ((1, 1),) if channels == 1 else _SAMPLING[subsampling]
     comps = [_Component(i + 1, h, v, tq, _quant_table(quality, tq == 1))
              for i, ((h, v), tq) in enumerate(zip(sampling, (0, 1, 1)))]
-    return _write(_forward(pixels, _frame(width, height, comps, progressive)))
+    return _forward(pixels, _frame(width, height, comps, progressive))
+
+
+def encode(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> bytes:
+    """JFIF bytes of an (H, W, 1|3) uint8 raster."""
+    return _write(_coded(pixels, quality, subsampling, progressive))
+
+
+def roundtrip(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> tuple[np.ndarray, int]:
+    """``decode(encode(...))`` and the stream's length, rebuilt from the frame
+    that ``encode`` writes instead of decoding the stream."""
+    frame = _coded(pixels, quality, subsampling, progressive)
+    return _inverse(frame), len(_write(frame))
 
 
 def decode(data: bytes) -> np.ndarray:

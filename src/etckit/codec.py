@@ -1,32 +1,26 @@
 """JPEG round-trip experiments: rate-distortion curves and provider recompression.
 
-The codec sits behind a narrow adapter, ``jpeg_encode``/``jpeg_decode``;
-everything here only assumes it is deterministic for a fixed input and
-parameter set and standard-compliant. Pillow's libjpeg binding is the codec
-whenever Pillow can be imported. Otherwise the built-in codec in
-``etckit._jpeg`` is used: baseline and spectral-selection progressive JPEG
-with the ITU-T T.81 Annex K tables, where 4:2:0 chroma is a 2x2 box average
-and is replicated back up on decode, so each 16x16 MCU is self-contained.
+The codec is the built-in one in ``etckit._jpeg``, on every machine, so the
+same inputs give the same bytes and the same RD rows: baseline and
+spectral-selection progressive JPEG with the ITU-T T.81 Annex K tables, where
+4:2:0 chroma is a 2x2 box average and is replicated back up on decode, so each
+16x16 MCU is self-contained. ``jpeg_roundtrip`` rebuilds the raster from the
+quantised coefficients the encoder holds; it equals ``jpeg_decode`` of
+``jpeg_encode``'s stream without decoding it.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _jpeg
 from .cipher import CipherConfig, CipherSidecar, MasterKey, decrypt, encrypt
 from .images import ImageBuffer, psnr
 
-try:
-    from PIL import Image as _PILImage
-except ImportError:  # pragma: no cover - import guard
-    _PILImage = None
-
 SUBSAMPLING_420 = "420"
 SUBSAMPLING_444 = "444"
-_PIL_SUBSAMPLING = {SUBSAMPLING_420: 2, SUBSAMPLING_444: 0}
 
 RD_CSV_HEADER = "path,quality,bpp,psnr_db"
 
@@ -44,7 +38,7 @@ class CodecParams:
     def __post_init__(self):
         if not 1 <= self.quality <= 100:
             raise ValueError(f"quality must be in 1..100, got {self.quality}")
-        if self.subsampling not in _PIL_SUBSAMPLING:
+        if self.subsampling not in _jpeg._SAMPLING:
             raise ValueError(f"subsampling must be 420 or 444, got {self.subsampling}")
 
 
@@ -66,59 +60,36 @@ class ProviderProfile:
     def __post_init__(self):
         if not 1 <= self.recompress_quality <= 100:
             raise ValueError(f"quality must be in 1..100, got {self.recompress_quality}")
+        if self.forced_subsampling not in (None, *_jpeg._SAMPLING):
+            raise ValueError(
+                f"provider {self.name!r}: forced_subsampling must be 420, 444 or None, "
+                f"got {self.forced_subsampling!r}"
+            )
 
 
 def jpeg_encode(img: ImageBuffer, params: CodecParams) -> bytes:
     """Encode to JFIF bytes: baseline, or progressive if ``params.progressive``."""
-    if _PILImage is None:
-        from . import _jpeg  # imported on first use, so importing etckit stays cheap
-
-        try:
-            return _jpeg.encode(img.data, params.quality, params.subsampling, params.progressive)
-        except _jpeg.JpegError as exc:
-            raise CodecError(f"JPEG encode failed: {exc}") from exc
-    arr = img.data[:, :, 0] if img.channels == 1 else img.data
-    pil = _PILImage.fromarray(arr)  # uint8 (H, W) is "L", (H, W, 3) "RGB"
-    buf = io.BytesIO()
-    kwargs = {"format": "JPEG", "quality": params.quality, "progressive": params.progressive}
-    if img.channels == 3:
-        kwargs["subsampling"] = _PIL_SUBSAMPLING[params.subsampling]
     try:
-        pil.save(buf, **kwargs)
-    except OSError as exc:  # pragma: no cover - codec failure path
+        return _jpeg.encode(img.data, params.quality, params.subsampling, params.progressive)
+    except _jpeg.JpegError as exc:
         raise CodecError(f"JPEG encode failed: {exc}") from exc
-    return buf.getvalue()
 
 
 def jpeg_decode(data: bytes) -> ImageBuffer:
     """Decode JPEG bytes back to a raster."""
-    if _PILImage is None:
-        from . import _jpeg
-
-        try:
-            return ImageBuffer(_jpeg.decode(data))
-        except _jpeg.JpegError as exc:
-            raise CodecError(f"JPEG decode failed: {exc}") from exc
     try:
-        pil = _PILImage.open(io.BytesIO(data))
-        pil.load()
-    except Exception as exc:
+        return ImageBuffer(_jpeg.decode(data))
+    except _jpeg.JpegError as exc:
         raise CodecError(f"JPEG decode failed: {exc}") from exc
-    if pil.mode not in ("L", "RGB"):
-        pil = pil.convert("RGB")
-    return ImageBuffer(np.asarray(pil))
 
 
 def jpeg_roundtrip(img: ImageBuffer, params: CodecParams) -> tuple[ImageBuffer, int]:
     """Encode then decode; returns the decoded raster and the compressed byte count."""
-    data = jpeg_encode(img, params)
-    decoded = jpeg_decode(data)
-    if (decoded.width, decoded.height) != (img.width, img.height):
-        raise CodecError(
-            f"codec changed dimensions: {img.width}x{img.height} -> "
-            f"{decoded.width}x{decoded.height}"
-        )
-    return decoded, len(data)
+    try:
+        pixels, size = _jpeg.roundtrip(img.data, params.quality, params.subsampling, params.progressive)
+    except _jpeg.JpegError as exc:
+        raise CodecError(f"JPEG encode failed: {exc}") from exc
+    return ImageBuffer(pixels), size
 
 
 def rd_curve(

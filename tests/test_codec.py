@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etckit.cipher import CipherConfig
 from etckit import _jpeg
@@ -43,6 +46,8 @@ class TestParams:
     def test_provider_profile_validation(self):
         with pytest.raises(ValueError):
             ProviderProfile("p", 0)
+        with pytest.raises(ValueError, match="provider 'p'"):
+            ProviderProfile("p", 80, "422")
 
 
 class TestJpeg:
@@ -86,6 +91,31 @@ class TestJpeg:
         with pytest.raises(CodecError, match="decode failed"):
             jpeg_decode(data)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["gray", "420", "444", "420-progressive"]),
+        st.lists(
+            st.tuples(st.sampled_from(["flip", "delete", "insert"]), st.integers(0, 1 << 16), st.integers(1, 255)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_mutated_stream_decodes_or_raises_codec_error(self, mode, mutations):
+        # the built-in decoder is all that stands between external bytes and
+        # the caller, so no damage may escape as another exception
+        data = bytearray(fuzz_seed_stream(mode))
+        for op, at, byte in mutations:
+            if op == "flip":
+                data[at % len(data)] ^= byte
+            elif op == "delete":
+                del data[at % len(data)]
+            else:
+                data.insert(at % (len(data) + 1), byte)
+        try:
+            decoded = jpeg_decode(bytes(data))
+        except CodecError:
+            return
+        assert isinstance(decoded, ImageBuffer)
+
     def test_progressive_flag_changes_stream(self):
         img = synth_natural_image(64, 64, seed=6)
         base = jpeg_encode(img, CodecParams(quality=80))
@@ -95,6 +125,13 @@ class TestJpeg:
     def test_encode_deterministic(self):
         img = synth_natural_image(64, 64, seed=7)
         assert jpeg_encode(img, CodecParams()) == jpeg_encode(img, CodecParams())
+
+
+@functools.cache
+def fuzz_seed_stream(mode: str) -> bytes:
+    channels = 1 if mode == "gray" else 3
+    img = synth_natural_image(24, 16, channels=channels, seed=15)
+    return jpeg_encode(img, CodecParams(75, mode[:3] if channels == 3 else "420", "progressive" in mode))
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +224,7 @@ class TestAggregates:
 
 
 class TestBuiltinCodec:
-    """The in-repo codec, called directly so these run whether or not Pillow is installed."""
+    """Properties of the built-in codec, through ``etckit._jpeg`` and the ``codec`` adapter."""
 
     def test_annex_k_huffman_tables_are_complete(self):
         ac_symbols = {0x00, 0xF0} | {r << 4 | s for r in range(16) for s in range(1, 11)}
@@ -204,19 +241,25 @@ class TestBuiltinCodec:
         assert _jpeg._quant_table(1, False).max() == 255
 
     @pytest.mark.parametrize("size", [(1, 1), (17, 9), (50, 37)])
-    @pytest.mark.parametrize("mode", ["420", "444", "420-progressive", "444-progressive", "gray"])
+    @pytest.mark.parametrize(
+        "mode", ["420", "444", "420-progressive", "444-progressive", "gray", "gray-progressive"]
+    )
     def test_roundtrip_any_size(self, size, mode):
         # sizes off the MCU lattice exercise padding, cropping and the
         # smaller block grids of single-component progressive scans
         width, height = size
-        channels = 1 if mode == "gray" else 3
+        channels = 1 if mode.startswith("gray") else 3
         rng = np.random.default_rng(width * height)
         smooth = np.cumsum(rng.integers(-3, 4, (height, width, channels)), axis=1) + 128
-        pixels = np.clip(smooth, 0, 255).astype(np.uint8)
-        data = _jpeg.encode(pixels, 95, mode[:3] if channels == 3 else "420", "progressive" in mode)
-        decoded = _jpeg.decode(data)
-        assert decoded.shape == pixels.shape
-        assert psnr(ImageBuffer(pixels), ImageBuffer(decoded)) > 30.0
+        img = ImageBuffer(np.clip(smooth, 0, 255).astype(np.uint8))
+        params = CodecParams(95, mode[:3] if channels == 3 else "420", "progressive" in mode)
+        data = jpeg_encode(img, params)
+        decoded = jpeg_decode(data)
+        assert decoded.data.shape == img.data.shape
+        assert psnr(img, decoded) > 30.0
+        # the round trip takes the raster from the encoder's coefficients, not the stream
+        rebuilt, length = jpeg_roundtrip(img, params)
+        assert np.array_equal(rebuilt.data, decoded.data) and length == len(data)
 
     def test_420_keeps_each_mcu_self_contained(self):
         # box-averaged, replicated chroma: an MCU decodes the same wherever it sits
