@@ -194,12 +194,10 @@ class _Component:
         self.cid, self.h, self.v, self.tq, self.q = cid, h, v, tq, q
 
 
-def _frame(width: int, height: int, comps: list, progressive: bool, stream_bytes: int | None = None) -> dict:
-    """The frame of both directions: each component's padded block grid
-    (``rows`` x ``cols``, whole MCUs), its own grid and its offset in a zeroed
-    store. The decoder passes its stream length: every coded block takes at
-    least one bit, so a header claiming more blocks is refused before the
-    store is allocated."""
+def _layout(width: int, height: int, comps: list, progressive: bool) -> dict:
+    """The frame of both directions without its store: each component's padded
+    block grid (``rows`` x ``cols``, whole MCUs), its own grid and its offset in
+    the store, and the store's ``size`` in coefficients."""
     hmax = max(c.h for c in comps)
     vmax = max(c.v for c in comps)
     mcux = _ceil_div(width, 8 * hmax)
@@ -210,13 +208,17 @@ def _frame(width: int, height: int, comps: list, progressive: bool, stream_bytes
         c.own = (_ceil_div(_ceil_div(height * c.v, vmax), 8), _ceil_div(_ceil_div(width * c.h, hmax), 8))
         c.offset = offset
         offset += c.rows * c.cols * 64
-    if stream_bytes is not None and sum(r * k for r, k in (c.own for c in comps)) > 8 * stream_bytes:
-        raise JpegError(f"a {width}x{height} frame needs more data than the {stream_bytes}-byte stream holds")
     return {
         "width": width, "height": height, "progressive": progressive, "comps": comps,
-        "mcux": mcux, "mcuy": mcuy, "hmax": hmax, "vmax": vmax,
-        "coefs": array("h", [0]) * offset,
+        "mcux": mcux, "mcuy": mcuy, "hmax": hmax, "vmax": vmax, "size": offset,
     }
+
+
+def _frame(width: int, height: int, comps: list, progressive: bool) -> dict:
+    """:func:`_layout` with its zeroed store; the decoder allocates it at the first scan."""
+    frame = _layout(width, height, comps, progressive)
+    frame["coefs"] = array("h", [0]) * frame["size"]
+    return frame
 
 
 def _grids(frame) -> list[np.ndarray]:
@@ -524,7 +526,7 @@ def _read(data: bytes) -> dict:
         elif marker in (0xC0, 0xC1, 0xC2):
             if frame is not None:
                 raise JpegError("more than one frame header")
-            frame = _parse_sof(seg, marker == 0xC2, len(buf))
+            frame = _parse_sof(seg, marker == 0xC2)
         elif marker in _SOF_UNSUPPORTED:
             raise JpegError(f"unsupported feature: {_SOF_UNSUPPORTED[marker]}")
         elif marker == 0xCC:
@@ -590,7 +592,7 @@ def _parse_dht(seg: bytes, huffman: dict) -> None:
         i += 17 + n
 
 
-def _parse_sof(seg: bytes, progressive: bool, stream_bytes: int) -> dict:
+def _parse_sof(seg: bytes, progressive: bool) -> dict:
     if len(seg) < 6:
         raise JpegError("malformed frame header")
     precision, height, width, n = struct.unpack(">BHHB", seg[:6])
@@ -612,7 +614,7 @@ def _parse_sof(seg: bytes, progressive: bool, stream_bytes: int) -> dict:
         not (1 <= c.h <= 4 and 1 <= c.v <= 4) or hmax % c.h or vmax % c.v or c.tq > 3 for c in comps
     ):
         raise JpegError("unsupported component sampling or table selection")
-    return _frame(width, height, comps, progressive, stream_bytes)
+    return _layout(width, height, comps, progressive)
 
 
 def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
@@ -655,7 +657,18 @@ def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
     stuffed = ff[(follow == 0) & (ff < end)] + 1
     scan = np.delete(body[:end], stuffed)
 
-    bases, which = _block_order(frame, [c for c, _, _ in selected])
+    comps = [c for c, _, _ in selected]
+    if "coefs" not in frame:
+        # every block's DC is coded from here on, at least a bit per block, and
+        # a valid first scan is a DC scan of its own blocks
+        rows, cols = comps[0].own if n == 1 else (frame["mcuy"], frame["mcux"])
+        first = rows * cols * (1 if n == 1 else sum(c.h * c.v for c in comps))
+        total = sum(r * k for r, k in (c.own for c in frame["comps"]))
+        if first > 8 * len(scan) or total > 8 * (len(buf) - pos):
+            raise JpegError(f"a {frame['width']}x{frame['height']} frame needs more data than the "
+                            f"{len(buf) - pos} bytes from its first scan hold")
+        frame["coefs"] = array("h", [0]) * frame["size"]
+    bases, which = _block_order(frame, comps)
     try:
         _huffman_decode(scan, bases.tolist(), which.tolist(), dcluts, acluts, ss, se, frame["coefs"])
     except OverflowError:

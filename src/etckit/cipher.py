@@ -6,36 +6,38 @@ negative-positive inversion, and per-block RGB channel shuffling. The color
 scheme works on 16x16 blocks of the RGB raster; the grayscale-based variant
 first stacks the R, G, B planes vertically into one single-channel raster and
 uses smaller (8x8) blocks, trading color information for a larger block count.
-Every step draws its randomness from an independent keyed stream, so
-enabling or disabling one step never shifts another step's draws.
+
+:data:`STEPS` is the one description of the steps, one row each: name,
+letter, keystream tag, alphabet, block map and draw inverse. Every step draws
+from its own keyed stream, so enabling or disabling one step never shifts
+another step's draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .images import ImageBuffer, merge_blocks, split_blocks
-from .keystream import (  # the step names and gen_* are re-exported from here
-    COLOR_SHUFFLE,
-    NEGPOS,
-    ROTATE_FLIP,
-    SCRAMBLE,
-    STEP_LETTERS,
-    STEP_ORDER,
+from .keystream import (
     TAG_COLOR_SHUFFLE,
     TAG_NEGPOS,
     TAG_ROTATE_FLIP,
     TAG_SCRAMBLE,
     MasterKey,
     derive_step_seed,
-    gen_permutation,
-    gen_symbols,
-    normalize_steps,
+    gen_permutation,  # noqa: F401  perfbench/layers.py wraps cipher.gen_permutation
+    gen_symbols,  # noqa: F401  and cipher.gen_symbols by name
     permutation_array,
     symbol_array,
 )
+
+SCRAMBLE = "scramble"
+ROTATE_FLIP = "rotate_flip"
+NEGPOS = "negpos"
+COLOR_SHUFFLE = "color_shuffle"
 
 SCHEME_COLOR = "color"
 SCHEME_GRAYSCALE = "grayscale_based"
@@ -93,7 +95,6 @@ class CipherSidecar:
     orig_h: int
     pad_r: int = 0
     pad_b: int = 0
-    version: int = SIDECAR_VERSION
 
     def __post_init__(self):
         self.config()  # the scheme, block size and steps must form a valid configuration
@@ -107,7 +108,7 @@ class CipherSidecar:
 
     def to_text(self) -> str:
         lines = [
-            f"version={self.version}",
+            f"version={SIDECAR_VERSION}",
             f"scheme={self.scheme}",
             f"block_size={self.block_size}",
             f"steps={steps_to_letters(self.steps)}",
@@ -143,7 +144,6 @@ class CipherSidecar:
                 orig_h=int(fields["orig_h"]),
                 pad_r=int(fields["pad_r"]),
                 pad_b=int(fields["pad_b"]),
-                version=version,
             )
         except KeyError as exc:
             raise ValueError(f"sidecar missing field {exc}") from exc
@@ -221,8 +221,8 @@ def _by_code(n_codes: int, planes):
     return step_map
 
 
-_rotate_flip = _by_code(8, lambda m, code: np.moveaxis(apply_orientation(m, code), -1, 0))
-_color_shuffle = _by_code(6, lambda m, code: (m[..., ch] for ch in CHANNEL_PERMS[code]))
+_rotate_flip = _by_code(len(ORIENT_INVERSE), lambda m, k: np.moveaxis(apply_orientation(m, k), -1, 0))
+_color_shuffle = _by_code(len(CHANNEL_PERMS), lambda m, k: (m[..., ch] for ch in CHANNEL_PERMS[k]))
 
 
 def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -234,13 +234,46 @@ def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return blocks
 
 
-# (name, stream tag, alphabet or None for a permutation, map, invert_draws)
+# (name, letter, stream tag, alphabet or None for a permutation, map, invert_draws)
 STEPS = (
-    (SCRAMBLE, TAG_SCRAMBLE, None, _scramble, inverse_permutation),
-    (ROTATE_FLIP, TAG_ROTATE_FLIP, 8, _rotate_flip, lambda c: np.take(ORIENT_INVERSE, c)),
-    (NEGPOS, TAG_NEGPOS, 2, _negpos, lambda bits: bits),
-    (COLOR_SHUFFLE, TAG_COLOR_SHUFFLE, 6, _color_shuffle, lambda c: np.take(COLOR_INVERSE, c)),
+    (SCRAMBLE, "s", TAG_SCRAMBLE, None, _scramble, inverse_permutation),
+    (ROTATE_FLIP, "r", TAG_ROTATE_FLIP, 8, _rotate_flip, lambda c: np.take(ORIENT_INVERSE, c)),
+    (NEGPOS, "n", TAG_NEGPOS, 2, _negpos, lambda bits: bits),
+    (COLOR_SHUFFLE, "c", TAG_COLOR_SHUFFLE, 6, _color_shuffle, lambda c: np.take(COLOR_INVERSE, c)),
 )
+
+# Application order is fixed; decryption undoes steps in reverse.
+STEP_ORDER = tuple(name for name, *_ in STEPS)
+STEP_LETTERS = {name: letter for name, letter, *_ in STEPS}
+_LETTER_STEPS = {letter: name for name, letter, *_ in STEPS}
+
+
+def normalize_steps(steps) -> frozenset[str]:
+    """Accept step names, single-letter codes, or 's,r,n,c' strings; None is no step."""
+    if isinstance(steps, str):
+        steps = steps.replace(",", "")
+    names = set()
+    for s in steps or ():
+        name = _LETTER_STEPS.get(s, s)
+        if name not in STEP_LETTERS:
+            letters = ", ".join(_LETTER_STEPS)
+            raise ValueError(f"unknown step {s!r} (letters {letters}; step names only as list items)")
+        names.add(name)
+    return frozenset(names)
+
+
+def keyspace_bits(n_blocks: int, steps, scheme: str = SCHEME_COLOR) -> float:
+    """log2 of the brute-force key space for the enabled steps: n! for the
+    permutation (by log-gamma, so large block counts do not overflow) and
+    alphabet**n for every other step."""
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    enabled = CipherConfig(scheme, 1, normalize_steps(steps)).steps
+    bits = 0.0
+    for name, _, _, alphabet, _, _ in STEPS:
+        if name in enabled:
+            bits += n_blocks * math.log2(alphabet) if alphabet else math.lgamma(n_blocks + 1) / math.log(2.0)
+    return bits
 
 
 def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np.ndarray]:
@@ -250,7 +283,7 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
     never shifts another step's draws.
     """
     draws = {}
-    for name, tag, alphabet, _, _ in STEPS:
+    for name, _, tag, alphabet, _, _ in STEPS:
         if name not in cfg.steps:
             continue
         seed = derive_step_seed(key, tag)
@@ -324,7 +357,7 @@ def encrypt(
     work = stack_planes(img) if cfg.scheme == SCHEME_GRAYSCALE else img
     blocks, grid = split_blocks(work, cfg.block_size)
     draws = step_draws(key, cfg, grid.n_blocks)
-    for name, _, _, step_map, _ in STEPS:
+    for name, _, _, _, step_map, _ in STEPS:
         if name in draws:
             blocks = step_map(blocks, draws[name])
     return merge_blocks(blocks, grid, work.channels), sidecar
@@ -348,7 +381,7 @@ def decrypt(img: ImageBuffer, key: MasterKey, sidecar: CipherSidecar) -> ImageBu
 
     blocks, grid = split_blocks(img, cfg.block_size)
     draws = step_draws(key, cfg, grid.n_blocks)
-    for name, _, _, step_map, invert_draws in reversed(STEPS):
+    for name, _, _, _, step_map, invert_draws in reversed(STEPS):
         if name in draws:
             blocks = step_map(blocks, invert_draws(draws[name]))
     out = merge_blocks(blocks, grid, img.channels)

@@ -31,12 +31,12 @@ from .cipher import (
     CipherSidecar,
     decrypt,
     encrypt,
-    normalize_steps,
+    keyspace_bits,
     stack_planes,
 )
 from .codec import CodecError, CodecParams, rd_csv, rd_curve
 from .images import ImageBuffer, load_ppm, pad_replicate, save_ppm
-from .keystream import MASK64, MasterKey, format_key_file, keyspace_bits, parse_key_file
+from .keystream import MASK64, MasterKey, format_key_file, parse_key_file
 from .templates import classify, enroll, format_template_csv, parse_template_csv, protect_template
 
 EXIT_OK = 0
@@ -96,18 +96,9 @@ def _load_key(args) -> MasterKey:
     raise UsageError("a key is required: pass --key HEX or --key-file PATH")
 
 
-def _parse_steps(text: str | None):
-    if text is None:
-        return None  # scheme default
-    try:
-        return normalize_steps(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _config(args) -> CipherConfig:
     try:  # None selects the scheme's default block size and steps
-        return CipherConfig(_SCHEMES[args.scheme], args.block_size, _parse_steps(args.steps))
+        return CipherConfig(_SCHEMES[args.scheme], args.block_size, args.steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -301,10 +292,7 @@ def _cmd_keyspace(args) -> int:
             f"{args.width}x{args.height} not divisible by block size {cfg.block_size}"
         )
     n_blocks = (args.width // cfg.block_size) * (height // cfg.block_size)
-    try:
-        bits = keyspace_bits(n_blocks, cfg.steps, cfg.scheme)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    bits = keyspace_bits(n_blocks, cfg.steps, cfg.scheme)
     # every keyed choice derives from one 64-bit key, which bounds a search
     sys.stdout.write(
         f"n_blocks {n_blocks}\nkeyspace_bits {bits:.6f}\nkey_bits {MASK64.bit_length()}\n"

@@ -1,12 +1,13 @@
-"""Keyed deterministic randomness: 64-bit streams, permutations, key-space sizing.
+"""Keyed deterministic randomness: keys, stream tags, SplitMix64 streams,
+permutations, symbol runs and key files.
 
-Every quantity the cipher consumes (block permutations, orientation codes,
-inversion bits, channel-shuffle indices) is a pure function of the 64-bit
-master key and a small integer step tag, so independent implementations can
-reproduce ciphertexts bit for bit. The generator is SplitMix64; it is chosen
-for portability and golden-vector testability, NOT as production-grade
-cryptography. A deployment would swap in a standard KDF plus CSPRNG behind
-the same interface.
+Every quantity the cipher and the template protection consume is a pure
+function of the 64-bit master key and a small integer stream tag, so
+independent implementations can reproduce ciphertexts bit for bit. Which step
+draws from which tag is the cipher's step table, ``cipher.STEPS``. SplitMix64
+is chosen for portability and golden-vector testability, NOT as
+production-grade cryptography. A deployment would swap in a standard KDF plus
+CSPRNG behind the same interface.
 
 SplitMix64 is counter-based: the k-th output (k = 1, 2, ...) of a stream
 started at ``seed`` is ``mix(seed + k*gamma) mod 2**64``, with ``gamma`` the
@@ -20,7 +21,6 @@ resolved without a per-element loop (:func:`resolve_swaps`).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -29,24 +29,12 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Fixed stream tags, one per cipher step.
+# Fixed stream tags, all distinct: one per cipher step (see cipher.STEPS), one for templates.
 TAG_SCRAMBLE = 0
 TAG_ROTATE_FLIP = 1
 TAG_NEGPOS = 2
 TAG_COLOR_SHUFFLE = 3
 TAG_TEMPLATE = 100
-
-# Step names, each drawing from the tag above of the same name.
-SCRAMBLE = "scramble"
-ROTATE_FLIP = "rotate_flip"
-NEGPOS = "negpos"
-COLOR_SHUFFLE = "color_shuffle"
-
-# Application order is fixed; decryption undoes steps in reverse.
-STEP_ORDER = (SCRAMBLE, ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE)
-
-STEP_LETTERS = {SCRAMBLE: "s", ROTATE_FLIP: "r", NEGPOS: "n", COLOR_SHUFFLE: "c"}
-_LETTER_STEPS = {v: k for k, v in STEP_LETTERS.items()}
 
 _KEY_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -88,29 +76,6 @@ def splitmix_next(state: int) -> tuple[int, int]:
     """
     state = (state + _GOLDEN) & MASK64
     return state, _mix64(state)
-
-
-def normalize_steps(steps) -> frozenset[str]:
-    """Accept step names, single-letter codes, or 's,r,n,c' strings."""
-    if steps is None:
-        return frozenset()
-    if isinstance(steps, str):
-        text = steps.replace(",", "")
-        names = []
-        for ch in text:
-            if ch not in _LETTER_STEPS:
-                raise ValueError(f"unknown step letter {ch!r} (use s, r, n, c)")
-            names.append(_LETTER_STEPS[ch])
-        return frozenset(names)
-    out = set()
-    for s in steps:
-        if s in STEP_LETTERS:
-            out.add(s)
-        elif s in _LETTER_STEPS:
-            out.add(_LETTER_STEPS[s])
-        else:
-            raise ValueError(f"unknown step {s!r}")
-    return frozenset(out)
 
 
 def _mix64(z: int) -> int:
@@ -172,7 +137,7 @@ def uniform_below(stream: StepStream, n: int) -> int:
     """Next draw reduced modulo ``n``; advances the stream by exactly one draw.
 
     Modulo reduction carries a bias below 2**-32 for n <= 2**32, which is
-    negligible for the alphabet sizes used here (2, 6, 8, block counts).
+    negligible for the cipher's alphabets and block counts.
     """
     _check_modulus(n)
     return stream.next_u64() % n
@@ -257,29 +222,6 @@ def gen_permutation(seed: int, n: int) -> list[int]:
 def gen_symbols(seed: int, n: int, alphabet: int) -> list[int]:
     """:func:`symbol_array` as a list of Python ints."""
     return symbol_array(seed, n, alphabet).tolist()
-
-
-def keyspace_bits(n_blocks: int, steps, scheme: str = "color") -> float:
-    """log2 of the brute-force key space for the enabled steps.
-
-    Factors: scramble n!, rotate_flip 8**n, negpos 2**n, color_shuffle 6**n
-    (color scheme only). Uses log-gamma so large block counts do not overflow.
-    """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    enabled = normalize_steps(steps)
-    if COLOR_SHUFFLE in enabled and scheme != "color":
-        raise ValueError("color_shuffle has no key-space factor outside the color scheme")
-    bits = 0.0
-    if SCRAMBLE in enabled:
-        bits += math.lgamma(n_blocks + 1) / math.log(2.0)
-    if ROTATE_FLIP in enabled:
-        bits += 3.0 * n_blocks
-    if NEGPOS in enabled:
-        bits += 1.0 * n_blocks
-    if COLOR_SHUFFLE in enabled:
-        bits += n_blocks * math.log2(6.0)
-    return bits
 
 
 def parse_key_file(raw: bytes) -> MasterKey:

@@ -27,10 +27,11 @@ from etckit.cipher import (
     CipherConfig,
     decrypt,
     encrypt,
+    keyspace_bits,
 )
 from etckit.codec import mean_bpp_inflation, mean_psnr_gap, rd_curve
 from etckit.images import ImageBuffer
-from etckit.keystream import MASK64, MasterKey, gen_permutation, keyspace_bits, splitmix_next
+from etckit.keystream import MASK64, MasterKey, gen_permutation, splitmix_next
 from etckit.synth import reference_images, synth_natural_image
 from etckit.templates import Template, classify, enroll, protect_template
 

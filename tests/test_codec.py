@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +225,18 @@ class TestAggregates:
             mean_psnr_gap([RDPoint(50, 1.0, 32.0)], [])
 
 
+def assert_refused_in_16_mib(data: bytes) -> None:
+    """``jpeg_decode`` refuses a stream too short for its frame before allocating the store."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match="needs more data"):
+            jpeg_decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestBuiltinCodec:
     """Properties of the built-in codec, through ``etckit._jpeg`` and the ``codec`` adapter."""
 
@@ -297,6 +311,33 @@ class TestBuiltinCodec:
         data[sof + 5:sof + 9] = b"\xff\xff\xff\xff"  # claims 65535x65535
         with pytest.raises(_jpeg.JpegError, match="needs more data"):
             _jpeg.decode(bytes(data))
+
+    def test_padding_does_not_pay_for_a_huge_frame(self):
+        # an 8x8 stream claiming 7000x7000, padded to 131 403 bytes by two
+        # 64 KiB COM segments: the store would be 93 MiB, and the padding must
+        # not count as data that could fill it
+        data = bytearray(_jpeg.encode(np.zeros((8, 8, 1), np.uint8), 75, "420", False))
+        sof = data.index(b"\xff\xc0")
+        data[sof + 5:sof + 9] = struct.pack(">HH", 7000, 7000)
+        end = sof + 2 + (data[sof + 2] << 8 | data[sof + 3])
+        com = b"\xff\xfe\xff\xff" + bytes(0xFFFD)
+        data[end:end] = com + com
+        assert len(data) == 131_403
+        assert_refused_in_16_mib(bytes(data))
+
+    def test_first_chroma_scan_does_not_pay_for_the_frame(self):
+        # 8192x8192 with 4x4 luma and 1x1 chroma, whose first scan codes only
+        # Cb's 256x256 blocks in 8 KiB: that scan's data would suffice, but the
+        # store of all three components would be 151 MiB, and the luma and Cr
+        # blocks still to come need more data than the stream holds
+        data = bytearray(_jpeg.encode(np.zeros((16, 16, 3), np.uint8), 75, "420", False))
+        sof = data.index(b"\xff\xc0")
+        data[sof + 5:sof + 9] = struct.pack(">HH", 8192, 8192)
+        data[sof + 11] = 0x44  # the luma's sampling factors
+        sos = data.index(b"\xff\xda")
+        cb = data[sos + 7:sos + 9]  # Cb's component id and table selectors
+        data[sos:] = b"\xff\xda\x00\x08\x01" + cb + b"\x00\x3f\x00" + bytes(8 << 10) + b"\xff\xd9"
+        assert_refused_in_16_mib(bytes(data))
 
     def test_every_truncation_is_a_codec_error(self):
         data = _jpeg.encode(synth_natural_image(24, 16, seed=14).data, 80, "420", True)

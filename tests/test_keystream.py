@@ -4,17 +4,19 @@ The golden vectors were produced once by a separate minimal implementation
 (no shared code with the package) and are frozen here as literals.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etckit import cipher
+from etckit import cipher, keystream
+from etckit.cipher import STEP_ORDER, keyspace_bits
 from etckit.keystream import (
     MASK64,
-    STEP_ORDER,
     TAG_NEGPOS,
     TAG_ROTATE_FLIP,
     TAG_SCRAMBLE,
@@ -24,7 +26,6 @@ from etckit.keystream import (
     format_key_file,
     gen_permutation,
     gen_symbols,
-    keyspace_bits,
     parse_key_file,
     permutation_array,
     resolve_swaps,
@@ -200,6 +201,9 @@ def test_keyspace_bits_additivity():
 def test_keyspace_color_shuffle_needs_color_scheme():
     with pytest.raises(ValueError):
         keyspace_bits(4, "c", scheme="grayscale_based")
+    for scheme in ("gray", "bogus"):  # not a scheme at all
+        with pytest.raises(ValueError):
+            keyspace_bits(4, "s", scheme=scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +283,18 @@ def test_gen_symbols_rejects_bad_alphabet_for_any_n(n, alphabet):
         gen_symbols(1, n, alphabet)
 
 
-def test_step_names_live_in_keystream():
-    assert cipher.STEP_ORDER is STEP_ORDER
-    assert (cipher.SCRAMBLE, cipher.ROTATE_FLIP, cipher.NEGPOS, cipher.COLOR_SHUFFLE) == STEP_ORDER
-    assert cipher.normalize_steps("s,r") == frozenset({"scramble", "rotate_flip"})
+def test_keystream_holds_no_step_vocabulary():
+    # the dependency runs one way: cipher.STEPS names the steps and takes their
+    # stream tags from keystream, which imports nothing from the package
+    tree = ast.parse(Path(keystream.__file__).read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not [n for n in imports if isinstance(n, ast.ImportFrom) and n.level]
+    modules = [a.name for n in imports if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in imports if isinstance(n, ast.ImportFrom)]
+    assert not [m for m in modules if m.split(".")[0] == "etckit"]
+    assigned = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert not assigned & {"SCRAMBLE", "ROTATE_FLIP", "NEGPOS", "COLOR_SHUFFLE", "STEP_ORDER"}
+    assert [(name, letter) for name, letter, *_ in cipher.STEPS] == list(zip(STEP_ORDER, "srnc"))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +361,7 @@ def test_step_draws_are_int64_arrays_equal_to_the_list_api(n):
     cfg = cipher.CipherConfig(steps="srnc")
     draws = cipher.step_draws(key, cfg, n)
     assert set(draws) == set(STEP_ORDER)
-    for name, tag, alphabet, _, _ in cipher.STEPS:
+    for name, _, tag, alphabet, _, _ in cipher.STEPS:
         seed = derive_step_seed(key, tag)
         want = gen_permutation(seed, n) if alphabet is None else gen_symbols(seed, n, alphabet)
         assert draws[name].dtype == np.int64
