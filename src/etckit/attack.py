@@ -38,9 +38,6 @@ from .cipher import (
 from .images import BlockGrid, ImageBuffer, merge_blocks, split_blocks
 from .keystream import MasterKey
 
-RIGHT = "right"
-BELOW = "below"
-
 ATTACK_CSV_HEADER = "steps,block_size,n_pieces,dc,nc,lc,seconds"
 
 _BRUTE_FORCE_LIMIT = 10
@@ -241,21 +238,6 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
 
 # ---------------------------------------------------------------------------
 # Pairwise compatibility
-
-
-def boundary_dissimilarity(a: np.ndarray, b: np.ndarray, relation: str) -> float:
-    """Mean squared difference over the shared border when ``b`` sits right of
-    (or below) ``a``."""
-    if a.shape != b.shape:
-        raise ValueError(f"piece shapes differ: {a.shape} vs {b.shape}")
-    if relation == RIGHT:
-        ea, eb = a[:, -1], b[:, 0]
-    elif relation == BELOW:
-        ea, eb = a[-1, :], b[0, :]
-    else:
-        raise ValueError(f"relation must be {RIGHT!r} or {BELOW!r}")
-    diff = ea.astype(np.int64) - eb.astype(np.int64)
-    return float((diff * diff).sum()) / diff.size
 
 
 def _sides(blocks: np.ndarray) -> tuple[np.ndarray, ...]:

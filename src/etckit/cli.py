@@ -121,7 +121,7 @@ def _add_cipher_flags(p):
     p.add_argument(
         "--steps",
         metavar="LIST",
-        help='comma-separated subset of s,r,n,c (or full names); "" disables all steps',
+        help='letters from s,r,n,c (commas optional); "" disables all steps',
     )
 
 
@@ -286,12 +286,13 @@ def _cmd_keyspace(args) -> int:
     cfg = _config(args)
     if args.width < 1 or args.height < 1:
         raise UsageError("width and height must be positive")
-    height = args.height * 3 if cfg.scheme == SCHEME_GRAYSCALE else args.height
-    if args.width % cfg.block_size or height % cfg.block_size:
+    if args.width % cfg.block_size or args.height % cfg.block_size:
         raise UsageError(
             f"{args.width}x{args.height} not divisible by block size {cfg.block_size}"
         )
-    n_blocks = (args.width // cfg.block_size) * (height // cfg.block_size)
+    n_blocks = (args.width // cfg.block_size) * (args.height // cfg.block_size)
+    if cfg.scheme == SCHEME_GRAYSCALE:
+        n_blocks *= 3  # the three colour planes are stacked into one
     bits = keyspace_bits(n_blocks, cfg.steps, cfg.scheme)
     # every keyed choice derives from one 64-bit key, which bounds a search
     sys.stdout.write(

@@ -11,12 +11,13 @@ CSPRNG behind the same interface.
 
 SplitMix64 is counter-based: the k-th output (k = 1, 2, ...) of a stream
 started at ``seed`` is ``mix(seed + k*gamma) mod 2**64``, with ``gamma`` the
-golden-ratio increment and ``mix`` the output finalizer. So ``n`` draws are
-one numpy ``uint64`` expression (:meth:`StepStream.next_u64_array`), and a
-stream's state after them is simply ``seed + n*gamma``. Permutations and
-symbol runs are built from those draws as ``int64`` arrays
-(:func:`permutation_array`, :func:`symbol_array`); the Fisher-Yates swaps are
-resolved without a per-element loop (:func:`resolve_swaps`).
+golden-ratio increment and ``mix`` the output finalizer. So a stream is just a
+seed and a count: its first ``n`` draws are one numpy ``uint64`` expression
+(:func:`draws`), and :func:`splitmix_next` states the same generator one
+scalar step at a time. Permutations and symbol runs are built from those
+draws as ``int64`` arrays (:func:`permutation_array`, :func:`symbol_array`);
+the Fisher-Yates swaps are resolved without a per-element loop
+(:func:`resolve_swaps`).
 """
 
 from __future__ import annotations
@@ -92,55 +93,20 @@ def derive_step_seed(key: MasterKey, step_tag: int) -> int:
     return _mix64(key.seed ^ (((step_tag + 1) * _GOLDEN) & MASK64))
 
 
-class StepStream:
-    """A per-step generator advanced one 64-bit draw at a time."""
-
-    __slots__ = ("step_tag", "state")
-
-    def __init__(self, seed: int, step_tag: int = 0):
-        self.step_tag = step_tag
-        self.state = seed & MASK64
-
-    @classmethod
-    def for_step(cls, key: MasterKey, step_tag: int) -> "StepStream":
-        return cls(derive_step_seed(key, step_tag), step_tag)
-
-    def next_u64(self) -> int:
-        self.state, out = splitmix_next(self.state)
-        return out
-
-    def next_u64_array(self, n: int) -> np.ndarray:
-        """The next ``n`` outputs as a ``uint64`` array, equal to ``n`` calls
-        of :meth:`next_u64`; the state advances by ``n * gamma``."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self.state)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        self.state = (self.state + n * _GOLDEN) & MASK64
-        return z
-
-
-def _check_modulus(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > 1 << 32:
-        raise ValueError(f"n must be <= 2**32, got {n}")
-
-
-def uniform_below(stream: StepStream, n: int) -> int:
-    """Next draw reduced modulo ``n``; advances the stream by exactly one draw.
-
-    Modulo reduction carries a bias below 2**-32 for n <= 2**32, which is
-    negligible for the cipher's alphabets and block counts.
-    """
-    _check_modulus(n)
-    return stream.next_u64() % n
+def draws(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` outputs of the stream seeded with ``seed``, as a
+    ``uint64`` array: ``n`` successive :func:`splitmix_next` outputs."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def resolve_swaps(targets: np.ndarray) -> np.ndarray:
@@ -188,7 +154,9 @@ def permutation_array(seed: int, n: int) -> np.ndarray:
     """Fisher-Yates shuffle of ``0..n-1`` driven by a stream seeded with ``seed``,
     as an ``int64`` array.
 
-    For i from n-1 down to 1: j = uniform_below(i+1), swap positions i and j.
+    For i from n-1 down to 1: j = (next draw) mod (i+1), swap positions i and j.
+    Modulo reduction carries a bias below 2**-32 for i+1 <= 2**32, which is
+    negligible for the cipher's block counts.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -197,9 +165,9 @@ def permutation_array(seed: int, n: int) -> np.ndarray:
     targets = np.zeros(n, dtype=np.int64)
     if n > 1:
         # draw k is for step i = n-1-k and is reduced modulo i+1
-        draws = StepStream(seed).next_u64_array(n - 1)
-        draws %= np.arange(n, 1, -1, dtype=np.uint64)
-        targets[:0:-1] = draws
+        reduced = draws(seed, n - 1)
+        reduced %= np.arange(n, 1, -1, dtype=np.uint64)
+        targets[:0:-1] = reduced
     return resolve_swaps(targets)
 
 
@@ -208,10 +176,11 @@ def symbol_array(seed: int, n: int, alphabet: int) -> np.ndarray:
     stream, as an ``int64`` array."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    _check_modulus(alphabet)
-    draws = StepStream(seed).next_u64_array(n)
-    draws %= np.uint64(alphabet)
-    return draws.view(np.int64)  # exact: every value is below 2**32
+    if not 1 <= alphabet <= 1 << 32:
+        raise ValueError(f"alphabet must be in [1, 2**32], got {alphabet}")
+    out = draws(seed, n)
+    out %= np.uint64(alphabet)
+    return out.view(np.int64)  # exact: every value is below 2**32
 
 
 def gen_permutation(seed: int, n: int) -> list[int]:

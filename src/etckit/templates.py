@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .images import ImageBuffer
-from .keystream import TAG_TEMPLATE, MasterKey, StepStream
+from .keystream import TAG_TEMPLATE, MasterKey, derive_step_seed, draws
 
 _LUMA = (0.299, 0.587, 0.114)
 _RANK_TOL = 1e-12
@@ -104,13 +104,13 @@ def extract_template(sample: ImageBuffer, d: int, client_id: int = 0,
     return Template(values, client_id, label)
 
 
-def _gaussian_draws(stream: StepStream, count: int) -> np.ndarray:
-    """Standard normals via Box-Muller on consecutive 64-bit draws, each draw
-    mapped to (0, 1] as (draw + 1) / 2**64."""
-    draws = stream.next_u64_array(count + count % 2)
-    draws += np.uint64(1)
-    u = draws.astype(np.float64)
-    u[draws == 0] = 2.0**64  # draw + 1 wrapped at 2**64
+def _gaussian_draws(seed: int, count: int) -> np.ndarray:
+    """Standard normals via Box-Muller on ``count`` (rounded up to even) draws
+    from ``seed``'s stream, each draw mapped to (0, 1] as (draw + 1) / 2**64."""
+    raw = draws(seed, count + count % 2)
+    raw += np.uint64(1)
+    u = raw.astype(np.float64)
+    u[raw == 0] = 2.0**64  # draw + 1 wrapped at 2**64
     u *= 2.0**-64
     r = np.sqrt(-2.0 * np.log(u[0::2]))
     theta = (2.0 * math.pi) * u[1::2]
@@ -120,7 +120,10 @@ def _gaussian_draws(stream: StepStream, count: int) -> np.ndarray:
     return out[:count]
 
 
-@lru_cache(maxsize=256)
+# Every caller protects a batch under one key, so one matrix is all the
+# traffic reuses; a larger cache would only pin matrices of past keys, each up
+# to MAX_MATRIX_BYTES / 4.5.
+@lru_cache(maxsize=1)
 def _cached_orthogonal(key: MasterKey, d: int) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be positive")
@@ -132,8 +135,7 @@ def _cached_orthogonal(key: MasterKey, d: int) -> np.ndarray:
         )
     tag = TAG_TEMPLATE
     while True:
-        stream = StepStream.for_step(key, tag)
-        m = _gaussian_draws(stream, d * d).reshape(d, d)
+        m = _gaussian_draws(derive_step_seed(key, tag), d * d).reshape(d, d)
         q, r = np.linalg.qr(m)
         if np.abs(np.diag(r)).min() >= _RANK_TOL:
             q *= np.where(np.diag(q) < 0, -1.0, 1.0)
@@ -149,8 +151,8 @@ def orthogonal_matrix(key: MasterKey, d: int) -> np.ndarray:
     QR decomposition, flipping each column so its diagonal entry is
     non-negative. Up to rounding, this is the matrix that Gram-Schmidt on the
     columns, left to right, would give. A draw with some ``|R[j, j]|`` below
-    the rank tolerance retries with the next derivation tag. Matrices are
-    cached per (key, dimension).
+    the rank tolerance retries with the next derivation tag. The last matrix
+    built is cached, for the (key, dimension) it was built for.
     """
     return _cached_orthogonal(key, d).copy()
 

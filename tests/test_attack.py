@@ -19,7 +19,6 @@ from etckit.attack import (
     _seed,
     _SideTable,
     attack_report_row,
-    boundary_dissimilarity,
     brute_force_scramble,
     greedy_assemble,
     ground_truth_from_key,
@@ -85,32 +84,6 @@ class TestTypes:
         pz = Puzzle.from_image(_img(32, 48), 16)
         assert pz.pieces.shape == (6, 16, 16, 3)
         assert (pz.grid.rows, pz.grid.cols) == (2, 3)
-
-
-class TestBoundaryDissimilarity:
-    def test_contrasting_edges(self):
-        a = ImageBuffer(np.zeros((4, 4, 1), np.uint8)).data
-        b = ImageBuffer(np.full((4, 4, 1), 255, np.uint8)).data
-        assert boundary_dissimilarity(a, b, "right") == 65025.0
-
-    def test_matching_edges(self):
-        a = np.full((4, 4, 3), 42, np.uint8)
-        assert boundary_dissimilarity(a, a, "below") == 0.0
-
-    def test_continuation_scores_zero(self):
-        img = _img(4, 8, 1, seed=3)
-        left, right = img.data[:, :4], img.data[:, 4:]
-        # the shared boundary is the seam between columns 3 and 4
-        got = boundary_dissimilarity(left, right, "right")
-        want = float(
-            ((left[:, -1].astype(int) - right[:, 0].astype(int)) ** 2).sum()
-        ) / left[:, -1].size
-        assert got == want
-
-    def test_rejects_bad_relation(self):
-        a = _img(4, 4).data
-        with pytest.raises(ValueError):
-            boundary_dissimilarity(a, a, "diagonal")
 
 
 class TestGroundTruth:

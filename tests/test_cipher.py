@@ -33,7 +33,7 @@ from etckit.cipher import (
     unstack_planes,
 )
 from etckit.images import ImageBuffer
-from etckit.keystream import MasterKey, StepStream
+from etckit.keystream import MasterKey, draws
 from step_oracles import (
     apply_color_shuffle,
     apply_negpos,
@@ -540,10 +540,7 @@ class TestGoldenCiphertext:
 
     @staticmethod
     def _plain():
-        stream = StepStream(0xA5A5A5A5A5A5A5A5, 0)
-        vals = np.asarray(
-            [stream.next_u64() & 0xFF for _ in range(32 * 32 * 3)], dtype=np.uint8
-        )
+        vals = (draws(0xA5A5A5A5A5A5A5A5, 32 * 32 * 3) & np.uint64(0xFF)).astype(np.uint8)
         return ImageBuffer(vals.reshape(32, 32, 3))
 
     def test_plain_hash(self):

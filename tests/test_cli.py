@@ -311,6 +311,15 @@ class TestKeyspace:
 
     def test_indivisible_geometry_is_usage_error(self):
         assert main(["keyspace", "--width", "65", "--height", "64"]) == EXIT_USAGE
+        # encrypt refuses a height the block size does not divide, even where
+        # the three stacked planes (3 x 4 = 12 rows) would fit one block
+        argv = ["keyspace", "--width", "12", "--height", "4", "--scheme", "gray"]
+        assert main(argv + ["--block-size", "12"]) == EXIT_USAGE
+
+    def test_gray_scheme_counts_every_plane(self, capsys):
+        argv = ["keyspace", "--width", "16", "--height", "8", "--scheme", "gray", "--steps", "s"]
+        assert main(argv + ["--block-size", "8"]) == EXIT_OK
+        assert "n_blocks 6" in capsys.readouterr().out
 
 
 class TestTemplatesCli:
@@ -460,7 +469,7 @@ _KEYS = _part(
 _CIPHER = [
     _arg("--scheme", ["color", "gray"], ["bogus"]),
     _arg("--block-size", ["8", "16"], ["0", "-3", "7", "x"]),
-    _arg("--steps", ["", "s", "s,r", "srn", "negpos"], ["q", "c", "srnc"]),
+    _arg("--steps", ["", "s", "s,r", "srn"], ["q", "c", "srnc", "negpos"]),
 ]
 _GRAMMAR = {
     "encrypt": [_IMAGE, _arg("--out", *_OUTS, True), _arg("--sidecar", *_OUTS), _switch("--pad"),

@@ -21,8 +21,8 @@ from etckit.keystream import (
     TAG_ROTATE_FLIP,
     TAG_SCRAMBLE,
     MasterKey,
-    StepStream,
     derive_step_seed,
+    draws,
     format_key_file,
     gen_permutation,
     gen_symbols,
@@ -30,7 +30,6 @@ from etckit.keystream import (
     permutation_array,
     resolve_swaps,
     splitmix_next,
-    uniform_below,
 )
 
 # first four outputs for seeds 0, 1, 2**64-1 (independent oracle, frozen)
@@ -52,6 +51,14 @@ def _reference_stream(seed, count):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         outs.append(z ^ (z >> 31))
+    return outs
+
+
+def _scalar_draws(seed, n):
+    state, outs = seed, []
+    for _ in range(n):
+        state, out = splitmix_next(state)
+        outs.append(out)
     return outs
 
 
@@ -82,12 +89,7 @@ def test_outputs_are_64_bit():
 
 
 def test_step_stream_matches_splitmix():
-    stream = StepStream(9, 0)
-    state, outs = 9, []
-    for _ in range(5):
-        state, out = splitmix_next(state)
-        outs.append(out)
-    assert [stream.next_u64() for _ in range(5)] == outs
+    assert draws(9, 5).tolist() == _scalar_draws(9, 5)
 
 
 def test_derive_step_seed_tags_differ():
@@ -95,19 +97,6 @@ def test_derive_step_seed_tags_differ():
     seeds = {derive_step_seed(key, t) for t in (TAG_SCRAMBLE, TAG_ROTATE_FLIP, TAG_NEGPOS)}
     assert len(seeds) == 3
     assert derive_step_seed(key, TAG_SCRAMBLE) == derive_step_seed(key, TAG_SCRAMBLE)
-
-
-def test_uniform_below_frozen():
-    stream = StepStream(42, 0)
-    assert [uniform_below(stream, 6) for _ in range(4)] == [1, 1, 0, 0]
-
-
-def test_uniform_below_bounds():
-    stream = StepStream(7, 0)
-    for _ in range(200):
-        assert 0 <= uniform_below(stream, 5) < 5
-    with pytest.raises(ValueError):
-        uniform_below(stream, 0)
 
 
 def test_gen_permutation_hand_executed():
@@ -129,6 +118,7 @@ def test_gen_permutation_trivial_sizes():
 
 def test_gen_symbols_frozen():
     assert gen_symbols(42, 8, 8) == [5, 3, 2, 4, 2, 6, 5, 4]
+    assert gen_symbols(42, 4, 6) == [1, 1, 0, 0]
 
 
 def test_gen_symbols_range():
@@ -138,9 +128,7 @@ def test_gen_symbols_range():
 
 @given(st.integers(min_value=0, max_value=MASK64))
 def test_streams_deterministic(seed):
-    a = StepStream(seed, 0)
-    b = StepStream(seed, 0)
-    assert [a.next_u64() for _ in range(3)] == [b.next_u64() for _ in range(3)]
+    assert draws(seed, 3).tolist() == _scalar_draws(seed, 3)
 
 
 def test_master_key_validation():
@@ -216,10 +204,10 @@ ALPHABETS = (1, 2, 6, 8, 1 << 32)
 
 
 def _oracle_permutation(seed, n):
-    stream = StepStream(seed)
-    perm = list(range(n))
+    state, perm = seed, list(range(n))
     for i in range(n - 1, 0, -1):
-        j = uniform_below(stream, i + 1)
+        state, draw = splitmix_next(state)
+        j = draw % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
 
@@ -265,15 +253,15 @@ def test_vector_results_are_python_ints():
 @pytest.mark.parametrize("seed", EDGE_SEEDS + (42,))
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_next_u64_array_matches_scalar_draws(seed, n):
-    a, b = StepStream(seed, 3), StepStream(seed, 3)
-    assert a.next_u64_array(n).tolist() == [b.next_u64() for _ in range(n)]
-    assert a.state == b.state
-    assert a.next_u64() == b.next_u64()  # the two streams continue alike
+    got = draws(seed, n)
+    assert got.dtype == np.uint64
+    assert got.tolist() == _scalar_draws(seed, n)
+    assert draws(seed, n + 1)[:n].tolist() == got.tolist()  # a longer run extends it
 
 
 def test_next_u64_array_rejects_negative():
     with pytest.raises(ValueError):
-        StepStream(1).next_u64_array(-1)
+        draws(1, -1)
 
 
 @pytest.mark.parametrize("n", [0, 3])
@@ -295,6 +283,8 @@ def test_keystream_holds_no_step_vocabulary():
     assigned = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
     assert not assigned & {"SCRAMBLE", "ROTATE_FLIP", "NEGPOS", "COLOR_SHUFFLE", "STEP_ORDER"}
     assert [(name, letter) for name, letter, *_ in cipher.STEPS] == list(zip(STEP_ORDER, "srnc"))
+    # a stream is a seed and a count: no stateful generator class beside the key
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == ["MasterKey"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from etckit import templates
 from etckit.images import ImageBuffer
-from etckit.keystream import MASK64, TAG_TEMPLATE, MasterKey, StepStream
+from etckit.keystream import MASK64, TAG_TEMPLATE, MasterKey, derive_step_seed, splitmix_next
 from etckit.templates import (
     CentroidModel,
     ProtectedTemplate,
@@ -113,7 +113,7 @@ class TestOrthogonalMatrix:
             orthogonal_matrix(MasterKey(1), 0)
 
     def test_refuses_an_oversized_matrix_before_drawing(self, monkeypatch):
-        def no_draws(stream, count):
+        def no_draws(seed, count):
             raise AssertionError("drew before the size check")
 
         templates._cached_orthogonal.cache_clear()
@@ -150,6 +150,13 @@ class TestProtectTemplate:
         t = Template(np.arange(1.0, 9.0), client_id=0)
         p = protect_template(t, MasterKey(0x4242))
         assert not np.allclose(p.values, t.values)
+
+    def test_cache_holds_only_the_last_matrix(self):
+        # a batch is protected under one key; matrices of past keys are dropped
+        t = Template(np.ones(8), client_id=0)
+        for seed in (0x71, 0x72, 0x73):
+            protect_template(t, MasterKey(seed))
+        assert templates._cached_orthogonal.cache_info().currsize == 1
 
     def test_identity_metadata_preserved(self):
         t = Template(np.ones(4), client_id=7, label=1)
@@ -313,11 +320,12 @@ class TestCsv:
 # Vectorised Box-Muller and QR against the scalar code they replace
 
 
-def _oracle_gaussians(stream, count):
-    out = []
+def _oracle_gaussians(seed, count):
+    state, out = seed, []
     while len(out) < count:
-        u1 = (stream.next_u64() + 1) / 2.0**64
-        u2 = (stream.next_u64() + 1) / 2.0**64
+        state, d1 = splitmix_next(state)
+        state, d2 = splitmix_next(state)
+        u1, u2 = (d1 + 1) / 2.0**64, (d2 + 1) / 2.0**64
         r = math.sqrt(-2.0 * math.log(u1))
         out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
     return np.asarray(out[:count])
@@ -341,7 +349,7 @@ def _unmix64(out):
 def _oracle_orthogonal(key, d):
     """Modified Gram-Schmidt on the columns of the keyed Gaussian matrix,
     each column flipped so its diagonal entry is non-negative."""
-    m = _oracle_gaussians(StepStream.for_step(key, TAG_TEMPLATE), d * d).reshape(d, d)
+    m = _oracle_gaussians(derive_step_seed(key, TAG_TEMPLATE), d * d).reshape(d, d)
     q = np.empty((d, d))
     for j in range(d):
         v = m[:, j].copy()
@@ -356,18 +364,16 @@ class TestVectorisedDraws:
     @pytest.mark.parametrize("seed", [0, 1, MASK64, 0x0123456789ABCDEF])
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 1000])
     def test_gaussians_match_scalar_box_muller(self, seed, count):
-        got_stream, want_stream = StepStream(seed), StepStream(seed)
-        got = templates._gaussian_draws(got_stream, count)
-        want = _oracle_gaussians(want_stream, count)
+        got = templates._gaussian_draws(seed, count)
+        want = _oracle_gaussians(seed, count)
         assert got.shape == (count,)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert got_stream.state == want_stream.state
 
     def test_top_draw_maps_to_one(self):
         # the draw 2**64 - 1 gives u = 1 exactly, so r = 0 and the pair is (0, 0)
         seed = (_unmix64(MASK64) - 0x9E3779B97F4A7C15) & MASK64
-        assert StepStream(seed).next_u64() == MASK64
-        assert templates._gaussian_draws(StepStream(seed), 2).tolist() == [0.0, 0.0]
+        assert splitmix_next(seed)[1] == MASK64
+        assert templates._gaussian_draws(seed, 2).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("d", [1, 2, 8, 64, 128])
     def test_orthogonal_matches_gram_schmidt(self, d):
@@ -384,23 +390,24 @@ class TestVectorisedDraws:
 
     def test_rank_deficient_draw_retries_next_tag(self, monkeypatch):
         real = templates._gaussian_draws
-        tags = []
-
-        def rank_one_first(stream, count):
-            tags.append(stream.step_tag)
-            if stream.step_tag == TAG_TEMPLATE:
-                return np.ones(count)
-            return real(stream, count)
-
         key, d = MasterKey(31337), 6
+        first, retry = (derive_step_seed(key, TAG_TEMPLATE + k) for k in (0, 1))
+        seeds = []
+
+        def rank_one_first(seed, count):
+            seeds.append(seed)
+            if seed == first:
+                return np.ones(count)
+            return real(seed, count)
+
         templates._cached_orthogonal.cache_clear()
         monkeypatch.setattr(templates, "_gaussian_draws", rank_one_first)
         try:
             q = orthogonal_matrix(key, d)
         finally:
             templates._cached_orthogonal.cache_clear()
-        assert tags == [TAG_TEMPLATE, TAG_TEMPLATE + 1]
-        m = real(StepStream.for_step(key, TAG_TEMPLATE + 1), d * d).reshape(d, d)
+        assert seeds == [first, retry]
+        m = real(retry, d * d).reshape(d, d)
         want = np.linalg.qr(m)[0]
         want *= np.where(np.diag(want) < 0, -1.0, 1.0)
         np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
