@@ -1,5 +1,5 @@
-"""Built-in JPEG codec (ITU-T T.81): baseline sequential and spectral-selection
-progressive Huffman coding of 8-bit greyscale and YCbCr images, in numpy.
+"""Built-in JPEG codec (ITU-T T.81): baseline sequential Huffman coding of
+8-bit greyscale and YCbCr images, in numpy.
 
 Both directions work on one frame, built by :func:`_frame`: the image size,
 the components with their sampling factors and quantisation tables, and one
@@ -9,10 +9,11 @@ is two inverse pairs over it: ``encode = _write(_forward(pixels, frame))`` and
 the store and back; ``_write`` and ``_read`` map the store to a stream and
 back, visiting blocks in :func:`_block_order`. Entropy coding is lossless, so
 ``_inverse(_read(_write(f)))`` equals ``_inverse(f)``, and :func:`roundtrip`
-skips ``_read``. The stores themselves can differ: a single-component scan,
-such as a progressive AC scan, codes only the component's own block grid (the
-blocks holding its samples of the image), not the padding blocks that complete
-its MCUs, and ``_inverse`` crops those.
+skips ``_read``. ``_write`` codes all components in one interleaved scan. The
+decoder also reads non-interleaved baseline streams, one scan per component:
+such a scan codes only the component's own block grid (the blocks holding its
+samples of the image), not the padding blocks that complete its MCUs, and
+``_inverse`` crops those.
 
 Encoding uses the Annex K quantisation tables scaled by the IJG quality
 formula and the Annex K Huffman tables. 4:2:0 chroma is a 2x2 box average of
@@ -20,8 +21,8 @@ the edge-padded image, and decoding replicates each chroma sample back over
 its 2x2 pixels, so every 16x16 MCU is coded and reconstructed without
 reference to its neighbours. The decoder takes its tables from the stream, so
 it also reads other encoders' baseline output; what it does not support
-(arithmetic coding, successive approximation, restart intervals, 12-bit
-samples) raises :class:`JpegError` naming the feature.
+(progressive coding, arithmetic coding, restart intervals, 12-bit samples)
+raises :class:`JpegError` naming the feature.
 
 Tables are built on first use, not at import. Work is done in bounded strips
 and chunks, so memory stays within a small multiple of the raster size.
@@ -84,15 +85,13 @@ _RGB_TO_YCC = (
 )
 _YCC_TO_RGB = ((1.0, 0.0, 1.402), (1.0, -0.344136, -0.714136), (1.0, 1.772, 0.0))
 
-# progressive script: the DC scan of every component, then these AC bands per component
-_AC_BANDS = ((1, 5), (6, 63))
-
 _STRIP_PIXELS = 1 << 17  # pixels per colour-transform/DCT strip
 _CHUNK_BLOCKS = 4096  # blocks per entropy-coding chunk
 _READ_CHUNK = 1 << 16  # scan bytes held as 32-bit windows while decoding
 _READ_GUARD = 512  # bytes one block can consume (64 codes of at most 31 bits), rounded up
 
 _SOF_UNSUPPORTED = {
+    0xC2: "progressive coding",
     0xC3: "lossless coding",
     0xC5: "hierarchical coding",
     0xC6: "hierarchical coding",
@@ -194,7 +193,7 @@ class _Component:
         self.cid, self.h, self.v, self.tq, self.q = cid, h, v, tq, q
 
 
-def _layout(width: int, height: int, comps: list, progressive: bool) -> dict:
+def _layout(width: int, height: int, comps: list) -> dict:
     """The frame of both directions without its store: each component's padded
     block grid (``rows`` x ``cols``, whole MCUs), its own grid and its offset in
     the store, and the store's ``size`` in coefficients."""
@@ -209,14 +208,14 @@ def _layout(width: int, height: int, comps: list, progressive: bool) -> dict:
         c.offset = offset
         offset += c.rows * c.cols * 64
     return {
-        "width": width, "height": height, "progressive": progressive, "comps": comps,
+        "width": width, "height": height, "comps": comps,
         "mcux": mcux, "mcuy": mcuy, "hmax": hmax, "vmax": vmax, "size": offset,
     }
 
 
-def _frame(width: int, height: int, comps: list, progressive: bool) -> dict:
+def _frame(width: int, height: int, comps: list) -> dict:
     """:func:`_layout` with its zeroed store; the decoder allocates it at the first scan."""
-    frame = _layout(width, height, comps, progressive)
+    frame = _layout(width, height, comps)
     frame["coefs"] = array("h", [0]) * frame["size"]
     return frame
 
@@ -244,7 +243,7 @@ def _block_order(frame, comps) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(parts, axis=2).ravel(), np.tile(index, rows * cols)
 
 
-def _coded(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> dict:
+def _coded(pixels: np.ndarray, quality: int, subsampling: str) -> dict:
     """The frame of an (H, W, 1|3) uint8 raster, its store filled by :func:`_forward`."""
     height, width, channels = pixels.shape
     if height > 0xFFFF or width > 0xFFFF:
@@ -252,23 +251,23 @@ def _coded(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool
     sampling = ((1, 1),) if channels == 1 else _SAMPLING[subsampling]
     comps = [_Component(i + 1, h, v, tq, _quant_table(quality, tq == 1))
              for i, ((h, v), tq) in enumerate(zip(sampling, (0, 1, 1)))]
-    return _forward(pixels, _frame(width, height, comps, progressive))
+    return _forward(pixels, _frame(width, height, comps))
 
 
-def encode(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> bytes:
+def encode(pixels: np.ndarray, quality: int, subsampling: str) -> bytes:
     """JFIF bytes of an (H, W, 1|3) uint8 raster."""
-    return _write(_coded(pixels, quality, subsampling, progressive))
+    return _write(_coded(pixels, quality, subsampling))
 
 
-def roundtrip(pixels: np.ndarray, quality: int, subsampling: str, progressive: bool) -> tuple[np.ndarray, int]:
+def roundtrip(pixels: np.ndarray, quality: int, subsampling: str) -> tuple[np.ndarray, int]:
     """``decode(encode(...))`` and the stream's length, rebuilt from the frame
     that ``encode`` writes instead of decoding the stream."""
-    frame = _coded(pixels, quality, subsampling, progressive)
+    frame = _coded(pixels, quality, subsampling)
     return _inverse(frame), len(_write(frame))
 
 
 def decode(data: bytes) -> np.ndarray:
-    """(H, W, 1|3) uint8 raster of a baseline or spectral-selection progressive JPEG."""
+    """(H, W, 1|3) uint8 raster of a baseline JPEG."""
     return _inverse(_read(data))
 
 
@@ -319,9 +318,8 @@ def _inverse(frame) -> np.ndarray:
         y1 = min(height, y0 + n * mcu_h)
         planes = []
         for c, grid in zip(comps, grids):
-            q = c.q if c.q is not None else np.zeros(64)
             rows = grid[m0 * c.v:(m0 + n) * c.v]
-            plane = ((rows.reshape(-1, 64) * q) @ basis).reshape(len(rows), c.cols, 8, 8)
+            plane = ((rows.reshape(-1, 64) * c.q) @ basis).reshape(len(rows), c.cols, 8, 8)
             plane = plane.swapaxes(1, 2).reshape(8 * len(rows), 8 * c.cols)
             np.clip(plane, -128.0, 127.0, out=plane)  # 8-bit samples before colour conversion, as libjpeg
             plane = plane.repeat(vmax // c.v, axis=0).repeat(hmax // c.h, axis=1)
@@ -337,40 +335,39 @@ def _inverse(frame) -> np.ndarray:
 
 
 def _write(frame) -> bytes:
-    """JFIF bytes of a frame: its headers and tables, then each scan's blocks
-    coded with the Annex K Huffman tables of their quantisation table ids, in
-    chunks of at most ``_CHUNK_BLOCKS``. The bit writer and the DC predictors
-    carry across chunks, so the chunk bounds do not change the bytes."""
+    """JFIF bytes of a frame: its headers and tables, then one interleaved scan
+    of every component."""
     comps = frame["comps"]
     qtables = {c.tq: c.q for c in comps}
     out = [b"\xff\xd8", _segment(0xE0, b"JFIF\x00" + struct.pack(">BBBHHBB", 1, 1, 0, 1, 1, 0, 0))]
     out.append(_segment(0xDB, b"".join(bytes([t]) + q.astype(np.uint8).tobytes() for t, q in qtables.items())))
     sof = struct.pack(">BHHB", 8, frame["height"], frame["width"], len(comps))
     sof += b"".join(bytes([c.cid, c.h << 4 | c.v, c.tq]) for c in comps)
-    out.append(_segment(0xC2 if frame["progressive"] else 0xC0, sof))
+    out.append(_segment(0xC0, sof))
     out.append(_segment(0xC4, b"".join(
         bytes([cls << 4 | tid]) + bytes.fromhex(spec)
         for (cls, tid), spec in _HUFFMAN_SPECS.items() if tid in qtables
     )))
-
-    if frame["progressive"]:
-        scans = [(comps, 0, 0)] + [([c], ss, se) for c in comps for ss, se in _AC_BANDS]
-    else:
-        scans = [(comps, 0, 63)]
-    blocks = np.frombuffer(frame["coefs"], np.int16).reshape(-1, 64)
-    for scan, ss, se in scans:
-        sos = b"".join(bytes([c.cid, c.tq << 4 | c.tq]) for c in scan)
-        out.append(_segment(0xDA, bytes([len(scan)]) + sos + bytes([ss, se, 0])))
-        tables = np.array([c.tq for c in scan])
-        bases, which = _block_order(frame, scan)
-        writer = _BitWriter()
-        pred = [0] * len(scan)
-        for i in range(0, len(bases), _CHUNK_BLOCKS):
-            k = which[i:i + _CHUNK_BLOCKS]
-            writer.write(*_scan_codes(blocks[bases[i:i + _CHUNK_BLOCKS] >> 6], tables[k], k, ss, se, pred))
-        out.append(writer.finish())
-    out.append(b"\xff\xd9")
+    out += [_scan(frame, comps), b"\xff\xd9"]
     return b"".join(out)
+
+
+def _scan(frame, comps) -> bytes:
+    """SOS segment and entropy-coded data of a baseline scan over ``comps``,
+    its blocks coded with the Annex K Huffman tables of their quantisation
+    table ids, in chunks of at most ``_CHUNK_BLOCKS``. The bit writer and the
+    DC predictors carry across chunks, so the chunk bounds do not change the
+    bytes."""
+    sos = b"".join(bytes([c.cid, c.tq << 4 | c.tq]) for c in comps)
+    blocks = np.frombuffer(frame["coefs"], np.int16).reshape(-1, 64)
+    tables = np.array([c.tq for c in comps])
+    bases, which = _block_order(frame, comps)
+    writer = _BitWriter()
+    pred = [0] * len(comps)
+    for i in range(0, len(bases), _CHUNK_BLOCKS):
+        k = which[i:i + _CHUNK_BLOCKS]
+        writer.write(*_scan_codes(blocks[bases[i:i + _CHUNK_BLOCKS] >> 6], tables[k], k, pred))
+    return _segment(0xDA, bytes([len(comps)]) + sos + bytes([0, 63, 0])) + writer.finish()
 
 
 def _segment(marker: int, payload: bytes) -> bytes:
@@ -383,29 +380,25 @@ def _magnitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return size, np.where(x < 0, x - 1, x) & ((1 << size) - 1)
 
 
-def _scan_codes(blocks, tables, comp, ss, se, pred) -> tuple[np.ndarray, np.ndarray]:
+def _scan_codes(blocks, tables, comp, pred) -> tuple[np.ndarray, np.ndarray]:
     """Bits of one chunk of a scan, as (value, length) per Huffman code with
     its appended magnitude bits, in stream order. ``comp`` is each block's
     index among the scan's components; ``pred`` carries their DC predictors
     from chunk to chunk."""
     dc_code, dc_len, ac_code, ac_len = _encode_tables()
     n = len(blocks)
-    has_dc = int(ss == 0)
-    if has_dc:
-        dc = blocks[:, 0].astype(np.int64)
-        diff = np.empty(n, np.int64)
-        for ci in np.unique(comp):
-            mask = comp == ci
-            values = dc[mask]
-            diff[mask] = np.diff(values, prepend=pred[ci])
-            pred[ci] = int(values[-1])
-        size, extra = _magnitude(diff)
-        dc_val = dc_code[tables, size] << size | extra
-        dc_bits = dc_len[tables, size] + size
-        if se == 0:
-            return dc_val, dc_bits
+    dc = blocks[:, 0].astype(np.int64)
+    diff = np.empty(n, np.int64)
+    for ci in np.unique(comp):
+        mask = comp == ci
+        values = dc[mask]
+        diff[mask] = np.diff(values, prepend=pred[ci])
+        pred[ci] = int(values[-1])
+    size, extra = _magnitude(diff)
+    dc_val = dc_code[tables, size] << size | extra
+    dc_bits = dc_len[tables, size] + size
 
-    band = blocks[:, max(ss, 1):se + 1]
+    band = blocks[:, 1:]
     rows, cols = np.nonzero(band)
     value = band[rows, cols].astype(np.int64)
     first = np.ones(len(rows), bool)
@@ -423,20 +416,19 @@ def _scan_codes(blocks, tables, comp, ss, se, pred) -> tuple[np.ndarray, np.ndar
     nz_val = ac_code[t, symbol] << size | extra
     nz_bits = ac_len[t, symbol] + size
     eob = np.ones(n, bool)
-    eob[rows[last]] = cols[last] < band.shape[1] - 1
+    eob[rows[last]] = cols[last] < 62
 
     # stream position of every code: per block, DC, then each coefficient's
     # ZRLs and code, then EOB
     ends = np.cumsum(zrl + 1)
     before = np.concatenate(([0], ends))[np.searchsorted(rows, np.arange(n + 1))]
     eobs_before = np.concatenate(([0], np.cumsum(eob)))
-    start = np.arange(n + 1) * has_dc + eobs_before + before
+    start = np.arange(n + 1) + eobs_before + before
     val = np.zeros(start[-1], np.int64)
     bits = np.zeros(start[-1], np.int64)
-    if has_dc:
-        val[start[:-1]] = dc_val
-        bits[start[:-1]] = dc_bits
-    pos = (rows + 1) * has_dc + eobs_before[rows] + ends - 1
+    val[start[:-1]] = dc_val
+    bits[start[:-1]] = dc_bits
+    pos = rows + eobs_before[rows] + ends
     val[pos] = nz_val
     bits[pos] = nz_bits
     at = start[1:][eob] - 1
@@ -499,7 +491,8 @@ class _BitWriter:
 
 
 def _read(data: bytes) -> dict:
-    """The frame of a JPEG stream, its store filled from every scan."""
+    """The frame of a JPEG stream, its store filled from every scan. As T.81
+    requires of a sequential frame, each component is coded in exactly one scan."""
     buf = bytes(data)
     if buf[:2] != b"\xff\xd8":
         raise JpegError("not a JPEG stream: no SOI marker")
@@ -507,7 +500,7 @@ def _read(data: bytes) -> dict:
     qtables: dict[int, np.ndarray] = {}
     huffman: dict[tuple[int, int], tuple[bytes, bytes]] = {}
     frame = None
-    scans = 0
+    scanned: list[int] = []  # the component ids of every scan, in stream order
     while True:
         marker, pos = _next_marker(buf, pos)
         if marker == 0xD9:  # EOI
@@ -523,10 +516,10 @@ def _read(data: bytes) -> dict:
             _parse_dqt(seg, qtables)
         elif marker == 0xC4:
             _parse_dht(seg, huffman)
-        elif marker in (0xC0, 0xC1, 0xC2):
+        elif marker in (0xC0, 0xC1):
             if frame is not None:
                 raise JpegError("more than one frame header")
-            frame = _parse_sof(seg, marker == 0xC2)
+            frame = _parse_sof(seg)
         elif marker in _SOF_UNSUPPORTED:
             raise JpegError(f"unsupported feature: {_SOF_UNSUPPORTED[marker]}")
         elif marker == 0xCC:
@@ -540,11 +533,14 @@ def _read(data: bytes) -> dict:
             if frame is None:
                 raise JpegError("scan before frame header")
             pos = _decode_scan(buf, pos, seg, frame, qtables, huffman)
-            scans += 1
+            scanned += seg[1:1 + 2 * seg[0]:2]
         elif not (0xE0 <= marker <= 0xEF or marker == 0xFE):  # APPn and COM are skipped
             raise JpegError(f"unsupported marker 0xFF{marker:02X}")
-    if not scans:
+    if not scanned:
         raise JpegError("no scan data")
+    for c in frame["comps"]:
+        if scanned.count(c.cid) != 1:
+            raise JpegError(f"component {c.cid} is coded in {scanned.count(c.cid)} scans, not 1")
     return frame
 
 
@@ -592,7 +588,7 @@ def _parse_dht(seg: bytes, huffman: dict) -> None:
         i += 17 + n
 
 
-def _parse_sof(seg: bytes, progressive: bool) -> dict:
+def _parse_sof(seg: bytes) -> dict:
     if len(seg) < 6:
         raise JpegError("malformed frame header")
     precision, height, width, n = struct.unpack(">BHHB", seg[:6])
@@ -614,7 +610,7 @@ def _parse_sof(seg: bytes, progressive: bool) -> dict:
         not (1 <= c.h <= 4 and 1 <= c.v <= 4) or hmax % c.h or vmax % c.v or c.tq > 3 for c in comps
     ):
         raise JpegError("unsupported component sampling or table selection")
-    return _layout(width, height, comps, progressive)
+    return _layout(width, height, comps)
 
 
 def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
@@ -632,10 +628,7 @@ def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
     ss, se, approx = seg[1 + 2 * n], seg[2 + 2 * n], seg[3 + 2 * n]
     if approx:
         raise JpegError("unsupported feature: successive approximation")
-    if frame["progressive"]:
-        if not (ss == se == 0 or 1 <= ss <= se <= 63 and n == 1):
-            raise JpegError(f"invalid progressive scan: band {ss}..{se} over {n} components")
-    elif (ss, se) != (0, 63):
+    if (ss, se) != (0, 63):
         raise JpegError(f"invalid sequential scan: band {ss}..{se}")
 
     dcluts, acluts = [], []
@@ -644,10 +637,10 @@ def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
             if comp.tq not in qtables:
                 raise JpegError(f"quantization table {comp.tq} not defined")
             comp.q = qtables[comp.tq]
-        for cls, tid, luts, used in ((0, td, dcluts, ss == 0), (1, ta, acluts, se > 0)):
-            if used and (cls, tid) not in huffman:
+        for cls, tid, luts in ((0, td, dcluts), (1, ta, acluts)):
+            if (cls, tid) not in huffman:
                 raise JpegError(f"Huffman table {'DC' if cls == 0 else 'AC'} {tid} not defined")
-            luts.append(_decode_lut(*huffman[cls, tid]) if used else None)
+            luts.append(_decode_lut(*huffman[cls, tid]))
 
     body = np.frombuffer(buf, np.uint8, offset=pos)
     ff = np.flatnonzero(body[:-1] == 0xFF)
@@ -659,8 +652,8 @@ def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
 
     comps = [c for c, _, _ in selected]
     if "coefs" not in frame:
-        # every block's DC is coded from here on, at least a bit per block, and
-        # a valid first scan is a DC scan of its own blocks
+        # each block takes at least a bit (its DC code): the first scan's
+        # blocks in its data, and every component's own blocks from here on
         rows, cols = comps[0].own if n == 1 else (frame["mcuy"], frame["mcux"])
         first = rows * cols * (1 if n == 1 else sum(c.h * c.v for c in comps))
         total = sum(r * k for r, k in (c.own for c in frame["comps"]))
@@ -670,7 +663,7 @@ def _decode_scan(buf, pos, seg, frame, qtables, huffman) -> int:
         frame["coefs"] = array("h", [0]) * frame["size"]
     bases, which = _block_order(frame, comps)
     try:
-        _huffman_decode(scan, bases.tolist(), which.tolist(), dcluts, acluts, ss, se, frame["coefs"])
+        _huffman_decode(scan, bases.tolist(), which.tolist(), dcluts, acluts, frame["coefs"])
     except OverflowError:
         raise JpegError("DC coefficient out of range") from None
     return pos + end
@@ -682,7 +675,7 @@ def _windows(scan: np.ndarray, start: int) -> list[int]:
     return (b[:-3] << 24 | b[1:-2] << 16 | b[2:-1] << 8 | b[3:]).tolist()
 
 
-def _huffman_decode(scan, bases, which, dcluts, acluts, ss, se, coefs) -> None:
+def _huffman_decode(scan, bases, which, dcluts, acluts, coefs) -> None:
     """Walk the scan's Huffman codes, writing coefficients (zigzag order) into ``coefs``."""
     nbits = 8 * len(scan)
     scan = np.concatenate((scan, np.zeros(_READ_GUARD + 3, np.uint8)))
@@ -691,35 +684,27 @@ def _huffman_decode(scan, bases, which, dcluts, acluts, ss, se, coefs) -> None:
     win = _windows(scan, 0)
     refill = _READ_CHUNK - _READ_GUARD
     pred = [0] * len(acluts)
-    eobrun = 0
-    first = max(ss, 1)
     for base, k0 in zip(bases, which):
         if p > nbits:
             raise JpegError("truncated scan data")
         if (p >> 3) - wbase >= refill:
             wbase = p >> 3
             win = _windows(scan, wbase)
-        if ss == 0:
-            t = dcluts[k0][(win[(p >> 3) - wbase] >> (16 - (p & 7))) & 0xFFFF]
-            if not t:
-                raise JpegError("invalid Huffman code")
-            p += t >> 8
-            s = t & 0xFF
-            if s:
-                v = (win[(p >> 3) - wbase] >> (32 - (p & 7) - s)) & ((1 << s) - 1)
-                p += s
-                if v < 1 << (s - 1):
-                    v -= (1 << s) - 1
-                pred[k0] += v
-            coefs[base] = pred[k0]
-            if se == 0:
-                continue
-        if eobrun:
-            eobrun -= 1
-            continue
+        t = dcluts[k0][(win[(p >> 3) - wbase] >> (16 - (p & 7))) & 0xFFFF]
+        if not t:
+            raise JpegError("invalid Huffman code")
+        p += t >> 8
+        s = t & 0xFF
+        if s:
+            v = (win[(p >> 3) - wbase] >> (32 - (p & 7) - s)) & ((1 << s) - 1)
+            p += s
+            if v < 1 << (s - 1):
+                v -= (1 << s) - 1
+            pred[k0] += v
+        coefs[base] = pred[k0]
         lut = acluts[k0]
-        k = first
-        while k <= se:
+        k = 1
+        while k <= 63:
             t = lut[(win[(p >> 3) - wbase] >> (16 - (p & 7))) & 0xFFFF]
             if not t:
                 raise JpegError("invalid Huffman code")
@@ -728,7 +713,7 @@ def _huffman_decode(scan, bases, which, dcluts, acluts, ss, se, coefs) -> None:
             r = (t >> 4) & 15
             if s:
                 k += r
-                if k > se:
+                if k > 63:
                     raise JpegError("AC coefficient index out of range")
                 v = (win[(p >> 3) - wbase] >> (32 - (p & 7) - s)) & ((1 << s) - 1)
                 p += s
@@ -738,12 +723,9 @@ def _huffman_decode(scan, bases, which, dcluts, acluts, ss, se, coefs) -> None:
                 k += 1
             elif r == 15:
                 k += 16
+            elif r:
+                raise JpegError("end-of-band run in a sequential scan")
             else:
-                if r:  # EOBn: this block and the next (1 << r) - 1 + bits blocks end here
-                    if ss == 0:
-                        raise JpegError("end-of-band run in a sequential scan")
-                    eobrun = (1 << r) - 1 + ((win[(p >> 3) - wbase] >> (32 - (p & 7) - r)) & ((1 << r) - 1))
-                    p += r
                 break
     if p > nbits:
         raise JpegError("truncated scan data")

@@ -152,7 +152,6 @@ def build_parser() -> _Parser:
     p.add_argument("image")
     p.add_argument("--qualities", default="50,70,85,95", metavar="LIST")
     p.add_argument("--subsampling", choices=("420", "444"), default="420")
-    p.add_argument("--progressive", action="store_true")
     p.add_argument("--out", metavar="PATH", help="CSV path (default: stdout)")
     _add_key_flags(p)
     _add_cipher_flags(p)
@@ -232,7 +231,7 @@ def _cmd_rd_curve(args) -> int:
     img = _read_image(args.image)
     try:
         qualities = [int(q) for q in args.qualities.split(",") if q.strip()]
-        params = CodecParams(subsampling=args.subsampling, progressive=args.progressive)
+        params = CodecParams(subsampling=args.subsampling)
         if not qualities:
             raise ValueError("qualities must be non-empty")
         for q in qualities:  # raises on a quality outside 1..100

@@ -1,10 +1,10 @@
 """JPEG round-trip experiments: rate-distortion curves and provider recompression.
 
 The codec is the built-in one in ``etckit._jpeg``, on every machine, so the
-same inputs give the same bytes and the same RD rows: baseline and
-spectral-selection progressive JPEG with the ITU-T T.81 Annex K tables, where
-4:2:0 chroma is a 2x2 box average and is replicated back up on decode, so each
-16x16 MCU is self-contained. ``jpeg_roundtrip`` rebuilds the raster from the
+same inputs give the same bytes and the same RD rows: baseline JPEG with the
+ITU-T T.81 Annex K tables, where 4:2:0 chroma is a 2x2 box average and is
+replicated back up on decode, so each 16x16 MCU is self-contained. The decoder
+also reads other encoders' baseline streams, interleaved or non-interleaved. ``jpeg_roundtrip`` rebuilds the raster from the
 quantised coefficients the encoder holds; it equals ``jpeg_decode`` of
 ``jpeg_encode``'s stream without decoding it.
 """
@@ -33,7 +33,6 @@ class CodecError(RuntimeError):
 class CodecParams:
     quality: int = 85
     subsampling: str = SUBSAMPLING_420
-    progressive: bool = False
 
     def __post_init__(self):
         if not 1 <= self.quality <= 100:
@@ -68,9 +67,9 @@ class ProviderProfile:
 
 
 def jpeg_encode(img: ImageBuffer, params: CodecParams) -> bytes:
-    """Encode to JFIF bytes: baseline, or progressive if ``params.progressive``."""
+    """Encode to baseline JFIF bytes."""
     try:
-        return _jpeg.encode(img.data, params.quality, params.subsampling, params.progressive)
+        return _jpeg.encode(img.data, params.quality, params.subsampling)
     except _jpeg.JpegError as exc:
         raise CodecError(f"JPEG encode failed: {exc}") from exc
 
@@ -86,7 +85,7 @@ def jpeg_decode(data: bytes) -> ImageBuffer:
 def jpeg_roundtrip(img: ImageBuffer, params: CodecParams) -> tuple[ImageBuffer, int]:
     """Encode then decode; returns the decoded raster and the compressed byte count."""
     try:
-        pixels, size = _jpeg.roundtrip(img.data, params.quality, params.subsampling, params.progressive)
+        pixels, size = _jpeg.roundtrip(img.data, params.quality, params.subsampling)
     except _jpeg.JpegError as exc:
         raise CodecError(f"JPEG encode failed: {exc}") from exc
     return ImageBuffer(pixels), size

@@ -195,10 +195,9 @@ class TestRDCurve:
             code = main(["rd-curve", str(plain_ppm), "--key", KEY, "--qualities", qualities])
             assert code == EXIT_USAGE, qualities
 
-    def test_progressive_sweep(self, plain_ppm, capsys):
-        code = main(["rd-curve", str(plain_ppm), "--key", KEY, "--qualities", "85", "--progressive"])
-        assert code == EXIT_OK
-        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 2
+    def test_progressive_is_a_usage_error(self, plain_ppm):
+        # the codec writes baseline JPEG only
+        assert main(["rd-curve", str(plain_ppm), "--key", KEY, "--qualities", "85", "--progressive"]) == EXIT_USAGE
 
     def test_codec_failure_is_codec_error(self, tmp_path, capsys):
         # JPEG frames are at most 65535 pixels wide; both codecs refuse wider ones
@@ -477,7 +476,7 @@ _GRAMMAR = {
     "decrypt": [_IMAGE, _arg("--out", *_OUTS, True), _KEYS,
                 _arg("--sidecar", ["ct.ppm.meta"], ["bad.meta", "dir"])],
     "rd-curve": [_IMAGE, _arg("--qualities", ["50", "95,50"], ["", "0", "x", "50,101"]),
-                 _arg("--subsampling", ["420", "444"], ["411"]), _switch("--progressive"),
+                 _arg("--subsampling", ["420", "444"], ["411"]),
                  _arg("--out", *_OUTS), _KEYS, *_CIPHER],
     "attack": [_IMAGE, _arg("--plain", ["a.ppm"], ["g.pgm", "odd.ppm", "dir"], True),
                _switch("--orientation-search"), _arg("--out-csv", *_OUTS),

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import io
 import struct
 import tracemalloc
 
@@ -34,7 +33,7 @@ from etckit.synth import synth_natural_image
 class TestParams:
     def test_defaults(self):
         p = CodecParams()
-        assert (p.quality, p.subsampling, p.progressive) == (85, "420", False)
+        assert (p.quality, p.subsampling) == (85, "420")
 
     def test_rejects_bad_quality(self):
         for q in (0, 101, -3):
@@ -95,7 +94,7 @@ class TestJpeg:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from(["gray", "420", "444", "420-progressive"]),
+        st.sampled_from(["gray", "420", "444", "420-scans"]),
         st.lists(
             st.tuples(st.sampled_from(["flip", "delete", "insert"]), st.integers(0, 1 << 16), st.integers(1, 255)),
             min_size=1, max_size=4,
@@ -118,12 +117,6 @@ class TestJpeg:
             return
         assert isinstance(decoded, ImageBuffer)
 
-    def test_progressive_flag_changes_stream(self):
-        img = synth_natural_image(64, 64, seed=6)
-        base = jpeg_encode(img, CodecParams(quality=80))
-        prog = jpeg_encode(img, CodecParams(quality=80, progressive=True))
-        assert base != prog
-
     def test_encode_deterministic(self):
         img = synth_natural_image(64, 64, seed=7)
         assert jpeg_encode(img, CodecParams()) == jpeg_encode(img, CodecParams())
@@ -131,9 +124,22 @@ class TestJpeg:
 
 @functools.cache
 def fuzz_seed_stream(mode: str) -> bytes:
+    """A 24x16 stream: interleaved, or with "-scans" one scan per component."""
     channels = 1 if mode == "gray" else 3
     img = synth_natural_image(24, 16, channels=channels, seed=15)
-    return jpeg_encode(img, CodecParams(75, mode[:3] if channels == 3 else "420", "progressive" in mode))
+    frame = _jpeg._coded(img.data, 75, mode[:3] if channels == 3 else "420")
+    return per_component_scans(frame) if mode.endswith("-scans") else _jpeg._write(frame)
+
+
+def per_component_scans(frame, scanned=None) -> bytes:
+    """``_write(frame)`` with its interleaved scan replaced by non-interleaved
+    baseline scans of the components at the indices ``scanned`` (default: each
+    component once, in frame order)."""
+    comps = frame["comps"]
+    data = _jpeg._write(frame)
+    head = data[:len(data) - len(_jpeg._scan(frame, comps)) - 2]
+    scanned = range(len(comps)) if scanned is None else scanned
+    return head + b"".join(_jpeg._scan(frame, [comps[i]]) for i in scanned) + b"\xff\xd9"
 
 
 @pytest.fixture(scope="module")
@@ -255,18 +261,15 @@ class TestBuiltinCodec:
         assert _jpeg._quant_table(1, False).max() == 255
 
     @pytest.mark.parametrize("size", [(1, 1), (17, 9), (50, 37)])
-    @pytest.mark.parametrize(
-        "mode", ["420", "444", "420-progressive", "444-progressive", "gray", "gray-progressive"]
-    )
+    @pytest.mark.parametrize("mode", ["420", "444", "gray"])
     def test_roundtrip_any_size(self, size, mode):
-        # sizes off the MCU lattice exercise padding, cropping and the
-        # smaller block grids of single-component progressive scans
+        # sizes off the MCU lattice exercise padding and cropping
         width, height = size
-        channels = 1 if mode.startswith("gray") else 3
+        channels = 1 if mode == "gray" else 3
         rng = np.random.default_rng(width * height)
         smooth = np.cumsum(rng.integers(-3, 4, (height, width, channels)), axis=1) + 128
         img = ImageBuffer(np.clip(smooth, 0, 255).astype(np.uint8))
-        params = CodecParams(95, mode[:3] if channels == 3 else "420", "progressive" in mode)
+        params = CodecParams(95, mode if channels == 3 else "420")
         data = jpeg_encode(img, params)
         decoded = jpeg_decode(data)
         assert decoded.data.shape == img.data.shape
@@ -280,8 +283,8 @@ class TestBuiltinCodec:
         img = synth_natural_image(64, 64, seed=9).data
         swapped = img.copy()
         swapped[:16, :16], swapped[:16, 16:32] = img[:16, 16:32], img[:16, :16]
-        a = _jpeg.decode(_jpeg.encode(img, 75, "420", False))
-        b = _jpeg.decode(_jpeg.encode(swapped, 75, "420", False))
+        a = _jpeg.decode(_jpeg.encode(img, 75, "420"))
+        b = _jpeg.decode(_jpeg.encode(swapped, 75, "420"))
         assert np.array_equal(a[:16, :16], b[:16, 16:32])
         assert np.array_equal(a[:16, 16:32], b[:16, :16])
 
@@ -289,24 +292,25 @@ class TestBuiltinCodec:
         "feature, edit",
         [
             ("12-bit", lambda d: d.replace(b"\xff\xc0\x00\x11\x08", b"\xff\xc0\x00\x11\x0c", 1)),
+            ("progressive coding", lambda d: d.replace(b"\xff\xc0", b"\xff\xc2", 1)),
             ("arithmetic coding", lambda d: d.replace(b"\xff\xc0", b"\xff\xc9", 1)),
             ("restart intervals", lambda d: d.replace(b"\xff\xda", b"\xff\xdd\x00\x04\x00\x10\xff\xda", 1)),
         ],
     )
     def test_unsupported_features_are_named(self, feature, edit):
-        data = _jpeg.encode(synth_natural_image(32, 32, seed=12).data, 75, "420", False)
+        data = _jpeg.encode(synth_natural_image(32, 32, seed=12).data, 75, "420")
         with pytest.raises(_jpeg.JpegError, match=f"unsupported feature: {feature}"):
             _jpeg.decode(edit(data))
 
     def test_successive_approximation_is_named(self):
-        data = bytearray(_jpeg.encode(synth_natural_image(32, 32, seed=12).data, 75, "420", True))
+        data = bytearray(_jpeg.encode(synth_natural_image(32, 32, seed=12).data, 75, "420"))
         sos = data.index(b"\xff\xda")
-        data[sos + 2 + data[sos + 3] - 1] = 0x01  # Ah/Al of the first scan: Al = 1
+        data[sos + 2 + data[sos + 3] - 1] = 0x01  # Ah/Al of the scan: Al = 1
         with pytest.raises(_jpeg.JpegError, match="unsupported feature: successive approximation"):
             _jpeg.decode(bytes(data))
 
     def test_header_larger_than_stream_is_refused(self):
-        data = bytearray(_jpeg.encode(synth_natural_image(32, 32, seed=13).data, 75, "444", False))
+        data = bytearray(_jpeg.encode(synth_natural_image(32, 32, seed=13).data, 75, "444"))
         sof = data.index(b"\xff\xc0")
         data[sof + 5:sof + 9] = b"\xff\xff\xff\xff"  # claims 65535x65535
         with pytest.raises(_jpeg.JpegError, match="needs more data"):
@@ -316,7 +320,7 @@ class TestBuiltinCodec:
         # an 8x8 stream claiming 7000x7000, padded to 131 403 bytes by two
         # 64 KiB COM segments: the store would be 93 MiB, and the padding must
         # not count as data that could fill it
-        data = bytearray(_jpeg.encode(np.zeros((8, 8, 1), np.uint8), 75, "420", False))
+        data = bytearray(_jpeg.encode(np.zeros((8, 8, 1), np.uint8), 75, "420"))
         sof = data.index(b"\xff\xc0")
         data[sof + 5:sof + 9] = struct.pack(">HH", 7000, 7000)
         end = sof + 2 + (data[sof + 2] << 8 | data[sof + 3])
@@ -330,7 +334,7 @@ class TestBuiltinCodec:
         # Cb's 256x256 blocks in 8 KiB: that scan's data would suffice, but the
         # store of all three components would be 151 MiB, and the luma and Cr
         # blocks still to come need more data than the stream holds
-        data = bytearray(_jpeg.encode(np.zeros((16, 16, 3), np.uint8), 75, "420", False))
+        data = bytearray(_jpeg.encode(np.zeros((16, 16, 3), np.uint8), 75, "420"))
         sof = data.index(b"\xff\xc0")
         data[sof + 5:sof + 9] = struct.pack(">HH", 8192, 8192)
         data[sof + 11] = 0x44  # the luma's sampling factors
@@ -340,21 +344,18 @@ class TestBuiltinCodec:
         assert_refused_in_16_mib(bytes(data))
 
     def test_every_truncation_is_a_codec_error(self):
-        data = _jpeg.encode(synth_natural_image(24, 16, seed=14).data, 80, "420", True)
+        data = fuzz_seed_stream("420-scans")
         for n in range(len(data)):
             with pytest.raises(_jpeg.JpegError):
                 _jpeg.decode(data[:n])
 
 
-ENTROPY_CASES = [
-    (mode, size, progressive)
-    for mode in ("gray", "420", "444")
-    for size in ((1, 1), (17, 9), (50, 37))
-    for progressive in (False, True)
-]
+ENTROPY_CASES = [(mode, size) for mode in ("gray", "420", "444") for size in ((1, 1), (17, 9), (50, 37))]
+# the test ids these cases had beside their progressive variants, kept stable
+ENTROPY_IDS = [f"{mode}-size{2 * i}-False" for i, (mode, _) in enumerate(ENTROPY_CASES)]
 
 
-def integer_frame(mode, size, progressive):
+def integer_frame(mode, size):
     """A frame whose every block, padding included, holds seeded integer
     coefficients, about 80% of them zero. RandomState's stream is frozen, so
     the frame is the same on every numpy."""
@@ -362,7 +363,7 @@ def integer_frame(mode, size, progressive):
     sampling = ((1, 1),) if mode == "gray" else _jpeg._SAMPLING[mode]
     comps = [_jpeg._Component(i + 1, h, v, tq, _jpeg._quant_table(75, tq == 1))
              for i, ((h, v), tq) in enumerate(zip(sampling, (0, 1, 1)))]
-    frame = _jpeg._frame(width, height, comps, progressive)
+    frame = _jpeg._frame(width, height, comps)
     store = np.frombuffer(frame["coefs"], np.int16)
     rng = np.random.RandomState(width * 100 + height)
     category = rng.randint(1, 11, store.size)  # 1..10 bits, so DC differences stay within category 11
@@ -375,94 +376,47 @@ def integer_frame(mode, size, progressive):
 # SHA-256 of _write(integer_frame(*case)), first 16 hex digits. Integer frames
 # keep the float DCT out of the pins, so only the entropy layer moves them.
 STREAM_PINS = {
-    ("gray", (1, 1), False): "eb06af7b90997b05",
-    ("gray", (1, 1), True): "f659bd11a72442bc",
-    ("gray", (17, 9), False): "105a920bd9b4bbd2",
-    ("gray", (17, 9), True): "9861842767d526c8",
-    ("gray", (50, 37), False): "39f65ae88e90e064",
-    ("gray", (50, 37), True): "ff1f2d801bce9c7b",
-    ("420", (1, 1), False): "e44b3344cb71dd4e",
-    ("420", (1, 1), True): "deb8cccb42eb0c37",
-    ("420", (17, 9), False): "492bf9b9d182991c",
-    ("420", (17, 9), True): "b6f328c3fae3162e",
-    ("420", (50, 37), False): "2c333da8f18017d6",
-    ("420", (50, 37), True): "a8f225b834a8d97f",
-    ("444", (1, 1), False): "cf06442e8c6fdbbf",
-    ("444", (1, 1), True): "43215c4f848dccbf",
-    ("444", (17, 9), False): "d5c19d8f3f16c56a",
-    ("444", (17, 9), True): "50a8732390c75e9b",
-    ("444", (50, 37), False): "32172a65d0983b2e",
-    ("444", (50, 37), True): "4e2b294200ec0867",
+    ("gray", (1, 1)): "eb06af7b90997b05",
+    ("gray", (17, 9)): "105a920bd9b4bbd2",
+    ("gray", (50, 37)): "39f65ae88e90e064",
+    ("420", (1, 1)): "e44b3344cb71dd4e",
+    ("420", (17, 9)): "492bf9b9d182991c",
+    ("420", (50, 37)): "2c333da8f18017d6",
+    ("444", (1, 1)): "cf06442e8c6fdbbf",
+    ("444", (17, 9)): "d5c19d8f3f16c56a",
+    ("444", (50, 37)): "32172a65d0983b2e",
 }
 
 
 class TestEntropyLayer:
     """``_write`` and ``_read`` are lossless inverses over a frame's coefficients."""
 
-    @pytest.mark.parametrize("mode, size, progressive", ENTROPY_CASES)
-    def test_read_inverts_write(self, mode, size, progressive):
-        frame = integer_frame(mode, size, progressive)
+    @pytest.mark.parametrize("mode, size", ENTROPY_CASES, ids=ENTROPY_IDS)
+    def test_read_inverts_write(self, mode, size):
+        frame = integer_frame(mode, size)
         data = _jpeg._write(frame)
         back = _jpeg._read(data)
+        assert back["coefs"] == frame["coefs"]
+        assert _jpeg._write(back) == data
+
+    @pytest.mark.parametrize("mode, size", ENTROPY_CASES, ids=ENTROPY_IDS)
+    def test_stream_is_pinned(self, mode, size):
+        data = _jpeg._write(integer_frame(mode, size))
+        assert hashlib.sha256(data).hexdigest()[:16] == STREAM_PINS[mode, size]
+
+    @pytest.mark.parametrize("mode, size", ENTROPY_CASES)
+    def test_per_component_scans_decode(self, mode, size):
+        # a non-interleaved scan codes only its component's own block grid, so
+        # in 4:2:0 the luma padding blocks stay zero, and _inverse crops them
+        frame = integer_frame(mode, size)
+        back = _jpeg._read(per_component_scans(frame))
         assert np.array_equal(_jpeg._inverse(back), _jpeg._inverse(frame))
-        for c, ours, theirs in zip(frame["comps"], _jpeg._grids(frame), _jpeg._grids(back)):
-            rows, cols = c.own
-            assert np.array_equal(ours[:rows, :cols], theirs[:rows, :cols])
-        if not progressive:
-            # a progressive AC scan codes only its component's own block grid,
-            # so in 4:2:0 the luma padding blocks of the two stores differ
-            assert back["coefs"] == frame["coefs"]
-            assert _jpeg._write(back) == data
 
-    @pytest.mark.parametrize("mode, size, progressive", ENTROPY_CASES)
-    def test_stream_is_pinned(self, mode, size, progressive):
-        data = _jpeg._write(integer_frame(mode, size, progressive))
-        assert hashlib.sha256(data).hexdigest()[:16] == STREAM_PINS[mode, size, progressive]
-
-
-def test_builtin_and_pillow_agree():
-    """Each codec decodes the other's streams, so the built-in one is standard-compliant.
-
-    Pillow decodes the built-in codec's baseline 4:2:0, 4:4:4 and greyscale
-    streams and its progressive stream; the built-in codec decodes Pillow's
-    baseline streams. Both encoders use the Annex K tables at the same IJG
-    quality, so sizes differ only through rounding in the colour transform
-    and the chroma downsampling filter: bpp within 3%. Both decoders of one
-    stream, and both encoders at one quality, differ only through libjpeg's
-    integer IDCT and triangle-filter chroma upsampling against the built-in
-    float IDCT and replication: PSNR against the original within 0.5 dB.
-    With libjpeg-turbo 2.1 called directly in Pillow's place, the gaps on
-    these images were at most 0.6% and 0.06 dB; the bounds leave room for
-    other libjpeg builds.
-    """
-    pil = pytest.importorskip("PIL.Image")
-
-    img = synth_natural_image(256, 256, seed=40)
-    gray = synth_natural_image(256, 256, channels=1, seed=41)
-    n_pixels = 256 * 256
-
-    def pil_encode(src, subsampling):
-        arr = src.data[:, :, 0] if src.channels == 1 else src.data
-        buf = io.BytesIO()
-        kwargs = {} if src.channels == 1 else {"subsampling": {"420": 2, "444": 0}[subsampling]}
-        pil.fromarray(arr).save(buf, format="JPEG", quality=85, **kwargs)
-        return buf.getvalue()
-
-    def pil_decode(data):
-        return ImageBuffer(np.asarray(pil.open(io.BytesIO(data))))
-
-    def ours_decode(data):
-        return ImageBuffer(_jpeg.decode(data))
-
-    cases = [(img, "420", False), (img, "444", False), (gray, "420", False), (img, "420", True)]
-    for src, subsampling, progressive in cases:
-        ours = _jpeg.encode(src.data, 85, subsampling, progressive)
-        by_pil, by_ours = pil_decode(ours), ours_decode(ours)
-        assert abs(psnr(src, by_pil) - psnr(src, by_ours)) <= 0.5
-        if progressive:
-            continue
-        theirs = pil_encode(src, subsampling)
-        bpp_ours, bpp_theirs = len(ours) * 8 / n_pixels, len(theirs) * 8 / n_pixels
-        assert abs(bpp_ours - bpp_theirs) <= 0.03 * bpp_theirs
-        assert abs(psnr(src, ours_decode(theirs)) - psnr(src, pil_decode(theirs))) <= 0.5
-        assert abs(psnr(src, by_ours) - psnr(src, ours_decode(theirs))) <= 0.5
+    @pytest.mark.parametrize("scanned, count", [((0, 1), 0), ((0, 1, 2, 2), 2), ((0, 2, 1, 2), 2)],
+                             ids=["cut", "repeated", "repeated-apart"])
+    def test_each_component_is_coded_in_one_scan(self, scanned, count):
+        # T.81 codes each component of a sequential frame in exactly one scan;
+        # a cut or repeated scan would otherwise decode to a wrong raster
+        data = per_component_scans(integer_frame("444", (17, 9)), scanned)
+        with pytest.raises(_jpeg.JpegError, match=f"component 3 is coded in {count} scans, not 1"):
+            _jpeg._read(data)
