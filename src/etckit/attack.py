@@ -15,7 +15,7 @@ ciphertexts of 256 pieces.
 
 from __future__ import annotations
 
-import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import ClassVar
@@ -44,10 +44,9 @@ _BRUTE_FORCE_LIMIT = 10
 
 # Largest n x n cost table the appearance ground truth may allocate, in bytes.
 MAX_TABLE_BYTES = 2 << 30
-# Entries of one pieces x cells block of the ground truth (128 KiB). Of 2**12
-# to 2**16 (median of 5 calls, one BLAS thread), 2**14 ran 256 pieces fastest
-# with the least memory; 2**15 and 2**16 ran 1024 pieces about 13% faster.
-_GT_CHUNK = 1 << 14
+# Pieces per block of the ground truth's pieces x cells products. Counted in
+# pieces, each channel-pair product is this many rows tall at any puzzle size.
+_GT_PIECES = 32
 # Table entries per block of the solver's seed scan (a 4 MiB buffer): of
 # 2**17, 2**18 and 2**19, the largest scanned K = 8192 fastest.
 _SEED_CHUNK = 1 << 19
@@ -194,19 +193,22 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     cell_neg = cell_sq - 2 * full * cells.sum(axis=(1, 2, 3))
 
     cost = np.empty((n, n))
-    step = max(1, _GT_CHUNK // n)
-    for lo in range(0, n, step):
-        hi = lo + step
+    buf = np.empty((min(_GT_PIECES, n), n))  # one channel order's dots, reused
+    for lo in range(0, n, _GT_PIECES):
+        hi = lo + _GT_PIECES
         part = pieces[lo:hi]
         # extreme dots with the cells over the non-negated variants of part
         most = np.full((len(part), n), -np.inf)
         least = np.full((len(part), n), np.inf)
+        dot = buf[: len(part)]
         for o in range(8):
             # rows[a, i]: channel a of piece lo + i in orientation o
             rows = apply_orientation(part, o).reshape(len(part), f * f, c).transpose(2, 0, 1)
             g = np.matmul(np.ascontiguousarray(rows)[:, None], cols)  # g[a, b]: channel a . b
             for perm in perms:
-                dot = functools.reduce(np.add, [g[a, ch] for ch, a in enumerate(perm)])
+                np.copyto(dot, g[perm[0], 0])
+                for ch, a in enumerate(perm[1:], 1):
+                    dot += g[a, ch]
                 np.maximum(most, dot, out=most)
                 np.minimum(least, dot, out=least)
         # |v - c|^2 = |c|^2 + |p|^2 - 2 v.c, or for a negated variant
@@ -269,66 +271,70 @@ _SEAM_SIDES = ((1, 0), (3, 2))
 class _SideTable:
     """Every oriented edge of a puzzle, read from one side table.
 
-    ``sides[s, p]`` is side s (left, right, top, bottom) of piece p as B*C
-    float64 samples, and ``sq`` holds their squared norms. The edge of a
-    piece in any orientation is one of its sides, forward or reversed
-    (``_EDGES``). Keys are ``piece * len(orientations) + index``.
+    One (4, n, B*C + 1) float64 array holds side s (left, right, top,
+    bottom) of piece p as B*C samples followed by their squared norm;
+    ``sides`` and ``sq`` are views of it. The edge of a piece in any orientation is one of its sides,
+    forward or reversed (``_EDGES``). Keys are ``piece * len(orientations) +
+    index``.
+
+    Each side also has a probe, a (B*C + 1, 2) array whose columns are
+    [-2 side, 1] and [-2 side reversed, 1]. A table row times a probe is
+    |b|^2 - 2 a.b for the side read both ways, so one matrix product per
+    placed edge scores every side of every piece.
     """
 
     def __init__(self, pieces: np.ndarray, orientations: list[int]):
         n, b, _, c = pieces.shape
+        d = b * c
         self.n, self.orientations, self.shape = n, orientations, (b, c)
-        self.sides = np.stack(_sides(pieces)).reshape(4, n, b * c).astype(np.float64)
-        self.sq = (self.sides * self.sides).sum(axis=2)
+        table = np.empty((4, n, d + 1))
+        self.sides, self.sq = table[..., :d], table[..., d]
+        self.sides[...] = np.stack(_sides(pieces)).reshape(4, n, d)
+        self.sq[...] = (self.sides * self.sides).sum(axis=2)
+        self._probes = np.empty((4, n, d + 1, 2))
+        self._probes[..., :d, 0] = self.sides
+        self._probes[..., :d, 1] = self.sides.reshape(4, n, b, c)[:, :, ::-1].reshape(4, n, d)
+        self._probes[..., :d, :] *= -2
+        self._probes[..., d, :] = 1
         # per edge and orientation index: (side, reversed) as Python values
         self._fixed = _EDGES[:, orientations].tolist()
-        # per edge of the candidates: the rows of the side table its
-        # orientations read, whether the reversed placed edge is needed, the
-        # gather from [dots with the placed edge, dots with it reversed] into
-        # key order (None when that is the identity), and the keys' norms
+        # per edge of the candidates: the table rows its orientations read,
+        # and the gathers from those rows times a probe into key order, for a
+        # placed edge read forward and for one read reversed
         self._free = []
-        flat, q = self.sides.reshape(4 * n, b * c), np.arange(n)[:, None]
+        flat, q = table.reshape(4 * n, d + 1), np.arange(n)[:, None]
         for s, r in _EDGES[:, orientations].transpose(0, 2, 1):
             lo, hi = s.min(), s.max() + 1
-            take = ((r * (hi - lo) + s - lo) * n + q).ravel()
-            identity = np.array_equal(take, np.arange(len(take)))
-            self._free.append((flat[lo * n : hi * n], bool(r.any()), None if identity else take,
-                               self.sq[s, q].ravel()))
+            at = ((s - lo) * n + q) * 2
+            self._free.append((flat[lo * n : hi * n], ((at + r).ravel(), (at + 1 - r).ravel())))
 
-    def _reversed(self, edge: np.ndarray) -> np.ndarray:
-        return edge.reshape(self.shape)[::-1].ravel()
-
-    def edges(self, e: int, codes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Edge ``e`` of every piece in each orientation of ``codes``, as
-        (n * len(codes), B*C) rows in key order, and their squared norms."""
-        s, r = _EDGES[e, codes].T
+    def edges(self, e: int, codes: list[int]) -> np.ndarray:
+        """Edge ``e`` of every piece in each orientation of ``codes``, in key
+        order, as the rows [edge, |edge|^2, 1] of an (n * len(codes), B*C + 2)
+        array."""
         b, c = self.shape
-        out = self.sides[s].reshape(len(s), self.n, b, c)
-        out[r == 1] = out[r == 1, :, ::-1]
-        rows = np.ascontiguousarray(out.reshape(len(s), self.n, b * c).swapaxes(0, 1))
-        return rows.reshape(-1, b * c), self.sq[s].T.ravel()
+        d = b * c
+        out = np.empty((self.n, len(codes), d + 2))
+        for i, (s, r) in enumerate(_EDGES[e, codes].tolist()):
+            side = self.sides[s]
+            out[:, i, :d] = side.reshape(self.n, b, c)[:, ::-1].reshape(self.n, d) if r else side
+        out[..., d] = self.sq[_EDGES[e, codes, 0]].T
+        out[..., d + 1] = 1
+        return out.reshape(-1, d + 2)
 
     def row(self, fixed: int, free: int, k: int) -> np.ndarray:
         """Mean squared difference of edge ``fixed`` of key ``k`` against edge
-        ``free`` of every key: the dots of the placed edge, and of its
-        reversal when the orientations need it, with the sides, gathered into
-        key order. Samples are integers, so |a|^2 + |b|^2 - 2 a.b is exact in
-        any summation order and only the division rounds."""
+        ``free`` of every key: the candidates' table rows times the placed
+        side's probe, gathered into key order, plus the placed edge's norm.
+        Samples are integers, so |a|^2 + |b|^2 - 2 a.b is exact in any
+        summation order and only the division rounds."""
         p, i = divmod(k, len(self.orientations))
         s, r = self._fixed[fixed][i]
-        sides, both, take, free_sq = self._free[free]
-        edge = self.sides[s, p]
-        if r:
-            edge = self._reversed(edge)
-        if both:
-            dots = np.empty((2, len(sides)))
-            np.matmul(sides, edge, out=dots[0])
-            np.matmul(sides, self._reversed(edge), out=dots[1])
-        else:
-            dots = sides @ edge
-        if take is not None:
-            dots = dots.take(take)
-        return (free_sq + self.sq[s, p] - 2 * dots) / len(edge)
+        rows, take = self._free[free]
+        out = (rows @ self._probes[s, p]).ravel().take(take[r])
+        out += self.sq[s, p]
+        out /= self.shape[0] * self.shape[1]
+        return out
 
 
 def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tuple:
@@ -347,7 +353,9 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
     instead of 2 K**2, and with the masked corners of its blocks the scan
     computes fewer than K**2 / 2 entries. The ties of the minimum are mapped
     back through the poses, so the result is the full scan's. Rows are
-    scanned in blocks of whole first pieces. Dividing integers below 2**52
+    scanned in blocks of whole first pieces, one matrix product per block:
+    the first keys' edges as rows [-2 a, |a|^2, 1] times the second keys' as
+    [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b with no pass after it. Dividing integers below 2**52
     by the same d keeps their order and ties, so the numerators pick the
     minimum.
     """
@@ -375,8 +383,11 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
                 images.append((int(dr != 0), dr + dc < 0,
                                index[ORIENT_COMPOSE[reps, g]], index[ORIENT_COMPOSE[codes, g]]))
         first, second = _SEAM_SIDES[rel]
-        fe, fsq = table.edges(first, reps)
-        ce, csq = table.edges(second, codes)
+        # rows [-2 a, |a|^2, 1] times rows [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b
+        fe = table.edges(first, reps)
+        fe[:, :-2] *= -2
+        ce = table.edges(second, codes)
+        ce[:, [-2, -1]] = ce[:, [-1, -2]]
         nr = len(reps)
         step = max(1, _SEED_CHUNK // (nr * kk))
         buf = np.empty(min(step, n) * nr * kk)  # one block buffer, reused
@@ -386,9 +397,6 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
             c0 = (lo + 1) * later  # first piece of the columns
             blk = np.matmul(fe[lo * nr : hi * nr], ce[c0 * no :].T,
                             out=buf[: (hi - lo) * nr * (kk - c0 * no)].reshape((hi - lo) * nr, -1))
-            blk *= -2
-            blk += fsq[lo * nr : hi * nr, None]
-            blk += csq[c0 * no :]
             blk = blk.reshape(hi - lo, nr, n - c0, no)
             if later:  # drop (p1, p2) with p2 <= p1; column j holds piece lo + 1 + j
                 i, j = np.tril_indices(hi - lo, -1)
@@ -433,18 +441,23 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     Scores are kept between placements: each open cell caches its best
     (value, key) and is rescored only when a neighbor is placed or when its
     cached piece is used. A rescore sums the placed neighbors' score rows in
-    the fixed order left, right, above, below and divides by their count, so
-    values and ties are those of a full rescan.
+    the fixed order left, right, above, below, divides by their count and
+    adds inf to the keys of placed pieces, so values and ties are those of a
+    full rescan. The cells' entries sit in a heap ordered by (value, piece,
+    cell); an entry its cell has since replaced or dropped is skipped when it
+    surfaces. An index from each piece to the cells whose entry held it
+    finds the cells to rescore when that piece is used.
 
     Every score comes from one side table: each piece's 4 sides as a (4, n,
-    B*C) float64 array with squared norms. An oriented edge is one of them,
-    forward or reversed, so a placed neighbor's row toward an open cell is
-    two matrix-vector products over the 4n sides (its edge and the edge
-    reversed) gathered into key order (K = pieces x orientations keys), or
-    without orientation search one product over the relation's own side.
-    The row is computed when that cell is first scored and dropped when it
-    is filled. No K x K table is built, and no (K, B*C) array outlives the
-    seed.
+    B*C + 1) float64 array of samples and squared norm. An oriented edge is
+    one of them, forward or reversed, so a placed neighbor's row toward an
+    open cell is one matrix product: the table rows of the sides the
+    candidates' orientations read (with no orientation search, the
+    relation's own side) times the placed side's two-column probe, which
+    scores its edge and the edge reversed, gathered into key order (K =
+    pieces x orientations keys). The row is computed when that cell is first
+    scored and dropped when it is filled. No K x K table is built, and no
+    (K, B*C) array outlives the seed.
 
     The seed scan is exact but reduced by symmetry (``_seed``): a global
     pose turns every piece and the pair's offset together and joins the
@@ -470,17 +483,20 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     second = ((0, 1), (1, 0))[rel]
     placed: dict[tuple[int, int], int] = {(0, 0): k1, second: k2}
 
-    unplaced = np.ones(kk, dtype=bool)
-    unplaced[k1 // no * no : k1 // no * no + no] = False
-    unplaced[k2 // no * no : k2 // no * no + no] = False
+    used = np.zeros(kk)  # inf on the keys of placed pieces, added to every score
+    for k in (k1, k2):
+        used[k // no * no : k // no * no + no] = np.inf
     rmin, rmax, cmin, cmax = 0, second[0], 0, second[1]
 
+    def fit_ranges() -> tuple[range, range]:
+        """The rows and columns a cell may take with the box kept in the grid."""
+        return (range(rmax - grid.rows + 1, rmin + grid.rows),
+                range(cmax - grid.cols + 1, cmin + grid.cols))
+
+    rfit, cfit = fit_ranges()
+
     def fits(cell: tuple[int, int]) -> bool:
-        r, c = cell
-        return (
-            max(rmax, r) - min(rmin, r) < grid.rows
-            and max(cmax, c) - min(cmin, c) < grid.cols
-        )
+        return cell[0] in rfit and cell[1] in cfit
 
     def around(cell: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         r, c = cell
@@ -501,31 +517,39 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
                 if cached[s] is None:
                     cached[s] = table.row(*sides[s], nk)
                 terms.append(cached[s])
-        score = np.where(unplaced, sum(terms) / len(terms), np.inf)
+        score = sum(terms[1:], terms[0]) / len(terms)  # a new array: the cached rows stay
+        score += used
         k = int(np.argmin(score))
         return float(score[k]), k // no, cell, k
 
-    # open cell -> (value, piece, cell, key); min() orders by value, piece, cell
+    # open cell -> (value, piece, cell, key). The heap orders entries by
+    # value, piece, cell, and an entry counts only while it is its cell's.
     frontier: dict[tuple[int, int], tuple[float, int, tuple[int, int], int]] = {}
+    heap: list[tuple[float, int, tuple[int, int], int]] = []
+    holders: dict[int, set] = {}  # piece -> open cells whose entry has held it
     stale = {*around((0, 0)), *around(second)}
     while True:
         for cell in stale:
             if cell not in placed and fits(cell):
-                frontier[cell] = best_for(cell)
+                best = frontier[cell] = best_for(cell)
+                heapq.heappush(heap, best)
+                holders.setdefault(best[1], set()).add(cell)
         if len(placed) == n:
             break
-        _, piece, cell, key = min(frontier.values())
+        while frontier.get(heap[0][2]) != heap[0]:
+            heapq.heappop(heap)
+        _, piece, cell, key = heapq.heappop(heap)
         placed[cell] = key
         del frontier[cell], rows[cell]
-        unplaced[piece * no : (piece + 1) * no] = False
+        used[piece * no : (piece + 1) * no] = np.inf
         r, c = cell
-        box = (min(rmin, r), max(rmax, r), min(cmin, c), max(cmax, c))
-        if box != (rmin, rmax, cmin, cmax):
-            rmin, rmax, cmin, cmax = box
-            frontier = {o: best for o, best in frontier.items() if fits(o)}
-            rows = {o: rows[o] for o in frontier}
+        if not (rmin <= r <= rmax and cmin <= c <= cmax):
+            rmin, rmax, cmin, cmax = min(rmin, r), max(rmax, r), min(cmin, c), max(cmax, c)
+            rfit, cfit = fit_ranges()
+            for o in [o for o in frontier if not fits(o)]:
+                del frontier[o], rows[o]
         # dropping other pieces' keys cannot move a cached first minimum
-        stale = {o for o, best in frontier.items() if best[1] == piece}
+        stale = {o for o in holders.pop(piece, ()) if o in frontier and frontier[o][1] == piece}
         stale.update(around(cell))
 
     ids = np.empty((grid.rows, grid.cols), dtype=np.int64)

@@ -422,6 +422,18 @@ class TestAgainstReference:
         assert np.array_equal(asm.piece_ids, ref.piece_ids)
         assert np.array_equal(asm.orientations, ref.orientations)
 
+    @pytest.mark.parametrize("grid", [(6, 8), (2, 16), (16, 2)])
+    @pytest.mark.parametrize("kind", ["duplicated", "uniform", "natural"])
+    @pytest.mark.parametrize("search", [False, True])
+    def test_greedy_matches_reference_on_larger_grids(self, grid, kind, search):
+        # 32 to 48 pieces open frontiers wide enough that cached entries go
+        # stale, used pieces' cells are rescored and the box drops open cells
+        _, pz = _cipher_case(grid, kind, 3, 4, 0x5EED, 19)
+        asm = greedy_assemble(pz, orientation_search=search)
+        ref = reference_greedy_assemble(pz, orientation_search=search)
+        assert np.array_equal(asm.piece_ids, ref.piece_ids)
+        assert np.array_equal(asm.orientations, ref.orientations)
+
     @pytest.mark.parametrize("kind", ["natural", "uniform"])
     @pytest.mark.parametrize("search", [False, True])
     def test_seed_scan_matches_reference_across_chunks(self, monkeypatch, kind, search):
@@ -546,9 +558,9 @@ class TestAgainstReference:
         ct, _ = encrypt(img, MasterKey(0xD1CE), CipherConfig(steps="srnc", block_size=12))
         pz = Puzzle.from_image(ct, 12)
         want = reference_ground_truth_from_plain(img, pz, sums=True)
-        n = pz.grid.n_blocks  # 64 pieces: five-piece chunks leave a partial one
-        for chunk in (1, 5 * n, 1 << 30):  # one piece, five pieces, all pieces
-            monkeypatch.setattr(attack, "_GT_CHUNK", chunk)
+        # 64 pieces: five-piece chunks leave a partial one
+        for chunk in (1, 5, 1 << 30):  # one piece, five pieces, all pieces
+            monkeypatch.setattr(attack, "_GT_PIECES", chunk)
             got = ground_truth_from_plain(img, pz)
             assert np.array_equal(got.piece_ids, want.piece_ids)
             assert np.array_equal(got.orientations, want.orientations)
