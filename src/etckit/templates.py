@@ -201,13 +201,13 @@ def format_template_csv(templates) -> str:
         raise ValueError("nothing to serialize")
     d = templates[0].dim
     header = "client_id,label," + ",".join(f"v{i}" for i in range(d))
+    row = ",".join(["%.17g"] * d)  # one format over Python floats, not d numpy scalars
     lines = [header]
     for t in templates:
         if t.dim != d:
             raise ValueError("all templates must share one dimension")
         label = "" if t.label is None else str(t.label)
-        vals = ",".join(f"{v:.17g}" for v in t.values)
-        lines.append(f"{t.client_id},{label},{vals}")
+        lines.append(f"{t.client_id},{label}," + row % tuple(t.values.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from etckit import attack
 from etckit.attack import (
@@ -34,7 +37,7 @@ from etckit.cipher import (
     apply_orientation,
     encrypt,
 )
-from etckit.images import BlockGrid, ImageBuffer, merge_blocks
+from etckit.images import BlockGrid, ImageBuffer, merge_blocks, save_ppm
 from etckit.keystream import MasterKey
 from etckit.synth import synth_natural_image
 
@@ -281,13 +284,32 @@ class TestScoreAssembly:
             score_assembly(asm, pz)
 
     def test_import_loads_no_scipy(self):
-        # scipy costs tens of MiB of RSS; the library imports it only where used
+        # scipy costs tens of MiB of RSS; the library does not use it
         code = ("import sys, etckit; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_attack_cli_loads_no_scipy(self, tmp_path):
+        # appearance ground truth, orientation search and scoring: the whole
+        # attack path runs without scipy
+        img = synth_natural_image(64, 64, seed=3)
+        plain, ct = tmp_path / "plain.ppm", tmp_path / "ct.ppm"
+        plain.write_bytes(save_ppm(img))
+        ct.write_bytes(save_ppm(encrypt(img, MasterKey(0x5EED), CipherConfig(steps="srnc"))[0]))
+        argv = ["attack", str(ct), "--plain", str(plain), "--orientation-search",
+                "--steps", "srnc", "--block-size", "16"]
+        code = ("import sys; from etckit import cli; code = cli.main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, check=True)
+        lines = done.stdout.strip().splitlines()
+        assert lines[1].split(",")[:3] == ["srnc", "16", "16"]
+        assert lines[-1] == "[]"
 
     def test_orientation_mismatch_breaks_dc_and_nc(self):
         pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
@@ -624,6 +646,88 @@ class TestScoreAgainstReference:
             asm = Assembly(np.zeros((1, 1), np.int64), np.full((1, 1), placed))
             got = score_assembly(asm, pz, allow_pose)
             assert got == reference_score_assembly(asm, pz, allow_pose), (placed, true)
+
+
+@st.composite
+def _cost_matrices(draw):
+    """Square cost matrices of sizes 1 to 24, most of them rich in ties."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["small", "equal", "duplicated", "wide", "float"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "small":
+        return rng.integers(0, 3, (n, n)).astype(np.float64)
+    if kind == "equal":
+        return np.full((n, n), float(rng.integers(0, 2**53)))
+    if kind == "duplicated":  # repeated rows and columns of a smaller matrix
+        k = int(rng.integers(1, n + 1))
+        base = rng.integers(0, 4, (k, k)).astype(np.float64)
+        return base[rng.integers(0, k, n)][:, rng.integers(0, k, n)]
+    if kind == "wide":
+        # integers just below the ground truth's 2**53 exactness guard, so
+        # reduced costs round unless computed in the same order
+        spread = 2 ** int(rng.integers(1, 54))
+        return (2**53 - rng.integers(1, spread, (n, n), endpoint=True)).astype(np.float64)
+    return rng.random((n, n)) * 10.0 ** int(rng.integers(-3, 4))
+
+
+class TestAssign:
+    """``_assign`` returns exactly what scipy's ``linear_sum_assignment``
+    returns, ties included."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_cost_matrices())
+    def test_matches_linear_sum_assignment(self, cost):
+        rows, cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, np.arange(len(cost)))
+        assert np.array_equal(attack._assign(cost), cols)
+
+    @pytest.mark.parametrize("steps", ["s", "srnc"])
+    def test_matches_on_a_256_piece_ground_truth(self, monkeypatch, steps):
+        seen, assign = [], attack._assign
+
+        def spy(cost):
+            seen.append(cost)
+            return assign(cost)
+
+        monkeypatch.setattr(attack, "_assign", spy)
+        img = synth_natural_image(512, 512, seed=21)
+        key, cfg = MasterKey(0xA55), CipherConfig(steps=steps, block_size=32)
+        pz = Puzzle.from_image(encrypt(img, key, cfg)[0], 32)
+        gt = ground_truth_from_plain(img, pz)
+        assert np.array_equal(gt.piece_ids, ground_truth_from_key(key, cfg, pz.grid).piece_ids)
+        (cost,) = seen
+        assert cost.shape == (256, 256)
+        assert np.array_equal(assign(cost), linear_sum_assignment(cost)[1])
+
+    def test_matches_with_long_augmenting_paths(self):
+        # random-like costs, as from a plaintext unrelated to the ciphertext
+        rng = np.random.default_rng(8)
+        cost = rng.integers(0, 2**40, (96, 96)).astype(np.float64)
+        assert np.array_equal(attack._assign(cost), linear_sum_assignment(cost)[1])
+
+
+class TestLargestComponent:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_matches_connected_components_on_seam_graphs(self, rows, cols, p, seed):
+        rng = np.random.default_rng(seed)
+        cell = np.arange(rows * cols).reshape(rows, cols)
+        src = np.concatenate([cell[:, :-1].ravel(), cell[:-1].ravel()])
+        dst = np.concatenate([cell[:, 1:].ravel(), cell[1:].ravel()])
+        keep = rng.random(len(src)) < p
+        self._check(rows * cols, src[keep], dst[keep])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 120), st.integers(0, 2**32 - 1))
+    def test_matches_connected_components_on_random_graphs(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        self._check(n, rng.integers(0, n, m), rng.integers(0, n, m))
+
+    @staticmethod
+    def _check(n, src, dst):
+        graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+        _, labels = connected_components(graph, directed=False)
+        assert attack._largest_component(n, src, dst) == np.bincount(labels).max()
 
 
 class TestMemoryGuard:

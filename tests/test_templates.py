@@ -261,6 +261,21 @@ class TestCsv:
             assert (a.client_id, a.label) == (b.client_id, b.label)
             assert (a.values == b.values).all()
 
+    def test_text_is_the_per_value_format(self):
+        # one "%.17g" over Python floats writes what f"{v:.17g}" wrote per
+        # numpy scalar, digit for digit
+        rng = np.random.default_rng(4)
+        edge = np.asarray([-0.0, 5e-324, -5e-324, 1e-17, 1e308, -1e308, -1.5, 0.1, -2.0 / 3])
+        ts = [Template(edge, client_id=7, label=2),
+              Template(rng.standard_normal(edge.size) * 10.0 ** rng.integers(-300, 300, edge.size),
+                       client_id=8)]
+        old = "client_id,label," + ",".join(f"v{i}" for i in range(edge.size)) + "\n"
+        for t in ts:
+            label = "" if t.label is None else str(t.label)
+            old += f"{t.client_id},{label}," + ",".join(f"{v:.17g}" for v in t.values) + "\n"
+        assert format_template_csv(ts) == old
+        assert "-0,4.9406564584124654e-324," in old
+
     def test_header(self):
         text = format_template_csv([Template(np.zeros(3), client_id=0)])
         assert text.split("\n")[0] == "client_id,label,v0,v1,v2"
