@@ -153,7 +153,9 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     order, which starts reversed and drops a column by moving the last one
     into its place. The reduced cost is ``min_val + cost - u[i] - v[j]``,
     evaluated left to right. Of the columns tied at the minimum, the last
-    unassigned one in ``remaining`` order is taken, else the first.
+    unassigned one in ``remaining`` order is taken, else the first. The
+    search keeps each column's path cost but not the row it came from: the
+    rows of the augmenting path are recomputed once it is found.
 
     While ``v`` is all zero, a row whose lowest-index minimum column is
     still free takes that column directly: that is exactly what the search's
@@ -163,11 +165,12 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     u, v = np.zeros(n), np.zeros(n)
     col4row = np.full(n, -1, dtype=np.int64)
     row4col = np.full(n, -1, dtype=np.int64)
-    path = np.empty(n, dtype=np.int64)  # the row each column was last reached from
     spc = np.empty(n)  # shortest path cost to each column, inf once the column is reached
     vv = np.empty(n)  # v, but -inf on reached columns: their reduced cost is inf
     r = np.empty(n)
-    better, tied = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    tied = np.empty(n, dtype=bool)
+    order = np.arange(n)
+    rows = list(cost)
     cheapest = cost.argmin(axis=1).tolist()
     v_zero = True
     for cur in range(n):
@@ -177,51 +180,63 @@ def _assign(cost: np.ndarray) -> np.ndarray:
             row4col[j], col4row[cur] = cur, j
             continue
         remaining = list(range(n - 1, -1, -1))
-        pos = np.arange(n - 1, -1, -1)  # each column's index in remaining
+        pos = remaining[:]  # each column's index in remaining: its own inverse
+        # the tie-break as one key to maximise: an unassigned column beats an
+        # assigned one, the later one in remaining among unassigned columns,
+        # the earlier one among assigned columns
+        rank = np.where(row4col < 0, 2 * n - 1 - order, order)
         spc.fill(np.inf)
         np.copyto(vv, v)
-        reached, lengths = [], []  # reached columns and their path costs, in order
+        # per step: the row scanned, the path cost it started from, and the
+        # column it reached
+        visited, starts, reached = [], [], []
         i, sink = cur, -1
         min_val = 0.0
         while sink < 0:
-            np.add(cost[i], min_val, out=r)
+            visited.append(i)
+            starts.append(min_val)
+            np.add(rows[i], min_val, out=r)
             r -= u[i]
             r -= vv
-            np.less(r, spc, out=better)
-            np.copyto(spc, r, where=better)
-            np.copyto(path, i, where=better)
+            np.minimum(spc, r, out=spc)  # may keep -0.0 for 0.0; no comparison differs
             min_val = np.minimum.reduce(spc)
             np.equal(spc, min_val, out=tied)
             cols = tied.nonzero()[0]
-            if len(cols) > 1:
-                free = cols[row4col[cols] < 0]
-                cols = free[[pos[free].argmax()]] if len(free) else cols[[pos[cols].argmin()]]
-            j = int(cols[0])
+            j = int(cols[rank[cols].argmax()] if len(cols) > 1 else cols[0])
             last = remaining.pop()
             if last != j:
-                remaining[pos[j]] = last
-                pos[last] = pos[j]
+                at = pos[j]
+                remaining[at] = last
+                pos[last] = at
+                rank[last] = n + at if row4col[last] < 0 else n - 1 - at
             spc[j], vv[j] = np.inf, -np.inf
             reached.append(j)
-            lengths.append(min_val)
-            if row4col[j] < 0:
+            i = int(row4col[j])
+            if i < 0:
                 sink = j
-            else:
-                i = int(row4col[j])
-        # update the duals: the rows reached through the non-sink columns,
-        # then every reached column; then augment along the path
-        lengths = np.array(lengths)
-        u[cur] += min_val
-        u[row4col[reached[:-1]]] += min_val - lengths[:-1]
-        v[reached] -= min_val - lengths
-        v_zero = v_zero and not v.any()
+        visited, starts = np.array(visited), np.array(starts)
+        lengths = np.append(starts[1:], min_val)  # each reached column's path cost
+        # augment along the path. A column's path row is the first scanned row
+        # whose reduced cost to it equals its path cost (the search replaced
+        # a cost only by a strictly lower one), recomputed in the search's
+        # operation order
         j = sink
         while True:
-            i = int(path[j])
+            k = reached.index(j) + 1
+            again = starts[:k] + cost[visited[:k], j]
+            again -= u[visited[:k]]
+            again -= v[j]
+            i = int(visited[(again == lengths[k - 1]).argmax()])
             row4col[j] = i
             col4row[i], j = j, int(col4row[i])
             if i == cur:
                 break
+        # update the duals: the rows reached through the non-sink columns,
+        # then every reached column
+        u[cur] += min_val
+        u[visited[1:]] += min_val - lengths[:-1]
+        v[reached] -= min_val - lengths
+        v_zero = v_zero and not v.any()
     return col4row
 
 
@@ -254,8 +269,8 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     ciphertext of this plaintext gives near-diagonal costs and short paths:
     the assignment takes about 0.2 ms at 256 pieces. A plaintext unrelated
     to the ciphertext gives random-like costs and long augmenting paths, one
-    Dijkstra search over every piece for most cells, O(n**3) at worst: about
-    0.8 s at 1 024 pieces on one x86-64 core.
+    Dijkstra search over every piece for most cells, O(n**3) at worst: 0.3
+    to 1.2 s at 1 024 pieces on one x86-64 core.
     """
     grid = puzzle.grid
     n, b, _, c = puzzle.pieces.shape
