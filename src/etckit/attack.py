@@ -44,9 +44,15 @@ _BRUTE_FORCE_LIMIT = 10
 
 # Largest n x n cost table the appearance ground truth may allocate, in bytes.
 MAX_TABLE_BYTES = 2 << 30
-# Pieces per block of the ground truth's pieces x cells products. Counted in
-# pieces, each channel-pair product is this many rows tall at any puzzle size.
+# Pieces per block of the ground truth's pieces x cells products, and cells
+# per block of its bound scan. Counted in pieces, each block is this many
+# rows tall at any puzzle size.
 _GT_PIECES = 32
+# Pairs per block of the ground truth's exact 96-variant distances.
+_GT_PAIRS = 64
+# Candidate pairs per cell, on average, that the ground truth scores before
+# it builds the whole cost table instead.
+_GT_BUDGET = 4
 # Table entries per block of the solver's seed scan (a 4 MiB buffer): of
 # 2**17, 2**18 and 2**19, the largest scanned K = 8192 fastest.
 _SEED_CHUNK = 1 << 19
@@ -132,7 +138,8 @@ def _cell_sums(blocks: np.ndarray, f: int) -> np.ndarray:
     shape (n, F, F, C) float64. Integers, so exact in any summation order."""
     n, b, _, c = blocks.shape
     cell = b // f
-    rows = np.zeros((n, f, b, c))  # sums over each cell's rows first
+    # sums over each cell's rows first, in the narrowest integer that holds them
+    rows = np.zeros((n, f, b, c), np.uint16 if 255 * cell < 1 << 16 else np.uint32)
     for dy in range(cell):
         rows += blocks[:, dy::cell]
     sums = np.zeros((n, f, f, c))
@@ -240,6 +247,147 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
+def _feature_grid(block_size: int) -> tuple[int, int]:
+    """(F, full): the side of the largest power-of-two grid of cells (up to
+    8x8) dividing the block size, and the sum of a cell of 255s, which
+    negative-positive inversion maps a cell sum ``p`` to ``full - p`` from."""
+    f = next(s for s in (8, 4, 2, 1) if block_size % s == 0)
+    return f, 255 * (block_size // f) ** 2
+
+
+class _Features:
+    """Cell-sum features of a plaintext's blocks (the cells) and of a
+    puzzle's pieces, with the norms that every feature distance needs.
+
+    The distance of a (cell, piece) pair is the least squared distance from
+    the cell's features to those of any of the piece's 96 variants. Each is
+    an exact integer in float64 when ``2 * F**2 * C * full**2 < 2**53``:
+    orientation and channel order permute a piece's features, and negation
+    maps a cell sum ``p`` to ``full - p``, so all 96 distances come from the
+    8 x C x C channel products of each orientation.
+    """
+
+    def __init__(self, cell_blocks: np.ndarray, piece_blocks: np.ndarray):
+        c = piece_blocks.shape[3]
+        self.f, full = _feature_grid(piece_blocks.shape[1])
+        self.perms = CHANNEL_PERMS if c == 3 else ((0,),)
+        self.cells = _cell_sums(cell_blocks, self.f)
+        self.pieces = _cell_sums(piece_blocks, self.f)
+        self.piece_sq = (self.pieces * self.pieces).sum(axis=(1, 2, 3))
+        self.neg_sq = ((full - self.pieces) ** 2).sum(axis=(1, 2, 3))
+        self.cell_sq = (self.cells * self.cells).sum(axis=(1, 2, 3))
+        # |c|^2 - 2 * full * sum(c): the cell's part of every negated distance
+        self.cell_neg = self.cell_sq - 2 * full * self.cells.sum(axis=(1, 2, 3))
+        # _turns[o, a, x]: the feature of an unturned block that orientation
+        # o moves to channel a of cell x, so a block's features read at
+        # _turns hold its channels in each orientation
+        grid = np.arange(self.f * self.f * c).reshape(self.f, self.f, c)
+        self._turns = np.stack([apply_orientation(grid, o).reshape(-1, c).T for o in range(8)]).ravel()
+
+    def pair_costs(self, cell_ids: np.ndarray, piece_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance of each (cell, piece) pair, and the orientation of the
+        first variant reaching it in (orientation, negpos, channel order)
+        order, from the 96 exact distances of each pair, ``_GT_PAIRS`` pairs
+        at a time."""
+        m, (n, f, _, c) = len(cell_ids), self.pieces.shape
+        flat = self.pieces.reshape(n, -1)
+        perms, two_p = np.asarray(self.perms), 2 * len(self.perms)
+        cost, orient = np.empty(m), np.empty(m, dtype=np.int64)
+        for lo in range(0, m, _GT_PAIRS):
+            at_c, at_p = cell_ids[lo : lo + _GT_PAIRS], piece_ids[lo : lo + _GT_PAIRS]
+            k = len(at_c)
+            mine = flat[at_p][:, self._turns].reshape(k, 8 * c, f * f)
+            mates = self.cells[at_c].reshape(k, f * f, c)
+            g = np.matmul(mine, mates).reshape(k, 8, c, c)  # g[:, o, a, b]: channel a . b
+            dots = g[..., perms, np.arange(c)].sum(axis=-1)  # (k, 8, P)
+            plain_dist = (self.piece_sq[at_p] + self.cell_sq[at_c])[:, None, None] - 2 * dots
+            neg_dist = (self.neg_sq[at_p] + self.cell_neg[at_c])[:, None, None] + 2 * dots
+            dist = np.stack([plain_dist, neg_dist], axis=2).reshape(k, -1)  # (k, 8 * 2 * P)
+            best = dist.argmin(axis=1)
+            cost[lo : lo + k] = dist[np.arange(k), best]
+            orient[lo : lo + k] = best // two_p
+        return cost, orient
+
+    def table(self) -> np.ndarray:
+        """The n x n table of pair distances, cells by pieces, from
+        ``_GT_PIECES`` pieces' channel products with every cell at a time."""
+        n, f, _, c = self.pieces.shape
+        cols = np.ascontiguousarray(self.cells.reshape(n, f * f, c).transpose(2, 1, 0))  # (C, F*F, n)
+        cost = np.empty((n, n))
+        buf = np.empty((min(_GT_PIECES, n), n))  # one channel order's dots, reused
+        for lo in range(0, n, _GT_PIECES):
+            hi = lo + _GT_PIECES
+            part = self.pieces[lo:hi]
+            # extreme dots with the cells over the non-negated variants of part
+            most = np.full((len(part), n), -np.inf)
+            least = np.full((len(part), n), np.inf)
+            dot = buf[: len(part)]
+            for o in range(8):
+                # rows[a, i]: channel a of piece lo + i in orientation o
+                rows = apply_orientation(part, o).reshape(len(part), f * f, c).transpose(2, 0, 1)
+                g = np.matmul(np.ascontiguousarray(rows)[:, None], cols)  # g[a, b]: channel a . b
+                for perm in self.perms:
+                    np.copyto(dot, g[perm[0], 0])
+                    for ch, a in enumerate(perm[1:], 1):
+                        dot += g[a, ch]
+                    np.maximum(most, dot, out=most)
+                    np.minimum(least, dot, out=least)
+            # |v - c|^2 = |c|^2 + |p|^2 - 2 v.c, or for a negated variant
+            # |c|^2 + |full - p|^2 - 2 full sum(c) + 2 v.c
+            most *= -2
+            most += self.piece_sq[lo:hi, None]
+            most += self.cell_sq
+            least *= 2
+            least += self.neg_sq[lo:hi, None]
+            least += self.cell_neg
+            cost[:, lo:hi] = np.minimum(most, least).T
+        return cost
+
+    def distinct_cheapest(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Each cell's lowest-index cheapest piece and its orientation, or
+        None if two cells share a piece or the candidates pass ``_GT_BUDGET``
+        per cell. Scans the sorted-feature bound of ``ground_truth_from_plain``
+        ``_GT_PIECES`` cells at a time and scores each cell's candidates."""
+        n = len(self.cells)
+        cells = self.cells.reshape(n, -1)
+        sorted_pieces = np.sort(self.pieces.reshape(n, -1), axis=1).T  # (F*F*C, n)
+        ids, ors = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        budget = _GT_BUDGET * n
+        for lo in range(0, n, _GT_PIECES):
+            part = np.sort(cells[lo : lo + _GT_PIECES], axis=1)
+            at = np.arange(len(part))
+            here = lo + at
+            # |sc - sp|^2 and |sc - (full - reverse(sp))|^2 expanded as in
+            # table(), with sc . reverse(sp) = reverse(sc) . sp
+            bound = part @ sorted_pieces
+            bound *= -2
+            bound += self.piece_sq
+            bound += self.cell_sq[here, None]
+            neg = part[:, ::-1] @ sorted_pieces
+            neg *= 2
+            neg += self.neg_sq
+            neg += self.cell_neg[here, None]
+            np.minimum(bound, neg, out=bound)
+            del neg
+            first = bound.argmin(axis=1)
+            upper, ors[here] = self.pair_costs(here, first)
+            hit = bound <= upper[:, None]
+            hit[at, first] = False  # scored already
+            rows, cols = hit.nonzero()
+            budget -= len(at) + len(rows)
+            if budget < 0:
+                return None
+            # the exact distances of the candidates, inf elsewhere
+            cost, orient = self.pair_costs(lo + rows, cols)
+            bound.fill(np.inf)
+            bound[at, first] = upper
+            bound[rows, cols] = cost
+            ids[here] = best = bound.argmin(axis=1)
+            won = cols == best[rows]
+            ors[lo + rows[won]] = orient[won]
+        return (ids, ors) if np.bincount(ids, minlength=n).max() == 1 else None
+
+
 def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     """Appearance-based ground truth: match each piece to the plaintext cell it
     came from, searching orientation, inversion, and channel-order variants.
@@ -251,31 +399,42 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     those of any of the piece's variants, and its orientation is that of the
     first variant reaching it in (orientation, negpos, channel order) order.
 
-    Every cost is an exact integer in float64: orientation and channel order
-    permute a piece's features, and negation maps a cell sum ``p`` to
-    ``255 * area - p``, so all 96 distances come from the 8 x 3 x 3 channel
-    products of each orientation. Exactness needs ``2 * F**2 * C * (255 *
-    area)**2 < 2**53``; every power-of-two block size up to 1024 and every
-    size below 391 meet it. Raises ``ValueError``, before allocating
-    anything, for a block size past it or when the n x n float64 cost table
-    would exceed ``MAX_TABLE_BYTES``.
+    Every cost is an exact integer in float64 (see ``_Features``). Exactness
+    needs ``2 * F**2 * C * (255 * area)**2 < 2**53``; every power-of-two
+    block size up to 1024 and every size below 391 meet it. Raises
+    ``ValueError``, before allocating anything, for a block size past it or
+    when the n x n float64 cost table would exceed ``MAX_TABLE_BYTES``.
 
     Of several least-cost assignments, the one returned is the first that
     the augmenting-path search of ``_assign`` reaches. Cells are assigned in
-    order, and a search step tied between pieces takes an unassigned one, the
-    last in its visiting order, else the first. So until a search moves the
-    pieces' duals, a cell whose lowest-index cheapest piece is still free
-    takes it. A
-    ciphertext of this plaintext gives near-diagonal costs and short paths:
-    the assignment takes about 0.2 ms at 256 pieces. A plaintext unrelated
-    to the ciphertext gives random-like costs and long augmenting paths, one
-    Dijkstra search over every piece for most cells, O(n**3) at worst: 0.3
-    to 1.2 s at 1 024 pieces on one x86-64 core.
+    order, and a search step tied between pieces takes an unassigned one,
+    the last in its visiting order, else the first. So when the cells'
+    lowest-index cheapest pieces are all distinct, each cell takes its own
+    and no search runs, and those pieces are found without the table:
+
+    - Bound. For cell features ``c`` and piece features ``p``, each sorted
+      ascending, ``min(|sort(c) - sort(p)|^2, |sort(c) - (full -
+      reverse(sort(p)))|^2)`` is at most the pair's cost. Orientation and
+      channel order permute ``p``, and by the rearrangement inequality no
+      permutation of ``p`` comes closer to ``c`` than ``sort(p)`` does to
+      ``sort(c)``; negation is covered because ``sort(full - p) = full -
+      reverse(sort(p))``. Its terms are those of the cost, so it is an
+      exact integer too.
+    - Candidates. A cell's cheapest pieces cost at most what its bound-argmin
+      costs, so their bounds do too: only pieces whose bound is at most that
+      cost get the 96 exact distances, and the lowest-index cheapest of them
+      is the cell's.
+
+    On a ciphertext of this plaintext, exact or JPEG-decoded, most cells
+    have one candidate, and the working set is O(``_GT_PIECES`` x n +
+    candidates). When two cells share a cheapest piece, or the candidates
+    pass ``_GT_BUDGET`` per cell (a plaintext unrelated to the ciphertext),
+    the whole table is built and ``_assign`` solves it: one Dijkstra search
+    over every piece for most cells on random-like costs, O(n**3) at worst.
     """
     grid = puzzle.grid
     n, b, _, c = puzzle.pieces.shape
-    f = next(s for s in (8, 4, 2, 1) if b % s == 0)
-    full = 255 * (b // f) ** 2  # a cell sum of 255s: negpos maps p to full - p
+    f, full = _feature_grid(b)
     if 2 * f * f * c * full * full >= 2**53:
         raise ValueError(
             f"block size {b} with {c} channel(s) gives feature distances that may "
@@ -291,55 +450,13 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     if plain_blocks.shape != puzzle.pieces.shape:
         raise ValueError("plaintext geometry does not match the puzzle grid")
 
-    cells = _cell_sums(plain_blocks, f)
-    pieces = _cell_sums(puzzle.pieces, f)
-    perms = CHANNEL_PERMS if c == 3 else ((0,),)
-    cols = np.ascontiguousarray(cells.reshape(n, f * f, c).transpose(2, 1, 0))  # (C, F*F, n)
-    piece_sq = (pieces * pieces).sum(axis=(1, 2, 3))
-    neg_sq = ((full - pieces) ** 2).sum(axis=(1, 2, 3))
-    cell_sq = (cells * cells).sum(axis=(1, 2, 3))
-    # |c|^2 - 2 * full * sum(c): the cell's part of every negated distance
-    cell_neg = cell_sq - 2 * full * cells.sum(axis=(1, 2, 3))
-
-    cost = np.empty((n, n))
-    buf = np.empty((min(_GT_PIECES, n), n))  # one channel order's dots, reused
-    for lo in range(0, n, _GT_PIECES):
-        hi = lo + _GT_PIECES
-        part = pieces[lo:hi]
-        # extreme dots with the cells over the non-negated variants of part
-        most = np.full((len(part), n), -np.inf)
-        least = np.full((len(part), n), np.inf)
-        dot = buf[: len(part)]
-        for o in range(8):
-            # rows[a, i]: channel a of piece lo + i in orientation o
-            rows = apply_orientation(part, o).reshape(len(part), f * f, c).transpose(2, 0, 1)
-            g = np.matmul(np.ascontiguousarray(rows)[:, None], cols)  # g[a, b]: channel a . b
-            for perm in perms:
-                np.copyto(dot, g[perm[0], 0])
-                for ch, a in enumerate(perm[1:], 1):
-                    dot += g[a, ch]
-                np.maximum(most, dot, out=most)
-                np.minimum(least, dot, out=least)
-        # |v - c|^2 = |c|^2 + |p|^2 - 2 v.c, or for a negated variant
-        # |c|^2 + |full - p|^2 - 2 full sum(c) + 2 v.c
-        most *= -2
-        most += piece_sq[lo:hi, None]
-        most += cell_sq
-        least *= 2
-        least += neg_sq[lo:hi, None]
-        least += cell_neg
-        cost[:, lo:hi] = np.minimum(most, least).T
-
-    ids = _assign(cost)  # cell i came from piece ids[i]
-    # the 96 exact distances of each assigned pair give its orientation
-    mine, mates = pieces[ids], cells.reshape(n, f * f, c)
-    g = np.stack([np.matmul(apply_orientation(mine, o).reshape(n, f * f, c).transpose(0, 2, 1),
-                            mates) for o in range(8)], axis=1)  # (n, 8, C, C)
-    dots = g[..., np.asarray(perms), np.arange(c)].sum(axis=-1)  # (n, 8, P)
-    plain_dist = (piece_sq[ids] + cell_sq)[:, None, None] - 2 * dots
-    neg_dist = (neg_sq[ids] + cell_neg)[:, None, None] + 2 * dots
-    dist = np.stack([plain_dist, neg_dist], axis=2)  # (n, 8, 2, P)
-    ors = dist.reshape(n, -1).argmin(axis=1) // (2 * len(perms))
+    feats = _Features(plain_blocks, puzzle.pieces)
+    found = feats.distinct_cheapest()
+    if found is None:
+        ids = _assign(feats.table())  # cell i came from piece ids[i]
+        _, ors = feats.pair_costs(np.arange(n), ids)
+    else:
+        ids, ors = found
     shape = (grid.rows, grid.cols)
     return GroundTruth(ids.reshape(shape), ors.reshape(shape))
 

@@ -37,7 +37,8 @@ from etckit.cipher import (
     apply_orientation,
     encrypt,
 )
-from etckit.images import BlockGrid, ImageBuffer, merge_blocks, save_ppm
+from etckit.codec import CodecParams, jpeg_roundtrip
+from etckit.images import BlockGrid, ImageBuffer, merge_blocks, save_ppm, split_blocks
 from etckit.keystream import MasterKey
 from etckit.synth import synth_natural_image
 
@@ -359,6 +360,123 @@ class TestGreedyAssemble:
 
 
 # Grids for the equivalence tests: one piece wide both ways, non-square, odd.
+def _table_ground_truth(monkeypatch, plain, pz):
+    """The ground truth that the whole cost table and ``_assign`` give."""
+    with monkeypatch.context() as m:
+        m.setattr(attack._Features, "distinct_cheapest", lambda self: None)
+        return ground_truth_from_plain(plain, pz)
+
+
+def _spy_assign(monkeypatch):
+    """Replace ``_assign`` with a wrapper; returns the list of its calls."""
+    calls, assign = [], attack._assign
+
+    def spy(cost):
+        calls.append(cost.shape)
+        return assign(cost)
+
+    monkeypatch.setattr(attack, "_assign", spy)
+    return calls
+
+
+class TestGroundTruthPruning:
+    """The sorted-feature bound finds each cell's cheapest piece without the
+    cost table; whenever it answers, the answer is the table's."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert np.array_equal(got.piece_ids, want.piece_ids)
+        assert np.array_equal(got.orientations, want.orientations)
+
+    @pytest.mark.parametrize("size", [512, 1024])  # 256 and 1024 pieces
+    @pytest.mark.parametrize("quality", [95, 75, 50])
+    def test_jpeg_ciphertexts_match_the_table(self, monkeypatch, size, quality):
+        img = synth_natural_image(size, size, seed=21)
+        ct = encrypt(img, MasterKey(0xA55), CipherConfig(steps="srnc", block_size=32))[0]
+        pz = Puzzle.from_image(jpeg_roundtrip(ct, CodecParams(quality=quality))[0], 32)
+        calls = _spy_assign(monkeypatch)
+        got = ground_truth_from_plain(img, pz)
+        assert calls == []  # the bound answered
+        self._assert_same(got, _table_ground_truth(monkeypatch, img, pz))
+
+    def test_exact_ciphertext_runs_no_assignment(self, monkeypatch):
+        img = synth_natural_image(512, 512, seed=4)
+        key, cfg = MasterKey(0x5EED), CipherConfig(steps="srnc", block_size=32)
+        pz = Puzzle.from_image(encrypt(img, key, cfg)[0], 32)
+        calls = _spy_assign(monkeypatch)
+        got = ground_truth_from_plain(img, pz)
+        assert calls == []
+        self._assert_same(got, ground_truth_from_key(key, cfg, pz.grid))
+        self._assert_same(got, _table_ground_truth(monkeypatch, img, pz))
+
+    def test_unrelated_plaintext_stops_at_the_budget(self, monkeypatch):
+        img = synth_natural_image(512, 512, seed=21)
+        pz = Puzzle.from_image(synth_natural_image(512, 512, seed=99), 32)
+        pairs, score = [], attack._Features.pair_costs
+
+        def counted(self, cell_ids, piece_ids):
+            pairs.append(len(cell_ids))
+            return score(self, cell_ids, piece_ids)
+
+        monkeypatch.setattr(attack._Features, "pair_costs", counted)
+        calls = _spy_assign(monkeypatch)
+        got = ground_truth_from_plain(img, pz)
+        assert calls == [(256, 256)]
+        # the candidates pass the budget before every cell is scanned, so
+        # fewer than 256 pairs are scored; the last call gives the table's
+        # pairs their orientations
+        assert sum(pairs[:-1]) < 256 and pairs[-1] == 256
+        self._assert_same(got, reference_ground_truth_from_plain(img, pz, sums=True))
+
+    def test_shared_cheapest_pieces_go_to_the_table(self, monkeypatch):
+        # six cells copy block 0, so their cheapest pieces coincide however
+        # large the budget
+        blocks, grid = split_blocks(synth_natural_image(256, 256, seed=8), 16)
+        blocks[[5, 17, 40, 41, 90, 255]] = blocks[0]
+        plain = merge_blocks(blocks, grid, 3)
+        pz = Puzzle.from_image(encrypt(plain, MasterKey(77), CipherConfig(steps="srnc", block_size=16))[0], 16)
+        with monkeypatch.context() as m:
+            m.setattr(attack, "_GT_BUDGET", 1 << 30)
+            assert attack._Features(blocks, pz.pieces).distinct_cheapest() is None
+        calls = _spy_assign(monkeypatch)
+        got = ground_truth_from_plain(plain, pz)
+        assert calls == [(256, 256)]
+        self._assert_same(got, reference_ground_truth_from_plain(plain, pz, sums=True))
+
+    def test_uniform_plaintext_goes_to_the_table(self, monkeypatch):
+        plain = ImageBuffer(np.full((64, 64, 3), 128, np.uint8))
+        pz = Puzzle.from_image(encrypt(plain, MasterKey(3), CipherConfig(steps="srnc", block_size=8))[0], 8)
+        calls = _spy_assign(monkeypatch)
+        got = ground_truth_from_plain(plain, pz)
+        assert calls == [(64, 64)]
+        self._assert_same(got, reference_ground_truth_from_plain(plain, pz, sums=True))
+
+    def test_a_bound_equal_to_the_upper_distance_is_a_candidate(self):
+        # cell 0 is a bright top row. Piece 1, a bright diagonal, has cell 0's
+        # sorted features, so the least bound, but no pose matches it; piece
+        # 0, brighter, has a bound equal to its distance and to piece 1's.
+        # Both cost 20000, and the lower index must win
+        top, diagonal, brighter = [[100, 100], [0, 0]], [[100, 0], [0, 100]], [[200, 200], [0, 0]]
+        cells = np.array([top, diagonal], np.uint8)[..., None]
+        pieces = np.array([brighter, diagonal], np.uint8)[..., None]
+        feats = attack._Features(cells, pieces)
+        assert feats.table().tolist()[0] == [20000, 20000]
+        ids, _ = feats.distinct_cheapest()
+        assert ids.tolist() == [0, 1]
+
+    def test_pair_blocks_do_not_change_the_answer(self, monkeypatch):
+        # 64 pieces: blocks of five pairs leave a partial one, on the bound's
+        # candidates and on the table's final orientations
+        img = synth_natural_image(96, 96, seed=12)
+        pz = Puzzle.from_image(jpeg_roundtrip(encrypt(img, MasterKey(0xD1CE), CipherConfig(
+            steps="srnc", block_size=12))[0], CodecParams(quality=50))[0], 12)
+        want = reference_ground_truth_from_plain(img, pz, sums=True)
+        for pairs in (1, 5):
+            monkeypatch.setattr(attack, "_GT_PAIRS", pairs)
+            self._assert_same(ground_truth_from_plain(img, pz), want)
+            self._assert_same(_table_ground_truth(monkeypatch, img, pz), want)
+
+
 _GRIDS = [(1, 2), (2, 1), (1, 5), (4, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 5)]
 _PIECE_KINDS = ["random", "natural", "duplicated", "uniform", "antisymmetric"]
 
@@ -682,22 +800,15 @@ class TestAssign:
         assert np.array_equal(attack._assign(cost), cols)
 
     @pytest.mark.parametrize("steps", ["s", "srnc"])
-    def test_matches_on_a_256_piece_ground_truth(self, monkeypatch, steps):
-        seen, assign = [], attack._assign
-
-        def spy(cost):
-            seen.append(cost)
-            return assign(cost)
-
-        monkeypatch.setattr(attack, "_assign", spy)
+    def test_matches_on_a_256_piece_ground_truth(self, steps):
         img = synth_natural_image(512, 512, seed=21)
         key, cfg = MasterKey(0xA55), CipherConfig(steps=steps, block_size=32)
         pz = Puzzle.from_image(encrypt(img, key, cfg)[0], 32)
         gt = ground_truth_from_plain(img, pz)
         assert np.array_equal(gt.piece_ids, ground_truth_from_key(key, cfg, pz.grid).piece_ids)
-        (cost,) = seen
+        cost = attack._Features(split_blocks(img, 32)[0], pz.pieces).table()
         assert cost.shape == (256, 256)
-        assert np.array_equal(assign(cost), linear_sum_assignment(cost)[1])
+        assert np.array_equal(attack._assign(cost), linear_sum_assignment(cost)[1])
 
     def test_matches_with_long_augmenting_paths(self):
         # random-like costs, as from a plaintext unrelated to the ciphertext
@@ -743,6 +854,19 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < kk * kk * 8 // 4
+
+    def test_ground_truth_stays_below_one_table(self):
+        # 1024 pieces: one n x n float64 cost table is 8 MiB
+        img = synth_natural_image(512, 512, seed=6)
+        pz = Puzzle.from_image(encrypt(img, MasterKey(9), CipherConfig(steps="srnc", block_size=16))[0], 16)
+        n = pz.grid.n_blocks
+        tracemalloc.start()
+        try:
+            ground_truth_from_plain(img, pz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_ground_truth_refuses_oversized_cost_matrix(self, monkeypatch):
         monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 2000)
