@@ -260,19 +260,20 @@ class _Features:
     puzzle's pieces, with the norms that every feature distance needs.
 
     The distance of a (cell, piece) pair is the least squared distance from
-    the cell's features to those of any of the piece's 96 variants. Each is
-    an exact integer in float64 when ``2 * F**2 * C * full**2 < 2**53``:
-    orientation and channel order permute a piece's features, and negation
-    maps a cell sum ``p`` to ``full - p``, so all 96 distances come from the
-    8 x C x C channel products of each orientation.
+    the cell's features to those of any of the piece's variants (96 in
+    colour, 16 in gray). Each is an exact integer in float64 when ``2 *
+    F**2 * C * full**2 < 2**53``: orientation and channel order permute a
+    piece's features, and negation maps a cell sum ``p`` to ``full - p``, so
+    all the distances come from the 8 x C x C channel products of each
+    orientation.
     """
 
     def __init__(self, cell_blocks: np.ndarray, piece_blocks: np.ndarray):
         c = piece_blocks.shape[3]
-        self.f, full = _feature_grid(piece_blocks.shape[1])
+        f, full = _feature_grid(piece_blocks.shape[1])
         self.perms = CHANNEL_PERMS if c == 3 else ((0,),)
-        self.cells = _cell_sums(cell_blocks, self.f)
-        self.pieces = _cell_sums(piece_blocks, self.f)
+        self.cells = _cell_sums(cell_blocks, f)
+        self.pieces = _cell_sums(piece_blocks, f)
         self.piece_sq = (self.pieces * self.pieces).sum(axis=(1, 2, 3))
         self.neg_sq = ((full - self.pieces) ** 2).sum(axis=(1, 2, 3))
         self.cell_sq = (self.cells * self.cells).sum(axis=(1, 2, 3))
@@ -281,14 +282,14 @@ class _Features:
         # _turns[o, a, x]: the feature of an unturned block that orientation
         # o moves to channel a of cell x, so a block's features read at
         # _turns hold its channels in each orientation
-        grid = np.arange(self.f * self.f * c).reshape(self.f, self.f, c)
+        grid = np.arange(f * f * c).reshape(f, f, c)
         self._turns = np.stack([apply_orientation(grid, o).reshape(-1, c).T for o in range(8)]).ravel()
 
     def pair_costs(self, cell_ids: np.ndarray, piece_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance of each (cell, piece) pair, and the orientation of the
         first variant reaching it in (orientation, negpos, channel order)
-        order, from the 96 exact distances of each pair, ``_GT_PAIRS`` pairs
-        at a time."""
+        order, from the exact distances of all its variants, ``_GT_PAIRS``
+        pairs at a time."""
         m, (n, f, _, c) = len(cell_ids), self.pieces.shape
         flat = self.pieces.reshape(n, -1)
         perms, two_p = np.asarray(self.perms), 2 * len(self.perms)
