@@ -547,17 +547,16 @@ class _SideTable:
         return out.reshape(-1, d + 2)
 
     def row(self, fixed: int, free: int, k: int) -> np.ndarray:
-        """Mean squared difference of edge ``fixed`` of key ``k`` against edge
-        ``free`` of every key: the candidates' table rows times the placed
-        side's probe, gathered into key order, plus the placed edge's norm.
-        Samples are integers, so |a|^2 + |b|^2 - 2 a.b is exact in any
-        summation order and only the division rounds."""
+        """Squared difference |a|^2 + |b|^2 - 2 a.b of edge ``fixed`` of key
+        ``k`` against edge ``free`` of every key: the candidates' table rows
+        times the placed side's probe, gathered into key order, plus the
+        placed edge's norm. Samples are integers, so every entry is an exact
+        integer in any summation order; the caller divides by B*C."""
         p, i = divmod(k, len(self.orientations))
         s, r = self._fixed[fixed][i]
         rows, take = self._free[free]
         out = (rows @ self._probes[s, p]).ravel().take(take[r])
         out += self.sq[s, p]
-        out /= self.shape[0] * self.shape[1]
         return out
 
 
@@ -579,9 +578,9 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
     back through the poses, so the result is the full scan's. Rows are
     scanned in blocks of whole first pieces, one matrix product per block:
     the first keys' edges as rows [-2 a, |a|^2, 1] times the second keys' as
-    [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b with no pass after it. Dividing integers below 2**52
-    by the same d keeps their order and ties, so the numerators pick the
-    minimum.
+    [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b with no pass after it: the
+    integer numerators of ``_SideTable.row``, whose order and ties are those
+    of the mean.
     """
     n, codes = table.n, table.orientations
     no = len(codes)
@@ -662,26 +661,27 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     relation), and on a one-piece-wide grid it uses the one relation that
     fits. The final canvas is shifted so the bounding box is the grid.
 
-    Scores are kept between placements: each open cell caches its best
-    (value, key) and is rescored only when a neighbor is placed or when its
-    cached piece is used. A rescore sums the placed neighbors' score rows in
-    the fixed order left, right, above, below, divides by their count and
-    adds inf to the keys of placed pieces, so values and ties are those of a
-    full rescan. The cells' entries sit in a heap ordered by (value, piece,
-    cell); an entry its cell has since replaced or dropped is skipped when it
-    surfaces. An index from each piece to the cells whose entry held it
-    finds the cells to rescore when that piece is used.
+    Scores stay exact integers until one division. Each open cell holds one
+    running (sum, count): placing a piece adds the integer row of its side
+    facing each open neighbor (``_SideTable.row``) to that neighbor's sum,
+    and the cell scores sum / (B*C * count) plus inf on the keys of placed
+    pieces. Integer sums are exact in any order, so values and ties are those
+    of a full rescan. Each open cell caches its best (value, key) and is
+    rescored only when a neighbor is placed or its cached piece is used. The
+    cells' entries sit in a heap ordered by (value, piece, cell); an entry
+    its cell has since replaced or dropped is skipped when it surfaces. An
+    index from each piece to the cells whose entry held it finds the cells to
+    rescore when that piece is used.
 
-    Every score comes from one side table: each piece's 4 sides as a (4, n,
+    Every row comes from one side table: each piece's 4 sides as a (4, n,
     B*C + 1) float64 array of samples and squared norm. An oriented edge is
-    one of them, forward or reversed, so a placed neighbor's row toward an
-    open cell is one matrix product: the table rows of the sides the
-    candidates' orientations read (with no orientation search, the
-    relation's own side) times the placed side's two-column probe, which
-    scores its edge and the edge reversed, gathered into key order (K =
-    pieces x orientations keys). The row is computed when that cell is first
-    scored and dropped when it is filled. No K x K table is built, and no
-    (K, B*C) array outlives the seed.
+    one of them, forward or reversed, so a placed piece's row toward an open
+    cell is one matrix product: the table rows of the sides the candidates'
+    orientations read (with no orientation search, the relation's own side)
+    times the placed side's two-column probe, which scores its edge and the
+    edge reversed, gathered into key order (K = pieces x orientations keys).
+    The solver holds one K-wide sum per open cell; no K x K table is built,
+    and no (K, B*C) array outlives the seed.
 
     The seed scan is exact but reduced by symmetry (``_seed``): a global
     pose turns every piece and the pair's offset together and joins the
@@ -700,16 +700,14 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     if n == 1:
         return identity_assembly(grid)
     kk = n * no
+    d = puzzle.pieces.shape[1] * puzzle.pieces.shape[3]
     table = _SideTable(puzzle.pieces, orientations)
     # seed: global best pair over the relations that fit the grid
     fitting = tuple(rel for rel, size in enumerate((grid.cols, grid.rows)) if size > 1)
     _, k1, k2, rel = _seed(table, fitting, orientations)
     second = ((0, 1), (1, 0))[rel]
     placed: dict[tuple[int, int], int] = {(0, 0): k1, second: k2}
-
     used = np.zeros(kk)  # inf on the keys of placed pieces, added to every score
-    for k in (k1, k2):
-        used[k // no * no : k // no * no + no] = np.inf
     rmin, rmax, cmin, cmax = 0, second[0], 0, second[1]
 
     def fit_ranges() -> tuple[range, range]:
@@ -726,35 +724,36 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
         r, c = cell
         return (r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c)
 
-    # per neighbor in around() order: (the placed key's side, the candidates')
-    (r1, r2), (b1, b2) = _SEAM_SIDES
-    sides = ((r1, r2), (r2, r1), (b1, b2), (b2, b1))
-    # open cell -> its placed neighbors' score rows, in around() order
-    rows: dict[tuple[int, int], list] = {}
+    # open cell -> (sum of its placed neighbors' integer rows, their count)
+    sums: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+
+    def fill(cell: tuple[int, int]) -> None:
+        """Mark the piece at ``cell`` used and add its rows to open neighbors' sums."""
+        key = placed[cell]
+        used[key // no * no : key // no * no + no] = np.inf
+        for s, o in enumerate(around(cell)):
+            if o not in placed and fits(o):
+                # side s of the placed key faces o; the candidates' opposite side meets it
+                total, count = sums.get(o, (0, 0))
+                sums[o] = (table.row(s, s ^ 1, key) + total, count + 1)
 
     def best_for(cell: tuple[int, int]) -> tuple[float, int, tuple[int, int], int]:
-        cached = rows.setdefault(cell, [None] * 4)
-        terms = []
-        for s, nb in enumerate(around(cell)):
-            nk = placed.get(nb)
-            if nk is not None:
-                if cached[s] is None:
-                    cached[s] = table.row(*sides[s], nk)
-                terms.append(cached[s])
-        score = sum(terms[1:], terms[0]) / len(terms)  # a new array: the cached rows stay
-        score += used
+        total, count = sums[cell]
+        score = total / (d * count) + used
         k = int(np.argmin(score))
         return float(score[k]), k // no, cell, k
 
+    for cell in (0, 0), second:
+        fill(cell)
     # open cell -> (value, piece, cell, key). The heap orders entries by
     # value, piece, cell, and an entry counts only while it is its cell's.
     frontier: dict[tuple[int, int], tuple[float, int, tuple[int, int], int]] = {}
     heap: list[tuple[float, int, tuple[int, int], int]] = []
     holders: dict[int, set] = {}  # piece -> open cells whose entry has held it
-    stale = {*around((0, 0)), *around(second)}
+    stale = set(sums)
     while True:
         for cell in stale:
-            if cell not in placed and fits(cell):
+            if cell in sums:
                 best = frontier[cell] = best_for(cell)
                 heapq.heappush(heap, best)
                 holders.setdefault(best[1], set()).add(cell)
@@ -764,14 +763,14 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
             heapq.heappop(heap)
         _, piece, cell, key = heapq.heappop(heap)
         placed[cell] = key
-        del frontier[cell], rows[cell]
-        used[piece * no : (piece + 1) * no] = np.inf
+        del frontier[cell], sums[cell]
         r, c = cell
         if not (rmin <= r <= rmax and cmin <= c <= cmax):
             rmin, rmax, cmin, cmax = min(rmin, r), max(rmax, r), min(cmin, c), max(cmax, c)
             rfit, cfit = fit_ranges()
             for o in [o for o in frontier if not fits(o)]:
-                del frontier[o], rows[o]
+                del frontier[o], sums[o]
+        fill(cell)
         # dropping other pieces' keys cannot move a cached first minimum
         stale = {o for o in holders.pop(piece, ()) if o in frontier and frontier[o][1] == piece}
         stale.update(around(cell))

@@ -96,7 +96,8 @@ def reference_ground_truth_from_plain(
 def reference_edge_tables(
     pieces: np.ndarray, orientations: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dissimilarity tables over oriented pieces, key = piece * n_orients + oi.
+    """Dissimilarity tables over oriented pieces, key = piece * n_orients + oi,
+    as the integer numerators of the mean squared difference (divide by B*C).
 
     right_table[k1, k2]: k2 placed directly right of k1.
     below_table[k1, k2]: k2 placed directly below k1.
@@ -120,7 +121,7 @@ def reference_edge_tables(
     def msd(ea, eb):
         sq_a = (ea * ea).sum(axis=1)
         sq_b = (eb * eb).sum(axis=1)
-        return (sq_a[:, None] + sq_b[None, :] - 2.0 * ea @ eb.T) / ea.shape[1]
+        return sq_a[:, None] + sq_b[None, :] - 2.0 * ea @ eb.T
 
     right_table = msd(right, left)
     below_table = msd(bottom, top)
@@ -150,6 +151,7 @@ def reference_greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) 
     if n == 1:
         return identity_assembly(grid)
 
+    d = puzzle.pieces.shape[1] * puzzle.pieces.shape[3]  # B*C samples per edge
     right_table, below_table = reference_edge_tables(puzzle.pieces, orientations)
 
     # seed: global best pair over both relations, relation as the last tie key
@@ -202,7 +204,8 @@ def reference_greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) 
             if nk is not None:
                 score += below_table[:, nk]
                 cnt += 1
-            score = np.where(unplaced, score / cnt, inf_row)
+            # the integer sum divided once: the exact mean, correctly rounded
+            score = np.where(unplaced, score / (cnt * d), inf_row)
             k = int(np.argmin(score))
             cand = (float(score[k]), k // no, rm_idx, k % no, cell, k)
             if best is None or cand[:4] < best[:4]:

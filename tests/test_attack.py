@@ -582,7 +582,7 @@ class TestAgainstReference:
         _, pz = _cipher_case((3, 5), kind, 3, 4, 0x5EED, 7)
         orientations = list(range(8)) if search else [0]
         # the seed's first key takes 4 orientations per piece with search
-        reps, kk, d = 4 if search else 1, 15 * len(orientations), 4 * 3
+        reps, kk = 4 if search else 1, 15 * len(orientations)
         table = _SideTable(pz.pieces, orientations)
         tables = reference_edge_tables(pz.pieces, orientations)
         want = reference_greedy_assemble(pz, orientation_search=search)
@@ -591,7 +591,7 @@ class TestAgainstReference:
             for rel, ref in enumerate(tables):
                 value, k1, k2, got = _seed(table, (rel,), orientations)
                 assert (k1 * kk + k2, got) == (int(np.argmin(ref)), rel)
-                assert value / d == ref.flat[k1 * kk + k2]
+                assert value == ref.flat[k1 * kk + k2]
             asm = greedy_assemble(pz, orientation_search=search)
             assert np.array_equal(asm.piece_ids, want.piece_ids)
             assert np.array_equal(asm.orientations, want.orientations)
@@ -625,7 +625,7 @@ class TestAgainstReference:
                 mp.setattr(attack, "_SEED_CHUNK", chunk)
                 value, *got = _seed(table, tuple(fitting), orientations)
             assert got == [k1, k2, fitting[r]]
-            assert value / (bs * c) == tables[k1, k2, r]
+            assert value == tables[k1, k2, r]
 
     @pytest.mark.parametrize(
         "values, shape, want",
@@ -646,6 +646,16 @@ class TestAgainstReference:
         asm = greedy_assemble(pz)
         assert asm.piece_ids.tolist() == want
         assert np.array_equal(asm.piece_ids, reference_greedy_assemble(pz).piece_ids)
+
+    def test_exact_ties_survive_three_neighbors(self):
+        # pieces 6 and 7 both score exactly 36125/4 in the cell below 0,
+        # between 8 and 2, so the lower piece wins; rows divided by B*C one by
+        # one and then summed gave 7 a value one ulp lower
+        pieces = (np.random.default_rng(21).integers(0, 4, (9, 2, 2, 3)) * 85).astype(np.uint8)
+        pz = Puzzle(pieces, BlockGrid(2, 3, 3))
+        want = [[3, 5, 7], [4, 0, 1], [8, 6, 2]]
+        assert greedy_assemble(pz).piece_ids.tolist() == want
+        assert reference_greedy_assemble(pz).piece_ids.tolist() == want
 
     @pytest.mark.parametrize("grid", [(1, 4), (4, 1), (1, 7), (7, 1)])
     @pytest.mark.parametrize("search", [False, True])
@@ -854,6 +864,22 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < kk * kk * 8 // 4
+
+    def test_greedy_holds_one_row_per_open_cell(self):
+        # 768 gray-based pieces of 8x8 in 8 orientations: K = 6144, a 48 KiB
+        # row. One running sum per open cell peaks near 16 MiB; up to four
+        # cached rows per open cell took about 40 MiB
+        img = synth_natural_image(128, 128, seed=7)
+        cfg = CipherConfig(scheme=SCHEME_GRAYSCALE, steps="sr", block_size=8)
+        pz = Puzzle.from_image(encrypt(img, MasterKey(1234), cfg)[0], 8)
+        assert pz.grid.n_blocks == 768
+        tracemalloc.start()
+        try:
+            greedy_assemble(pz, orientation_search=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
     def test_ground_truth_stays_below_one_table(self):
         # 1024 pieces: one n x n float64 cost table is 8 MiB
