@@ -53,8 +53,9 @@ _GT_PAIRS = 64
 # Candidate pairs per cell, on average, that the ground truth scores before
 # it builds the whole cost table instead.
 _GT_BUDGET = 4
-# Table entries per block of the solver's seed scan (a 4 MiB buffer): of
-# 2**17, 2**18 and 2**19, the largest scanned K = 8192 fastest.
+# Table entries per block of the solver's seed scan (a 2 MiB buffer in
+# float32, 4 MiB in float64): of 2**17, 2**18 and 2**19, the largest scanned
+# K = 8192 fastest in float64.
 _SEED_CHUNK = 1 << 19
 
 
@@ -495,7 +496,7 @@ _SEAM_SIDES = ((1, 0), (3, 2))
 class _SideTable:
     """Every oriented edge of a puzzle, read from one side table.
 
-    One (4, n, B*C + 1) float64 array holds side s (left, right, top,
+    One (4, n, B*C + 1) array of ``dtype`` holds side s (left, right, top,
     bottom) of piece p as B*C samples followed by their squared norm;
     ``sides`` and ``sq`` are views of it. The edge of a piece in any orientation is one of its sides,
     forward or reversed (``_EDGES``). Keys are ``piece * len(orientations) +
@@ -505,17 +506,26 @@ class _SideTable:
     [-2 side, 1] and [-2 side reversed, 1]. A table row times a probe is
     |b|^2 - 2 a.b for the side read both ways, so one matrix product per
     placed edge scores every side of every piece.
+
+    ``dtype`` is float32 when ``2 * B*C * 255**2 < 2**24`` (B*C <= 129) and
+    float64 otherwise; the probes, ``edges`` and the seed scan use it too.
+    Either is exact. Each product of two terms is an integer of magnitude at
+    most 2 * 255**2 (a sample times -2 samples, a norm times 1), and every
+    partial sum that any summation order forms, with or without fused
+    multiply-adds, is a subset sum of them: an integer in [-2 * B*C * 255**2,
+    2 * B*C * 255**2], below float32's 2**24 under the bound.
     """
 
     def __init__(self, pieces: np.ndarray, orientations: list[int]):
         n, b, _, c = pieces.shape
         d = b * c
         self.n, self.orientations, self.shape = n, orientations, (b, c)
-        table = np.empty((4, n, d + 1))
+        self.dtype = np.float32 if 2 * d * 255**2 < 1 << 24 else np.float64
+        table = np.empty((4, n, d + 1), self.dtype)
         self.sides, self.sq = table[..., :d], table[..., d]
         self.sides[...] = np.stack(_sides(pieces)).reshape(4, n, d)
         self.sq[...] = (self.sides * self.sides).sum(axis=2)
-        self._probes = np.empty((4, n, d + 1, 2))
+        self._probes = np.empty((4, n, d + 1, 2), self.dtype)
         self._probes[..., :d, 0] = self.sides
         self._probes[..., :d, 1] = self.sides.reshape(4, n, b, c)[:, :, ::-1].reshape(4, n, d)
         self._probes[..., :d, :] *= -2
@@ -535,10 +545,10 @@ class _SideTable:
     def edges(self, e: int, codes: list[int]) -> np.ndarray:
         """Edge ``e`` of every piece in each orientation of ``codes``, in key
         order, as the rows [edge, |edge|^2, 1] of an (n * len(codes), B*C + 2)
-        array."""
+        array of ``dtype``."""
         b, c = self.shape
         d = b * c
-        out = np.empty((self.n, len(codes), d + 2))
+        out = np.empty((self.n, len(codes), d + 2), self.dtype)
         for i, (s, r) in enumerate(_EDGES[e, codes].tolist()):
             side = self.sides[s]
             out[:, i, :d] = side.reshape(self.n, b, c)[:, ::-1].reshape(self.n, d) if r else side
@@ -550,8 +560,9 @@ class _SideTable:
         """Squared difference |a|^2 + |b|^2 - 2 a.b of edge ``fixed`` of key
         ``k`` against edge ``free`` of every key: the candidates' table rows
         times the placed side's probe, gathered into key order, plus the
-        placed edge's norm. Samples are integers, so every entry is an exact
-        integer in any summation order; the caller divides by B*C."""
+        placed edge's norm, in ``dtype``. Every entry is an exact integer in
+        any summation order (see the class docstring); the caller divides by
+        B*C."""
         p, i = divmod(k, len(self.orientations))
         s, r = self._fixed[fixed][i]
         rows, take = self._free[free]
@@ -580,7 +591,9 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
     the first keys' edges as rows [-2 a, |a|^2, 1] times the second keys' as
     [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b with no pass after it: the
     integer numerators of ``_SideTable.row``, whose order and ties are those
-    of the mean.
+    of the mean. The rows and the block buffer are in the table's ``dtype``:
+    every partial sum of a product is a subset sum of terms of magnitude at
+    most 2 * 255**2, an integer that dtype holds exactly in any order.
     """
     n, codes = table.n, table.orientations
     no = len(codes)
@@ -613,7 +626,7 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
         ce[:, [-2, -1]] = ce[:, [-1, -2]]
         nr = len(reps)
         step = max(1, _SEED_CHUNK // (nr * kk))
-        buf = np.empty(min(step, n) * nr * kk)  # one block buffer, reused
+        buf = np.empty(min(step, n) * nr * kk, table.dtype)  # one block buffer, reused
         best = (np.inf, -1)
         for lo in range(0, n - later, step):
             hi = min(lo + step, n - later)
@@ -664,17 +677,23 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     Scores stay exact integers until one division. Each open cell holds one
     running (sum, count): placing a piece adds the integer row of its side
     facing each open neighbor (``_SideTable.row``) to that neighbor's sum,
-    and the cell scores sum / (B*C * count) plus inf on the keys of placed
-    pieces. Integer sums are exact in any order, so values and ties are those
-    of a full rescan. Each open cell caches its best (value, key) and is
-    rescored only when a neighbor is placed or its cached piece is used. The
-    cells' entries sit in a heap ordered by (value, piece, cell); an entry
-    its cell has since replaced or dropped is skipped when it surfaces. An
-    index from each piece to the cells whose entry held it finds the cells to
-    rescore when that piece is used.
+    and the cell's best key is the first minimum of sum plus inf on the keys
+    of placed pieces, scored sum / (B*C * count). The division keeps the
+    order and ties of integers below 2**51, so only the chosen entry is
+    divided. The sums are float64 whatever the rows' dtype: a row is at most
+    B*C * 255**2, but up to 4 of them pass float32's 2**24. Integer sums are
+    exact in any order, so values and ties are those of a full rescan. Each
+    open cell caches its best (value, key) and is rescored only when a
+    neighbor is placed or its cached piece is used. The cells' entries sit
+    in a heap ordered by (value, piece, cell); an entry its cell has since
+    replaced or dropped is skipped when it surfaces. An index from each piece
+    to the cells whose entry held it finds the cells to rescore when that
+    piece is used.
 
     Every row comes from one side table: each piece's 4 sides as a (4, n,
-    B*C + 1) float64 array of samples and squared norm. An oriented edge is
+    B*C + 1) array of samples and squared norm, float32 when B*C <= 129
+    and float64 otherwise (``_SideTable``: every partial sum of a row is an
+    integer below 2 * B*C * 255**2, so both are exact). An oriented edge is
     one of them, forward or reversed, so a placed piece's row toward an open
     cell is one matrix product: the table rows of the sides the candidates'
     orientations read (with no orientation search, the relation's own side)
@@ -735,13 +754,17 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
             if o not in placed and fits(o):
                 # side s of the placed key faces o; the candidates' opposite side meets it
                 total, count = sums.get(o, (0, 0))
-                sums[o] = (table.row(s, s ^ 1, key) + total, count + 1)
+                # float64 whatever the row's dtype: up to 4 rows pass 2**24
+                sums[o] = (np.add(table.row(s, s ^ 1, key), total, dtype=np.float64), count + 1)
 
     def best_for(cell: tuple[int, int]) -> tuple[float, int, tuple[int, int], int]:
+        """The cell's first least key and its mean. Dividing integers below
+        2**51 by one positive value keeps their order and ties, so the argmin
+        of the sums is that of the means, and only its entry is divided."""
         total, count = sums[cell]
-        score = total / (d * count) + used
+        score = total + used
         k = int(np.argmin(score))
-        return float(score[k]), k // no, cell, k
+        return float(score[k]) / (d * count), k // no, cell, k
 
     for cell in (0, 0), second:
         fill(cell)

@@ -627,6 +627,52 @@ class TestAgainstReference:
             assert got == [k1, k2, fitting[r]]
             assert value == tables[k1, k2, r]
 
+    @pytest.mark.parametrize("c, bs, dtype", [(3, 43, np.float32), (1, 129, np.float32),
+                                              (3, 44, np.float64)])
+    @pytest.mark.parametrize("search", [False, True])
+    def test_edge_dtype_bound_keeps_rows_and_seed_exact(self, c, bs, dtype, search):
+        # B*C = 129 is the last width with 2 * B*C * 255**2 < 2**24, so rows
+        # are float32 there and float64 at 132. An all-255 piece puts |a|^2 +
+        # |b|^2 at 2 * B*C * 255**2, and 0/255 pieces push a.b to its ends
+        rng = np.random.default_rng(bs * c)
+        pieces = (rng.integers(0, 2, (6, bs, bs, c)) * 255).astype(np.uint8)
+        pieces[0], pieces[1] = 255, 0
+        orientations = list(range(8)) if search else [0]
+        table = _SideTable(pieces, orientations)
+        assert table.dtype == dtype
+        tables = reference_edge_tables(pieces, orientations)
+        piece = np.arange(6 * len(orientations)) // len(orientations)
+        for (first, second), ref in zip(_SEAM_SIDES, tables):
+            for k in range(len(ref)):
+                other = piece != piece[k]
+                assert np.array_equal(table.row(first, second, k)[other], ref[k, other])
+                assert np.array_equal(table.row(second, first, k)[other], ref[other, k])
+        both = np.stack(tables, axis=2)
+        want = np.unravel_index(np.argmin(both), both.shape)
+        for chunk in (1, 1 << 30):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(attack, "_SEED_CHUNK", chunk)
+                value, *got = _seed(table, (0, 1), orientations)
+            assert got == list(want)
+            assert value == both[want]
+
+    @pytest.mark.parametrize("c, bs, seed", [(1, 129, 22), (3, 43, 1)])
+    def test_open_cell_sums_past_float32_stay_exact(self, c, bs, seed):
+        # rows are float32 at B*C = 129, but light left columns and top rows
+        # meet dark right columns and bottom rows at every seam, so three
+        # rows pass 2**24. The +-1 noise leaves pieces an integer or two
+        # apart, which a float32 sum would round into a tie
+        rng = np.random.default_rng(seed)
+        light = np.zeros((16, bs, bs, c), bool)
+        light[:, :, 0] = light[:, 0, :] = True
+        noise = (rng.random(light.shape) < 0.02).astype(np.uint8)
+        pieces = np.where(light, 255 - noise, noise).astype(np.uint8)
+        assert _SideTable(pieces, [0]).dtype == np.float32
+        assert 3 * min(t.min() for t in reference_edge_tables(pieces, [0])) > 2**24
+        pz = Puzzle(pieces, BlockGrid(bs, 4, 4))
+        asm = greedy_assemble(pz)
+        assert np.array_equal(asm.piece_ids, reference_greedy_assemble(pz).piece_ids)
+
     @pytest.mark.parametrize(
         "values, shape, want",
         [
