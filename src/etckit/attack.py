@@ -675,20 +675,23 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     fits. The final canvas is shifted so the bounding box is the grid.
 
     Scores stay exact integers until one division. Each open cell holds one
-    running (sum, count): placing a piece adds the integer row of its side
-    facing each open neighbor (``_SideTable.row``) to that neighbor's sum,
-    and the cell's best key is the first minimum of sum plus inf on the keys
-    of placed pieces, scored sum / (B*C * count). The division keeps the
-    order and ties of integers below 2**51, so only the chosen entry is
+    record: the sum of its placed neighbors' integer rows, their count and
+    its heap entry. Placing a piece adds the integer row of its side facing
+    each open neighbor (``_SideTable.row``) to that neighbor's sum and
+    rescores it: the best key is the first minimum of sum plus inf on the
+    keys of placed pieces, scored sum / (B*C * count). The division keeps
+    the order and ties of integers below 2**51, so only the chosen entry is
     divided. The sums are float64 whatever the rows' dtype: a row is at most
     B*C * 255**2, but up to 4 of them pass float32's 2**24. Integer sums are
-    exact in any order, so values and ties are those of a full rescan. Each
-    open cell caches its best (value, key) and is rescored only when a
-    neighbor is placed or its cached piece is used. The cells' entries sit
-    in a heap ordered by (value, piece, cell); an entry its cell has since
-    replaced or dropped is skipped when it surfaces. An index from each piece
-    to the cells whose entry held it finds the cells to rescore when that
-    piece is used.
+    exact in any order, so values and ties are those of a full rescan.
+    Entries sit in one heap ordered by (value, piece, cell). One that
+    surfaces counts only if it is still its cell's, and if its piece was
+    placed since, the cell is rescored then. The placements are those of
+    rescoring at once: the entry's key was the first minimum, so every lower
+    key scored strictly more, and with its piece's keys at inf the new first
+    minimum has a higher value, or the same value and a higher piece, so it
+    sorts after the old entry. The working set is one K-wide float64 sum
+    per open cell, one K-wide ``used`` and O(rescores) heap entries.
 
     Every row comes from one side table: each piece's 4 sides as a (4, n,
     B*C + 1) array of samples and squared norm, float32 when B*C <= 129
@@ -699,8 +702,7 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     orientations read (with no orientation search, the relation's own side)
     times the placed side's two-column probe, which scores its edge and the
     edge reversed, gathered into key order (K = pieces x orientations keys).
-    The solver holds one K-wide sum per open cell; no K x K table is built,
-    and no (K, B*C) array outlives the seed.
+    No K x K table is built, and no (K, B*C) array outlives the seed.
 
     The seed scan is exact but reduced by symmetry (``_seed``): a global
     pose turns every piece and the pair's offset together and joins the
@@ -729,22 +731,19 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     used = np.zeros(kk)  # inf on the keys of placed pieces, added to every score
     rmin, rmax, cmin, cmax = 0, second[0], 0, second[1]
 
-    def fit_ranges() -> tuple[range, range]:
-        """The rows and columns a cell may take with the box kept in the grid."""
-        return (range(rmax - grid.rows + 1, rmin + grid.rows),
-                range(cmax - grid.cols + 1, cmin + grid.cols))
-
-    rfit, cfit = fit_ranges()
-
     def fits(cell: tuple[int, int]) -> bool:
-        return cell[0] in rfit and cell[1] in cfit
+        """Whether placing at ``cell`` keeps the bounding box within the grid."""
+        r, c = cell
+        return rmax - grid.rows < r < rmin + grid.rows and cmax - grid.cols < c < cmin + grid.cols
 
     def around(cell: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         r, c = cell
         return (r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c)
 
-    # open cell -> (sum of its placed neighbors' integer rows, their count)
-    sums: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+    # open cell -> [sum of its placed neighbors' integer rows, their count,
+    # its heap entry (value, piece, cell, key)]
+    cells: dict[tuple[int, int], list] = {}
+    heap: list[tuple[float, int, tuple[int, int], int]] = []
 
     def fill(cell: tuple[int, int]) -> None:
         """Mark the piece at ``cell`` used and add its rows to open neighbors' sums."""
@@ -753,57 +752,47 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
         for s, o in enumerate(around(cell)):
             if o not in placed and fits(o):
                 # side s of the placed key faces o; the candidates' opposite side meets it
-                total, count = sums.get(o, (0, 0))
+                rec = cells.setdefault(o, [0, 0, None])
                 # float64 whatever the row's dtype: up to 4 rows pass 2**24
-                sums[o] = (np.add(table.row(s, s ^ 1, key), total, dtype=np.float64), count + 1)
+                rec[0] = np.add(table.row(s, s ^ 1, key), rec[0], dtype=np.float64)
+                rec[1] += 1
 
-    def best_for(cell: tuple[int, int]) -> tuple[float, int, tuple[int, int], int]:
-        """The cell's first least key and its mean. Dividing integers below
-        2**51 by one positive value keeps their order and ties, so the argmin
-        of the sums is that of the means, and only its entry is divided."""
-        total, count = sums[cell]
-        score = total + used
+    def rescore(cell: tuple[int, int]) -> None:
+        """Store and push the cell's entry: its first least key and mean."""
+        rec = cells[cell]
+        score = rec[0] + used
         k = int(np.argmin(score))
-        return float(score[k]) / (d * count), k // no, cell, k
+        rec[2] = (float(score[k]) / (d * rec[1]), k // no, cell, k)
+        heapq.heappush(heap, rec[2])
 
     for cell in (0, 0), second:
         fill(cell)
-    # open cell -> (value, piece, cell, key). The heap orders entries by
-    # value, piece, cell, and an entry counts only while it is its cell's.
-    frontier: dict[tuple[int, int], tuple[float, int, tuple[int, int], int]] = {}
-    heap: list[tuple[float, int, tuple[int, int], int]] = []
-    holders: dict[int, set] = {}  # piece -> open cells whose entry has held it
-    stale = set(sums)
-    while True:
-        for cell in stale:
-            if cell in sums:
-                best = frontier[cell] = best_for(cell)
-                heapq.heappush(heap, best)
-                holders.setdefault(best[1], set()).add(cell)
-        if len(placed) == n:
-            break
-        while frontier.get(heap[0][2]) != heap[0]:
-            heapq.heappop(heap)
-        _, piece, cell, key = heapq.heappop(heap)
+    for cell in cells:
+        rescore(cell)
+    while len(placed) < n:
+        entry = heapq.heappop(heap)
+        cell, key = entry[2:]
+        if cell not in cells or cells[cell][2] is not entry:
+            continue  # its cell was rescored, placed or dropped since
+        if used[key]:
+            rescore(cell)  # its piece was placed since
+            continue
         placed[cell] = key
-        del frontier[cell], sums[cell]
+        del cells[cell]
         r, c = cell
         if not (rmin <= r <= rmax and cmin <= c <= cmax):
             rmin, rmax, cmin, cmax = min(rmin, r), max(rmax, r), min(cmin, c), max(cmax, c)
-            rfit, cfit = fit_ranges()
-            for o in [o for o in frontier if not fits(o)]:
-                del frontier[o], sums[o]
+            for o in [o for o in cells if not fits(o)]:
+                del cells[o]
         fill(cell)
-        # dropping other pieces' keys cannot move a cached first minimum
-        stale = {o for o in holders.pop(piece, ()) if o in frontier and frontier[o][1] == piece}
-        stale.update(around(cell))
+        for o in around(cell):
+            if o in cells:
+                rescore(o)
 
-    ids = np.empty((grid.rows, grid.cols), dtype=np.int64)
-    ors = np.empty((grid.rows, grid.cols), dtype=np.int64)
+    keys = np.empty((grid.rows, grid.cols), dtype=np.int64)
     for (r, c), k in placed.items():
-        ids[r - rmin, c - cmin] = k // no
-        ors[r - rmin, c - cmin] = orientations[k % no]
-    return Assembly(ids, ors)
+        keys[r - rmin, c - cmin] = k
+    return Assembly(keys // no, np.asarray(orientations)[keys % no])
 
 
 def render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer:

@@ -132,19 +132,21 @@ class CipherSidecar:
             if k in fields:
                 raise ValueError(f"sidecar repeats field {k!r}")
             fields[k] = v
+
+        def number(k: str) -> int:
+            try:
+                return int(fields[k])
+            except ValueError:
+                raise ValueError(f"sidecar field {k} must be an integer, got {fields[k]!r}") from None
+
         try:
-            version = int(fields["version"])
+            version = number("version")
             if version != SIDECAR_VERSION:
                 raise ValueError(f"unsupported sidecar version {version}")
-            return cls(
-                scheme=fields["scheme"],
-                block_size=int(fields["block_size"]),
-                steps=normalize_steps(fields["steps"]),
-                orig_w=int(fields["orig_w"]),
-                orig_h=int(fields["orig_h"]),
-                pad_r=int(fields["pad_r"]),
-                pad_b=int(fields["pad_b"]),
-            )
+            if unknown := sorted(fields.keys() - {"version", *cls.__dataclass_fields__}):
+                raise ValueError(f"unknown sidecar field(s) {', '.join(map(repr, unknown))}")
+            ints = {k: number(k) for k in ("block_size", "orig_w", "orig_h", "pad_r", "pad_b")}
+            return cls(scheme=fields["scheme"], steps=normalize_steps(fields["steps"]), **ints)
         except KeyError as exc:
             raise ValueError(f"sidecar missing field {exc}") from exc
 

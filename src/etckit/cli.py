@@ -35,7 +35,7 @@ from .cipher import (
     stack_planes,
 )
 from .codec import CodecError, CodecParams, rd_csv, rd_curve
-from .images import ImageBuffer, load_ppm, pad_replicate, save_ppm
+from .images import load_ppm, pad_replicate, save_ppm
 from .keystream import MASK64, MasterKey, format_key_file, parse_key_file
 from .templates import classify, enroll, format_template_csv, parse_template_csv, protect_template
 
@@ -68,11 +68,16 @@ def _read(path: str) -> bytes:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _read_image(path: str) -> ImageBuffer:
+def _parse(path: str, parse):
+    """``parse`` applied to the file's bytes, its ValueError prefixed with the path."""
     try:
-        return load_ppm(_read(path))
+        return parse(_read(path))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_templates(path: str, protected: bool = False) -> list:
+    return _parse(path, lambda data: parse_template_csv(data.decode(), protected=protected))
 
 
 def _write(path: str, data: bytes) -> None:
@@ -89,10 +94,7 @@ def _load_key(args) -> MasterKey:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     if getattr(args, "key_file", None):
-        try:
-            return parse_key_file(_read(args.key_file))
-        except ValueError as exc:
-            raise DataError(f"{args.key_file}: {exc}") from exc
+        return _parse(args.key_file, parse_key_file)
     raise UsageError("a key is required: pass --key HEX or --key-file PATH")
 
 
@@ -200,7 +202,7 @@ def _cmd_encrypt(args) -> int:
     else:
         key = _load_key(args)
     cfg = _config(args)
-    img = _read_image(args.image)
+    img = _parse(args.image, load_ppm)
     pad = (0, 0)
     if args.pad:
         img, pad_r, pad_b = pad_replicate(img, cfg.block_size)
@@ -216,11 +218,8 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     key = _load_key(args)
     sidecar_path = args.sidecar or args.image + ".meta"
-    try:
-        sidecar = CipherSidecar.from_text(_read(sidecar_path).decode())
-    except ValueError as exc:
-        raise DataError(f"{sidecar_path}: {exc}") from exc
-    img = _read_image(args.image)
+    sidecar = _parse(sidecar_path, lambda data: CipherSidecar.from_text(data.decode()))
+    img = _parse(args.image, load_ppm)
     _write(args.out, save_ppm(decrypt(img, key, sidecar)))
     return EXIT_OK
 
@@ -228,7 +227,7 @@ def _cmd_decrypt(args) -> int:
 def _cmd_rd_curve(args) -> int:
     key = _load_key(args)
     cfg = _config(args)
-    img = _read_image(args.image)
+    img = _parse(args.image, load_ppm)
     try:
         qualities = [int(q) for q in args.qualities.split(",") if q.strip()]
         params = CodecParams(subsampling=args.subsampling)
@@ -244,8 +243,8 @@ def _cmd_rd_curve(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    cipher_img = _read_image(args.cipher)
-    plain_img = _read_image(args.plain)
+    cipher_img = _parse(args.cipher, load_ppm)
+    plain_img = _parse(args.plain, load_ppm)
     cfg = _config(args)
     if (
         plain_img.channels == 3
@@ -302,14 +301,14 @@ def _cmd_keyspace(args) -> int:
 
 def _cmd_protect(args) -> int:
     key = _load_key(args)
-    templates = parse_template_csv(_read(args.templates).decode())
+    templates = _read_templates(args.templates)
     _emit(format_template_csv([protect_template(t, key) for t in templates]), args.out)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    enrolled = parse_template_csv(_read(args.model).decode(), protected=True)
-    queries = parse_template_csv(_read(args.queries).decode(), protected=True)
+    enrolled = _read_templates(args.model, protected=True)
+    queries = _read_templates(args.queries, protected=True)
     model = enroll(enrolled)
     lines = ["client_id,predicted,distance"]
     for q in queries:

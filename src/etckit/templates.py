@@ -212,22 +212,26 @@ def format_template_csv(templates) -> str:
 
 
 def parse_template_csv(text: str, protected: bool = False):
-    """Parse the template CSV format; returns Template or ProtectedTemplate rows."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the template CSV format; returns Template or ProtectedTemplate rows.
+    A malformed row raises ``ValueError`` naming its 1-based line."""
+    lines = [(at, ln) for at, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty template CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[:2] != ["client_id", "label"] or len(header) < 3:
         raise ValueError("template CSV must start with client_id,label,v0,...")
     d = len(header) - 2
     cls = ProtectedTemplate if protected else Template
     out = []
-    for ln in lines[1:]:
+    for at, ln in lines[1:]:
         fields = ln.split(",")
-        if len(fields) != d + 2:
-            raise ValueError(f"row has {len(fields)} fields, expected {d + 2}")
-        client_id = int(fields[0])
-        label = int(fields[1]) if fields[1] != "" else None
-        values = np.asarray([float(x) for x in fields[2:]])
-        out.append(cls(values, client_id, label))
+        try:
+            if len(fields) != d + 2:
+                raise ValueError(f"row has {len(fields)} fields, expected {d + 2}")
+            client_id = int(fields[0])
+            label = int(fields[1]) if fields[1] != "" else None
+            values = np.asarray([float(x) for x in fields[2:]])
+            out.append(cls(values, client_id, label))
+        except ValueError as exc:
+            raise ValueError(f"line {at}: {exc}") from exc
     return out

@@ -271,6 +271,21 @@ class TestSidecar:
         with pytest.raises(ValueError, match="repeats"):
             CipherSidecar.from_text(self.VALID + line + "\n")
 
+    @pytest.mark.parametrize("field", ["version", "block_size", "orig_w", "orig_h", "pad_r", "pad_b"])
+    def test_non_integer_field_is_named(self, field):
+        text = "".join(f"{k}={'abc' if k == field else v}\n"
+                       for k, v in (ln.split("=") for ln in self.VALID.splitlines()))
+        with pytest.raises(ValueError, match=f"sidecar field {field} must be an integer, got 'abc'"):
+            CipherSidecar.from_text(text)
+
+    def test_rejects_unknown_field_by_name(self):
+        with pytest.raises(ValueError, match="unknown sidecar field\\(s\\) 'extra', 'zzz'"):
+            CipherSidecar.from_text(self.VALID + "zzz=2\nextra=1\n")
+
+    def test_version_is_checked_before_unknown_fields(self):
+        with pytest.raises(ValueError, match="unsupported sidecar version 2"):
+            CipherSidecar.from_text(self.VALID.replace("version=1", "version=2") + "extra=1\n")
+
     def test_constructor_validates_too(self):
         with pytest.raises(ValueError):
             CipherSidecar(SCHEME_COLOR, 16, frozenset(), orig_w=16, orig_h=16, pad_r=-8)

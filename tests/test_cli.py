@@ -392,6 +392,24 @@ class TestTemplatesCli:
         assert "6 x 6 orthogonal matrix needs about 1296 bytes" in err
         assert "Traceback" not in err
 
+    def test_protect_bad_row_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("client_id,label,v0,v1\n1,0,0.5,0.25\n2,1,0.1,oops\n")
+        assert main(["protect", str(path), "--key", KEY]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: could not convert string to float" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["model", "queries"])
+    def test_classify_bad_row_names_file_and_line(self, tmp_path, capsys, which):
+        good = "client_id,label,v0,v1\n1,0,0.5,0.25\n2,1,0.1,0.9\n"
+        files = {"model": tmp_path / "m.csv", "queries": tmp_path / "q.csv"}
+        for name, path in files.items():
+            path.write_text(good + ("3,1,0.5\n" if name == which else ""))
+        code = main(["classify", str(files["queries"]), "--model", str(files["model"])])
+        assert code == EXIT_DATA
+        assert f"{files[which]}: line 4: row has 3 fields, expected 4" in capsys.readouterr().err
+
     def test_protect_garbage_csv_is_data_error(self, tmp_path):
         (tmp_path / "bad.csv").write_text("nonsense\n")
         assert main(["protect", str(tmp_path / "bad.csv"), "--key", KEY]) == EXIT_DATA

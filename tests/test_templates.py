@@ -308,6 +308,23 @@ class TestCsv:
         with pytest.raises(ValueError, match="finite"):
             parse_template_csv(f"client_id,label,v0,v1\n1,0,0.5,{bad}\n", protected=True)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,0,0.5,0.5", "invalid literal for int"),
+            ("3,y,0.5,0.5", "invalid literal for int"),
+            ("3,0,0.5,half", "could not convert string to float"),
+            ("3,0,0.5", "row has 3 fields, expected 4"),
+            ("3,0,0.5,1e999", "finite"),
+        ],
+        ids=["client-id", "label", "value", "ragged", "non-finite"],
+    )
+    def test_row_errors_name_their_line(self, row, message):
+        # line 4 of the text: the blank line 3 still counts
+        text = f"client_id,label,v0,v1\n1,0,0.5,0.5\n\n{row}\n2,1,0.1,0.2\n"
+        with pytest.raises(ValueError, match=f"^line 4: .*{message}"):
+            parse_template_csv(text)
+
     _SPLICES = st.one_of(
         st.text(max_size=3),
         st.sampled_from([",", "\n", "-", ".", "e", "1e999", "nan", "v2", "9" * 30, "\x00"]),
