@@ -282,9 +282,24 @@ class _Features:
         self.cell_neg = self.cell_sq - 2 * full * self.cells.sum(axis=(1, 2, 3))
         # _turns[o, a, x]: the feature of an unturned block that orientation
         # o moves to channel a of cell x, so a block's features read at
-        # _turns hold its channels in each orientation
+        # _turns hold its channels in each orientation, shape (8, C, F*F)
         grid = np.arange(f * f * c).reshape(f, f, c)
-        self._turns = np.stack([apply_orientation(grid, o).reshape(-1, c).T for o in range(8)]).ravel()
+        self._turns = np.stack([apply_orientation(grid, o).reshape(-1, c).T for o in range(8)])
+
+    def _distance(self, most, least, cells, pieces) -> np.ndarray:
+        """Pair distances from dots ``v . c`` of non-negated piece variants
+        with cells: ``min(|c|^2 + |p|^2 - 2 most, |c|^2 + |full - p|^2 - 2
+        full sum(c) + 2 least)``, the plain distance of the variant whose dot
+        is ``most`` against the negated distance of the one whose dot is
+        ``least``. ``cells`` and ``pieces`` index the norms so that they
+        broadcast against the dots. Works in place and returns ``most``."""
+        most *= -2
+        most += self.piece_sq[pieces]
+        most += self.cell_sq[cells]
+        least *= 2
+        least += self.neg_sq[pieces]
+        least += self.cell_neg[cells]
+        return np.minimum(most, least, out=most)
 
     def pair_costs(self, cell_ids: np.ndarray, piece_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance of each (cell, piece) pair, and the orientation of the
@@ -293,7 +308,7 @@ class _Features:
         pairs at a time."""
         m, (n, f, _, c) = len(cell_ids), self.pieces.shape
         flat = self.pieces.reshape(n, -1)
-        perms, two_p = np.asarray(self.perms), 2 * len(self.perms)
+        perms = np.asarray(self.perms)
         cost, orient = np.empty(m), np.empty(m, dtype=np.int64)
         for lo in range(0, m, _GT_PAIRS):
             at_c, at_p = cell_ids[lo : lo + _GT_PAIRS], piece_ids[lo : lo + _GT_PAIRS]
@@ -302,12 +317,14 @@ class _Features:
             mates = self.cells[at_c].reshape(k, f * f, c)
             g = np.matmul(mine, mates).reshape(k, 8, c, c)  # g[:, o, a, b]: channel a . b
             dots = g[..., perms, np.arange(c)].sum(axis=-1)  # (k, 8, P)
-            plain_dist = (self.piece_sq[at_p] + self.cell_sq[at_c])[:, None, None] - 2 * dots
-            neg_dist = (self.neg_sq[at_p] + self.cell_neg[at_c])[:, None, None] + 2 * dots
-            dist = np.stack([plain_dist, neg_dist], axis=2).reshape(k, -1)  # (k, 8 * 2 * P)
+            # dist[:, o * P + j]: orientation o and channel order j, the least
+            # over negation; orientation is the major axis in both this order
+            # and the variant order, so the first argmin has the orientation
+            # of the first variant reaching the cost
+            dist = self._distance(dots, dots.copy(), at_c[:, None, None], at_p[:, None, None]).reshape(k, -1)
             best = dist.argmin(axis=1)
             cost[lo : lo + k] = dist[np.arange(k), best]
-            orient[lo : lo + k] = best // two_p
+            orient[lo : lo + k] = best // len(perms)
         return cost, orient
 
     def table(self) -> np.ndarray:
@@ -315,34 +332,26 @@ class _Features:
         ``_GT_PIECES`` pieces' channel products with every cell at a time."""
         n, f, _, c = self.pieces.shape
         cols = np.ascontiguousarray(self.cells.reshape(n, f * f, c).transpose(2, 1, 0))  # (C, F*F, n)
+        flat = self.pieces.reshape(n, -1)
         cost = np.empty((n, n))
         buf = np.empty((min(_GT_PIECES, n), n))  # one channel order's dots, reused
         for lo in range(0, n, _GT_PIECES):
-            hi = lo + _GT_PIECES
-            part = self.pieces[lo:hi]
-            # extreme dots with the cells over the non-negated variants of part
-            most = np.full((len(part), n), -np.inf)
-            least = np.full((len(part), n), np.inf)
-            dot = buf[: len(part)]
-            for o in range(8):
-                # rows[a, i]: channel a of piece lo + i in orientation o
-                rows = apply_orientation(part, o).reshape(len(part), f * f, c).transpose(2, 0, 1)
-                g = np.matmul(np.ascontiguousarray(rows)[:, None], cols)  # g[a, b]: channel a . b
+            hi = min(lo + _GT_PIECES, n)
+            # turned[o, a, i]: channel a of piece lo + i in orientation o
+            turned = np.ascontiguousarray(np.moveaxis(flat[lo:hi][:, self._turns], 0, 2))
+            # extreme dots with the cells over the non-negated variants
+            most = np.full((hi - lo, n), -np.inf)
+            least = np.full((hi - lo, n), np.inf)
+            dot = buf[: hi - lo]
+            for rows in turned:
+                g = np.matmul(rows[:, None], cols)  # g[a, b]: channel a . b
                 for perm in self.perms:
                     np.copyto(dot, g[perm[0], 0])
                     for ch, a in enumerate(perm[1:], 1):
                         dot += g[a, ch]
                     np.maximum(most, dot, out=most)
                     np.minimum(least, dot, out=least)
-            # |v - c|^2 = |c|^2 + |p|^2 - 2 v.c, or for a negated variant
-            # |c|^2 + |full - p|^2 - 2 full sum(c) + 2 v.c
-            most *= -2
-            most += self.piece_sq[lo:hi, None]
-            most += self.cell_sq
-            least *= 2
-            least += self.neg_sq[lo:hi, None]
-            least += self.cell_neg
-            cost[:, lo:hi] = np.minimum(most, least).T
+            cost[:, lo:hi] = self._distance(most, least, slice(None), np.s_[lo:hi, None]).T
         return cost
 
     def distinct_cheapest(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -359,17 +368,10 @@ class _Features:
             part = np.sort(cells[lo : lo + _GT_PIECES], axis=1)
             at = np.arange(len(part))
             here = lo + at
-            # |sc - sp|^2 and |sc - (full - reverse(sp))|^2 expanded as in
-            # table(), with sc . reverse(sp) = reverse(sc) . sp
-            bound = part @ sorted_pieces
-            bound *= -2
-            bound += self.piece_sq
-            bound += self.cell_sq[here, None]
+            # |sc - sp|^2 and |sc - (full - reverse(sp))|^2 are distances of
+            # the dots sc . sp and sc . reverse(sp) = reverse(sc) . sp
             neg = part[:, ::-1] @ sorted_pieces
-            neg *= 2
-            neg += self.neg_sq
-            neg += self.cell_neg[here, None]
-            np.minimum(bound, neg, out=bound)
+            bound = self._distance(part @ sorted_pieces, neg, here[:, None], slice(None))
             del neg
             first = bound.argmin(axis=1)
             upper, ors[here] = self.pair_costs(here, first)

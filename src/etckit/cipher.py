@@ -28,10 +28,8 @@ from .keystream import (
     TAG_SCRAMBLE,
     MasterKey,
     derive_step_seed,
-    gen_permutation,  # noqa: F401  perfbench/layers.py wraps cipher.gen_permutation
-    gen_symbols,  # noqa: F401  and cipher.gen_symbols by name
-    permutation_array,
-    symbol_array,
+    gen_permutation,
+    gen_symbols,
 )
 
 SCRAMBLE = "scramble"
@@ -290,9 +288,9 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
             continue
         seed = derive_step_seed(key, tag)
         if alphabet is None:
-            draws[name] = permutation_array(seed, n_blocks)
+            draws[name] = gen_permutation(seed, n_blocks)
         else:
-            draws[name] = symbol_array(seed, n_blocks, alphabet)
+            draws[name] = gen_symbols(seed, n_blocks, alphabet)
     return draws
 
 

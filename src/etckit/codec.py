@@ -16,11 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _jpeg
-from .cipher import CipherConfig, CipherSidecar, MasterKey, decrypt, encrypt
+from .cipher import CipherConfig, MasterKey, decrypt, encrypt
 from .images import ImageBuffer, psnr
-
-SUBSAMPLING_420 = "420"
-SUBSAMPLING_444 = "444"
 
 RD_CSV_HEADER = "path,quality,bpp,psnr_db"
 
@@ -32,7 +29,7 @@ class CodecError(RuntimeError):
 @dataclass(frozen=True)
 class CodecParams:
     quality: int = 85
-    subsampling: str = SUBSAMPLING_420
+    subsampling: str = "420"
 
     def __post_init__(self):
         if not 1 <= self.quality <= 100:
@@ -46,24 +43,6 @@ class RDPoint:
     quality: int
     bits_per_pixel: float
     psnr_db: float
-
-
-@dataclass(frozen=True)
-class ProviderProfile:
-    """Quality-only recompression model of an image-hosting provider."""
-
-    name: str
-    recompress_quality: int
-    forced_subsampling: str | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.recompress_quality <= 100:
-            raise ValueError(f"quality must be in 1..100, got {self.recompress_quality}")
-        if self.forced_subsampling not in (None, *_jpeg._SAMPLING):
-            raise ValueError(
-                f"provider {self.name!r}: forced_subsampling must be 420, 444 or None, "
-                f"got {self.forced_subsampling!r}"
-            )
 
 
 def jpeg_encode(img: ImageBuffer, params: CodecParams) -> bytes:
@@ -133,15 +112,10 @@ def rd_csv(plain: list[RDPoint], encrypted: list[RDPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def provider_recompress(jpeg_bytes: bytes, profile: ProviderProfile) -> bytes:
-    """Decode and re-encode at the provider's settings; repeatable for
+def provider_recompress(jpeg_bytes: bytes, params: CodecParams) -> bytes:
+    """Decode and re-encode at the provider's ``CodecParams``; repeatable for
     multi-generation recompression."""
-    decoded = jpeg_decode(jpeg_bytes)
-    params = CodecParams(
-        quality=profile.recompress_quality,
-        subsampling=profile.forced_subsampling or SUBSAMPLING_420,
-    )
-    return jpeg_encode(decoded, params)
+    return jpeg_encode(jpeg_decode(jpeg_bytes), params)
 
 
 def mean_psnr_gap(plain: list[RDPoint], encrypted: list[RDPoint]) -> float:

@@ -15,9 +15,9 @@ golden-ratio increment and ``mix`` the output finalizer. So a stream is just a
 seed and a count: its first ``n`` draws are one numpy ``uint64`` expression
 (:func:`draws`), and :func:`splitmix_next` states the same generator one
 scalar step at a time. Permutations and symbol runs are built from those
-draws as ``int64`` arrays (:func:`permutation_array`, :func:`symbol_array`);
-the Fisher-Yates swaps are resolved without a per-element loop
-(:func:`resolve_swaps`).
+draws as ``int64`` arrays by :func:`gen_permutation` and :func:`gen_symbols`,
+the cipher's two draws; the Fisher-Yates swaps are resolved without a
+per-element loop (:func:`resolve_swaps`).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def resolve_swaps(targets: np.ndarray) -> np.ndarray:
     return np.where(nxt >= 0, carrier[nxt], targets)
 
 
-def permutation_array(seed: int, n: int) -> np.ndarray:
+def gen_permutation(seed: int, n: int) -> np.ndarray:
     """Fisher-Yates shuffle of ``0..n-1`` driven by a stream seeded with ``seed``,
     as an ``int64`` array.
 
@@ -171,7 +171,7 @@ def permutation_array(seed: int, n: int) -> np.ndarray:
     return resolve_swaps(targets)
 
 
-def symbol_array(seed: int, n: int, alphabet: int) -> np.ndarray:
+def gen_symbols(seed: int, n: int, alphabet: int) -> np.ndarray:
     """``n`` successive draws uniform over ``[0, alphabet)`` from one seeded
     stream, as an ``int64`` array."""
     if n < 0:
@@ -181,16 +181,6 @@ def symbol_array(seed: int, n: int, alphabet: int) -> np.ndarray:
     out = draws(seed, n)
     out %= np.uint64(alphabet)
     return out.view(np.int64)  # exact: every value is below 2**32
-
-
-def gen_permutation(seed: int, n: int) -> list[int]:
-    """:func:`permutation_array` as a list of Python ints."""
-    return permutation_array(seed, n).tolist()
-
-
-def gen_symbols(seed: int, n: int, alphabet: int) -> list[int]:
-    """:func:`symbol_array` as a list of Python ints."""
-    return symbol_array(seed, n, alphabet).tolist()
 
 
 def parse_key_file(raw: bytes) -> MasterKey:

@@ -61,11 +61,14 @@ def synth_natural_image(
     return ImageBuffer(np.clip(stack, 0, 255).astype(np.uint8))
 
 
-def reference_images(
-    count: int = 3, size: int = 512, first_seed: int = 7
-) -> list[ImageBuffer]:
-    """The fixed benchmark set used by the bundled experiments."""
+# seed of the first reference image; the rest follow it
+REFERENCE_FIRST_SEED = 7
+
+
+def reference_images(count: int = 3, size: int = 512) -> list[ImageBuffer]:
+    """The fixed benchmark set used by the bundled experiments: ``count``
+    images seeded from ``REFERENCE_FIRST_SEED`` on."""
     return [
         synth_natural_image(size, size, seed)
-        for seed in range(first_seed, first_seed + count)
+        for seed in range(REFERENCE_FIRST_SEED, REFERENCE_FIRST_SEED + count)
     ]

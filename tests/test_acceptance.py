@@ -103,7 +103,7 @@ def test_criterion_2_prng_golden_vectors():
     # i=3: draw 0xbdd732262feb6e95 % 4 = 1 -> [0,3,2,1]
     # i=2: draw 0x28efe333b266f103 % 3 = 1 -> [0,2,3,1]
     # i=1: draw 0x47526757130f9f52 % 2 = 0 -> [2,0,3,1]
-    assert gen_permutation(42, 4) == [2, 0, 3, 1]
+    assert gen_permutation(42, 4).tolist() == [2, 0, 3, 1]
     print("[criterion 2] PASS: golden vectors and hand-executed shuffle match")
 
 

@@ -191,7 +191,7 @@ class TestRDCurve:
         assert out.read_text().startswith("path,quality,bpp,psnr_db\n")
 
     def test_bad_quality_list_is_usage_error(self, plain_ppm):
-        for qualities in ("a,b", "0", "101", "85,101"):
+        for qualities in ("a,b", "0", "101", "85,101", ","):
             code = main(["rd-curve", str(plain_ppm), "--key", KEY, "--qualities", qualities])
             assert code == EXIT_USAGE, qualities
 
@@ -314,6 +314,10 @@ class TestKeyspace:
         # the three stacked planes (3 x 4 = 12 rows) would fit one block
         argv = ["keyspace", "--width", "12", "--height", "4", "--scheme", "gray"]
         assert main(argv + ["--block-size", "12"]) == EXIT_USAGE
+
+    def test_zero_width_is_usage_error(self, capsys):
+        assert main(["keyspace", "--width", "0", "--height", "64"]) == EXIT_USAGE
+        assert "width and height must be positive" in capsys.readouterr().err
 
     def test_gray_scheme_counts_every_plane(self, capsys):
         argv = ["keyspace", "--width", "16", "--height", "8", "--scheme", "gray", "--steps", "s"]

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -14,7 +15,6 @@ from etckit.codec import (
     RD_CSV_HEADER,
     CodecError,
     CodecParams,
-    ProviderProfile,
     RDPoint,
     jpeg_decode,
     jpeg_encode,
@@ -43,12 +43,6 @@ class TestParams:
     def test_rejects_bad_subsampling(self):
         with pytest.raises(ValueError):
             CodecParams(subsampling="422")
-
-    def test_provider_profile_validation(self):
-        with pytest.raises(ValueError):
-            ProviderProfile("p", 0)
-        with pytest.raises(ValueError, match="provider 'p'"):
-            ProviderProfile("p", 80, "422")
 
 
 class TestJpeg:
@@ -190,7 +184,7 @@ class TestProviderRecompress:
     def test_output_is_valid_jpeg(self):
         img = synth_natural_image(64, 64, seed=20)
         first = jpeg_encode(img, CodecParams(quality=95))
-        second = provider_recompress(first, ProviderProfile("host", 70))
+        second = provider_recompress(first, CodecParams(quality=70))
         decoded = jpeg_decode(second)
         assert (decoded.height, decoded.width) == (64, 64)
 
@@ -198,7 +192,7 @@ class TestProviderRecompress:
         # repeated recompression at a fixed quality converges; later
         # generations change the bytes far less than the first one does
         img = synth_natural_image(64, 64, seed=21)
-        profile = ProviderProfile("host", 75)
+        profile = CodecParams(quality=75)
         data = jpeg_encode(img, CodecParams(quality=95))
         g1 = provider_recompress(data, profile)
         g2 = provider_recompress(g1, profile)
@@ -210,8 +204,8 @@ class TestProviderRecompress:
     def test_forced_subsampling(self):
         img = synth_natural_image(64, 64, seed=22)
         data = jpeg_encode(img, CodecParams(quality=95))
-        a = provider_recompress(data, ProviderProfile("a", 70, "444"))
-        b = provider_recompress(data, ProviderProfile("b", 70, "420"))
+        a = provider_recompress(data, CodecParams(quality=70, subsampling="444"))
+        b = provider_recompress(data, CodecParams(quality=70, subsampling="420"))
         assert a != b
 
 
@@ -301,6 +295,39 @@ class TestBuiltinCodec:
         data = _jpeg.encode(synth_natural_image(32, 32, seed=12).data, 75, "420")
         with pytest.raises(_jpeg.JpegError, match=f"unsupported feature: {feature}"):
             _jpeg.decode(edit(data))
+
+    @pytest.mark.parametrize(
+        "message, marker, edit",
+        [
+            ("more than one frame header", b"\xff\xc0", lambda seg: seg + seg),
+            ("unsupported feature: arithmetic coding", b"\xff\xda", lambda seg: b"\xff\xcc\x00\x02" + seg),
+            ("malformed DRI segment", b"\xff\xda", lambda seg: b"\xff\xdd\x00\x03\x00" + seg),
+            ("scan before frame header", b"\xff\xc0", lambda seg: b""),
+            ("unsupported marker 0xFFF0", b"\xff\xda", lambda seg: b"\xff\xf0\x00\x02" + seg),
+            ("no scan data", b"\xff\xda", lambda seg: b"\xff\xd9" + seg),
+            ("malformed frame header", b"\xff\xc0", lambda seg: b"\xff\xc0\x00\x07" + seg[4:9]),
+            ("frame width is 0", b"\xff\xc0", lambda seg: seg[:7] + b"\x00\x00" + seg[9:]),
+            ("unsupported feature: 2-component image", b"\xff\xc0", lambda seg: seg[:9] + b"\x02" + seg[10:]),
+            ("malformed SOS segment", b"\xff\xda", lambda seg: seg[:4] + b"\x00" + seg[5:]),
+            ("scan names unknown component 9", b"\xff\xda", lambda seg: seg[:5] + b"\x09" + seg[6:]),
+            ("invalid sequential scan: band 0..62", b"\xff\xda", lambda seg: seg[:-2] + b"\x3e" + seg[-1:]),
+            ("quantization table 3 not defined", b"\xff\xc0", lambda seg: seg[:12] + b"\x03" + seg[13:]),
+            ("Huffman table DC 3 not defined", b"\xff\xda", lambda seg: seg[:6] + b"\x33" + seg[7:]),
+        ],
+    )
+    def test_malformed_headers_are_named(self, message, marker, edit):
+        # each case rewrites one marker segment of a small 4:2:0 stream: the
+        # frame header (SOF0) or the scan header (SOS), before which an edit
+        # may also insert a segment
+        data = _jpeg.encode(synth_natural_image(32, 32, seed=12).data, 75, "420")
+        start = data.index(marker)
+        end = start + 2 + (data[start + 2] << 8 | data[start + 3])
+        with pytest.raises(CodecError, match=re.escape(message)):
+            jpeg_decode(data[:start] + edit(data[start:end]) + data[end:])
+
+    def test_encode_refuses_a_frame_past_65535_pixels(self):
+        with pytest.raises(CodecError, match="65535-pixel limit"):
+            jpeg_encode(ImageBuffer(np.zeros((1, 65536, 1), np.uint8)), CodecParams())
 
     def test_successive_approximation_is_named(self):
         data = bytearray(_jpeg.encode(synth_natural_image(32, 32, seed=12).data, 75, "420"))
