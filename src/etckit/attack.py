@@ -42,17 +42,15 @@ ATTACK_CSV_HEADER = "steps,block_size,n_pieces,dc,nc,lc,seconds"
 
 _BRUTE_FORCE_LIMIT = 10
 
-# Largest n x n cost table the appearance ground truth may allocate, in bytes.
-MAX_TABLE_BYTES = 2 << 30
-# Pieces per block of the ground truth's pieces x cells products, and cells
-# per block of its bound scan. Counted in pieces, each block is this many
-# rows tall at any puzzle size.
+# Cells per block of the ground truth's bound scan, whose bounds are one
+# (_GT_PIECES, n) array per block.
 _GT_PIECES = 32
 # Pairs per block of the ground truth's exact 96-variant distances.
 _GT_PAIRS = 64
-# Candidate pairs per cell, on average, that the ground truth scores before
-# it builds the whole cost table instead.
-_GT_BUDGET = 4
+# Candidate pairs per cell, on average, past which the ground truth refuses:
+# the plaintext does not single out the ciphertext's pieces. JPEG q50
+# ciphertexts of 16-px pieces needed up to 17.2 on synth images.
+_GT_BUDGET = 32
 # Table entries per block of the solver's seed scan (a 2 MiB buffer in
 # float32, 4 MiB in float64): of 2**17, 2**18 and 2**19, the largest scanned
 # K = 8192 fastest in float64.
@@ -149,105 +147,6 @@ def _cell_sums(blocks: np.ndarray, f: int) -> np.ndarray:
     return sums
 
 
-def _assign(cost: np.ndarray) -> np.ndarray:
-    """Column of each row in a least-cost assignment of a square cost matrix.
-
-    A numpy port of Crouse's shortest augmenting path ("On implementing 2D
-    rectangular assignment algorithms", IEEE TAES 2016) in the operation
-    order of the common C++ implementation, ``rectangular_lsap.cpp``, so
-    both give the same assignment on every finite cost matrix whose reduced
-    costs do not overflow. Rows are added in order; each adds one Dijkstra
-    search over the columns. A search visits the columns in ``remaining``
-    order, which starts reversed and drops a column by moving the last one
-    into its place. The reduced cost is ``min_val + cost - u[i] - v[j]``,
-    evaluated left to right. Of the columns tied at the minimum, the last
-    unassigned one in ``remaining`` order is taken, else the first. The
-    search keeps each column's path cost but not the row it came from: the
-    rows of the augmenting path are recomputed once it is found.
-
-    While ``v`` is all zero, a row whose lowest-index minimum column is
-    still free takes that column directly: that is exactly what the search's
-    first step would do, and it leaves ``v`` zero.
-    """
-    n = len(cost)
-    u, v = np.zeros(n), np.zeros(n)
-    col4row = np.full(n, -1, dtype=np.int64)
-    row4col = np.full(n, -1, dtype=np.int64)
-    spc = np.empty(n)  # shortest path cost to each column, inf once the column is reached
-    vv = np.empty(n)  # v, but -inf on reached columns: their reduced cost is inf
-    r = np.empty(n)
-    tied = np.empty(n, dtype=bool)
-    order = np.arange(n)
-    rows = list(cost)
-    cheapest = cost.argmin(axis=1).tolist()
-    v_zero = True
-    for cur in range(n):
-        j = cheapest[cur]
-        if v_zero and row4col[j] < 0:
-            u[cur] += cost[cur, j]
-            row4col[j], col4row[cur] = cur, j
-            continue
-        remaining = list(range(n - 1, -1, -1))
-        pos = remaining[:]  # each column's index in remaining: its own inverse
-        # the tie-break as one key to maximise: an unassigned column beats an
-        # assigned one, the later one in remaining among unassigned columns,
-        # the earlier one among assigned columns
-        rank = np.where(row4col < 0, 2 * n - 1 - order, order)
-        spc.fill(np.inf)
-        np.copyto(vv, v)
-        # per step: the row scanned, the path cost it started from, and the
-        # column it reached
-        visited, starts, reached = [], [], []
-        i, sink = cur, -1
-        min_val = 0.0
-        while sink < 0:
-            visited.append(i)
-            starts.append(min_val)
-            np.add(rows[i], min_val, out=r)
-            r -= u[i]
-            r -= vv
-            np.minimum(spc, r, out=spc)  # may keep -0.0 for 0.0; no comparison differs
-            min_val = np.minimum.reduce(spc)
-            np.equal(spc, min_val, out=tied)
-            cols = tied.nonzero()[0]
-            j = int(cols[rank[cols].argmax()] if len(cols) > 1 else cols[0])
-            last = remaining.pop()
-            if last != j:
-                at = pos[j]
-                remaining[at] = last
-                pos[last] = at
-                rank[last] = n + at if row4col[last] < 0 else n - 1 - at
-            spc[j], vv[j] = np.inf, -np.inf
-            reached.append(j)
-            i = int(row4col[j])
-            if i < 0:
-                sink = j
-        visited, starts = np.array(visited), np.array(starts)
-        lengths = np.append(starts[1:], min_val)  # each reached column's path cost
-        # augment along the path. A column's path row is the first scanned row
-        # whose reduced cost to it equals its path cost (the search replaced
-        # a cost only by a strictly lower one), recomputed in the search's
-        # operation order
-        j = sink
-        while True:
-            k = reached.index(j) + 1
-            again = starts[:k] + cost[visited[:k], j]
-            again -= u[visited[:k]]
-            again -= v[j]
-            i = int(visited[(again == lengths[k - 1]).argmax()])
-            row4col[j] = i
-            col4row[i], j = j, int(col4row[i])
-            if i == cur:
-                break
-        # update the duals: the rows reached through the non-sink columns,
-        # then every reached column
-        u[cur] += min_val
-        u[visited[1:]] += min_val - lengths[:-1]
-        v[reached] -= min_val - lengths
-        v_zero = v_zero and not v.any()
-    return col4row
-
-
 def _feature_grid(block_size: int) -> tuple[int, int]:
     """(F, full): the side of the largest power-of-two grid of cells (up to
     8x8) dividing the block size, and the sum of a cell of 255s, which
@@ -327,38 +226,12 @@ class _Features:
             orient[lo : lo + k] = best // len(perms)
         return cost, orient
 
-    def table(self) -> np.ndarray:
-        """The n x n table of pair distances, cells by pieces, from
-        ``_GT_PIECES`` pieces' channel products with every cell at a time."""
-        n, f, _, c = self.pieces.shape
-        cols = np.ascontiguousarray(self.cells.reshape(n, f * f, c).transpose(2, 1, 0))  # (C, F*F, n)
-        flat = self.pieces.reshape(n, -1)
-        cost = np.empty((n, n))
-        buf = np.empty((min(_GT_PIECES, n), n))  # one channel order's dots, reused
-        for lo in range(0, n, _GT_PIECES):
-            hi = min(lo + _GT_PIECES, n)
-            # turned[o, a, i]: channel a of piece lo + i in orientation o
-            turned = np.ascontiguousarray(np.moveaxis(flat[lo:hi][:, self._turns], 0, 2))
-            # extreme dots with the cells over the non-negated variants
-            most = np.full((hi - lo, n), -np.inf)
-            least = np.full((hi - lo, n), np.inf)
-            dot = buf[: hi - lo]
-            for rows in turned:
-                g = np.matmul(rows[:, None], cols)  # g[a, b]: channel a . b
-                for perm in self.perms:
-                    np.copyto(dot, g[perm[0], 0])
-                    for ch, a in enumerate(perm[1:], 1):
-                        dot += g[a, ch]
-                    np.maximum(most, dot, out=most)
-                    np.minimum(least, dot, out=least)
-            cost[:, lo:hi] = self._distance(most, least, slice(None), np.s_[lo:hi, None]).T
-        return cost
-
-    def distinct_cheapest(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Each cell's lowest-index cheapest piece and its orientation, or
-        None if two cells share a piece or the candidates pass ``_GT_BUDGET``
-        per cell. Scans the sorted-feature bound of ``ground_truth_from_plain``
-        ``_GT_PIECES`` cells at a time and scores each cell's candidates."""
+    def distinct_cheapest(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's lowest-index cheapest piece and its orientation. Scans
+        the sorted-feature bound of ``ground_truth_from_plain`` ``_GT_PIECES``
+        cells at a time and scores each cell's candidates. Raises
+        ``ValueError`` once the candidates pass ``_GT_BUDGET`` per cell, or
+        if two cells share a piece."""
         n = len(self.cells)
         cells = self.cells.reshape(n, -1)
         sorted_pieces = np.sort(self.pieces.reshape(n, -1), axis=1).T  # (F*F*C, n)
@@ -380,7 +253,11 @@ class _Features:
             rows, cols = hit.nonzero()
             budget -= len(at) + len(rows)
             if budget < 0:
-                return None
+                raise ValueError(
+                    "the plaintext does not single out the ciphertext's pieces: more "
+                    f"than {_GT_BUDGET} candidate pieces per cell, as for an unrelated "
+                    "plaintext; score against the key (--key)"
+                )
             # the exact distances of the candidates, inf elsewhere
             cost, orient = self.pair_costs(lo + rows, cols)
             bound.fill(np.inf)
@@ -389,32 +266,41 @@ class _Features:
             ids[here] = best = bound.argmin(axis=1)
             won = cols == best[rows]
             ors[lo + rows[won]] = orient[won]
-        return (ids, ors) if np.bincount(ids, minlength=n).max() == 1 else None
+        shared = int((np.bincount(ids, minlength=n)[ids] > 1).sum())
+        if shared:
+            raise ValueError(f"{shared} of {n} cells share their cheapest piece with another "
+                             "cell; score against the key (--key)")
+        return ids, ors
 
 
 def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     """Appearance-based ground truth: match each piece to the plaintext cell it
     came from, searching orientation, inversion, and channel-order variants.
 
-    Robust to JPEG noise via coarse block features and optimal assignment. A
-    block's features are its pixel sums over the largest power-of-two grid of
-    cells (up to 8x8) that divides the block size. The cost of a (cell,
-    piece) pair is the least squared distance from the cell's features to
-    those of any of the piece's variants, and its orientation is that of the
-    first variant reaching it in (orientation, negpos, channel order) order.
+    Robust to JPEG noise via coarse block features. A block's features are
+    its pixel sums over the largest power-of-two grid of cells (up to 8x8)
+    that divides the block size. The cost of a (cell, piece) pair is the
+    least squared distance from the cell's features to those of any of the
+    piece's variants, and its orientation is that of the first variant
+    reaching it in (orientation, negpos, channel order) order.
+
+    Each cell takes its lowest-index cheapest piece. Where that does not
+    single out one piece per cell, this raises ``ValueError`` instead of
+    guessing, and only the key's ground truth can score the ciphertext:
+
+    - Contested. Some cell's piece is also another cell's, as when plaintext
+      blocks are near-duplicates under JPEG noise. The message counts the
+      cells whose piece is shared.
+    - No match. The candidates below pass ``_GT_BUDGET`` per cell, as for a
+      plaintext unrelated to the ciphertext or a uniform one. This raises
+      after the first block of cells that passes it.
 
     Every cost is an exact integer in float64 (see ``_Features``). Exactness
     needs ``2 * F**2 * C * (255 * area)**2 < 2**53``; every power-of-two
     block size up to 1024 and every size below 391 meet it. Raises
-    ``ValueError``, before allocating anything, for a block size past it or
-    when the n x n float64 cost table would exceed ``MAX_TABLE_BYTES``.
+    ``ValueError``, before allocating anything, for a block size past it.
 
-    Of several least-cost assignments, the one returned is the first that
-    the augmenting-path search of ``_assign`` reaches. Cells are assigned in
-    order, and a search step tied between pieces takes an unassigned one,
-    the last in its visiting order, else the first. So when the cells'
-    lowest-index cheapest pieces are all distinct, each cell takes its own
-    and no search runs, and those pieces are found without the table:
+    The cheapest pieces are found without scoring every pair:
 
     - Bound. For cell features ``c`` and piece features ``p``, each sorted
       ascending, ``min(|sort(c) - sort(p)|^2, |sort(c) - (full -
@@ -430,11 +316,8 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
       is the cell's.
 
     On a ciphertext of this plaintext, exact or JPEG-decoded, most cells
-    have one candidate, and the working set is O(``_GT_PIECES`` x n +
-    candidates). When two cells share a cheapest piece, or the candidates
-    pass ``_GT_BUDGET`` per cell (a plaintext unrelated to the ciphertext),
-    the whole table is built and ``_assign`` solves it: one Dijkstra search
-    over every piece for most cells on random-like costs, O(n**3) at worst.
+    have one candidate. The working set is O(``_GT_PIECES`` x n +
+    ``_GT_BUDGET`` x n) whether it answers or refuses.
     """
     grid = puzzle.grid
     n, b, _, c = puzzle.pieces.shape
@@ -444,23 +327,12 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
             f"block size {b} with {c} channel(s) gives feature distances that may "
             "reach 2**53, past float64's exact integers"
         )
-    nbytes = n * n * 8
-    if nbytes > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"ground truth of {n} pieces needs a {n}x{n} cost table of {nbytes} "
-            f"bytes, more than the limit of {MAX_TABLE_BYTES} bytes"
-        )
     plain_blocks, _ = split_blocks(plain, grid.block_size)
     if plain_blocks.shape != puzzle.pieces.shape:
-        raise ValueError("plaintext geometry does not match the puzzle grid")
+        raise ValueError(f"plaintext geometry does not match the puzzle grid: plaintext "
+                         f"blocks {plain_blocks.shape}, pieces {puzzle.pieces.shape}")
 
-    feats = _Features(plain_blocks, puzzle.pieces)
-    found = feats.distinct_cheapest()
-    if found is None:
-        ids = _assign(feats.table())  # cell i came from piece ids[i]
-        _, ors = feats.pair_costs(np.arange(n), ids)
-    else:
-        ids, ors = found
+    ids, ors = _Features(plain_blocks, puzzle.pieces).distinct_cheapest()
     shape = (grid.rows, grid.cols)
     return GroundTruth(ids.reshape(shape), ors.reshape(shape))
 

@@ -9,7 +9,6 @@ the two.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from etckit.attack import (
     Assembly,
@@ -39,10 +38,13 @@ def reference_ground_truth_from_plain(
     """Appearance-based ground truth: match each piece to the plaintext cell it
     came from, searching orientation, inversion, and channel-order variants.
 
-    Robust to JPEG noise via coarse block features and optimal assignment.
-    With ``sums`` the features are integer cell sums, which a cell of
-    ``area`` pixels negates to ``255 * area - sum``, so every distance is
-    exact; cell means are exact only when the area is a power of two.
+    Robust to JPEG noise via coarse block features. Each cell takes the
+    first piece of least cost in its row of the full cells x pieces cost
+    table; when cells share their piece this raises ``ValueError`` naming
+    how many do. With ``sums`` the features are integer cell sums, which a
+    cell of ``area`` pixels negates to ``255 * area - sum``, so every
+    distance is exact; cell means are exact only when the area is a power
+    of two.
     """
     grid = puzzle.grid
     plain_blocks, pgrid = split_blocks(plain, grid.block_size)
@@ -84,11 +86,13 @@ def reference_ground_truth_from_plain(
         cost[:, i] = d[best_v, np.arange(n)]
         orient_choice[:, i] = [variants[v][0] for v in best_v]
 
-    cell_idx, piece_idx = linear_sum_assignment(cost)
-    ids = np.empty(n, dtype=np.int64)
-    ors = np.empty(n, dtype=np.int64)
-    ids[cell_idx] = piece_idx
-    ors[cell_idx] = orient_choice[cell_idx, piece_idx]
+    ids = cost.argmin(axis=1)
+    ors = orient_choice[np.arange(n), ids]
+    taken = ids.tolist()
+    shared = sum(taken.count(piece) > 1 for piece in taken)  # cells whose piece another takes
+    if shared:
+        raise ValueError(f"{shared} of {n} cells share their cheapest piece with another "
+                         "cell; score against the key (--key)")
     shape = (grid.rows, grid.cols)
     return GroundTruth(ids.reshape(shape), ors.reshape(shape))
 

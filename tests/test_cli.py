@@ -3,9 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from etckit import attack, templates
+from etckit import templates
 from etckit.cli import EXIT_CODEC, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from etckit.images import ImageBuffer, load_ppm, save_ppm
+from etckit.images import ImageBuffer, load_ppm, merge_blocks, save_ppm, split_blocks
 from etckit.keystream import MasterKey, parse_key_file
 from etckit.synth import synth_natural_image
 from etckit.templates import Template, format_template_csv, protect_template
@@ -258,23 +258,21 @@ class TestAttack:
         row = capsys.readouterr().out.strip().split("\n")[1]
         assert row.split(",")[0] == want
 
-    @pytest.mark.parametrize(
-        "truth, message",
-        [
-            ([], "ground truth of 16 pieces needs a 16x16 cost table of 2048 bytes"),
-        ],
-        ids=["plain-truth"],
-    )
-    def test_oversized_tables_are_data_error(self, tmp_path, plain_ppm, capsys, monkeypatch,
-                                             truth, message):
-        monkeypatch.setattr(attack, "MAX_TABLE_BYTES", 1000)
-        ct = tmp_path / "ct.ppm"
-        main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY, "--steps", "s"])
-        code = main(["attack", str(ct), "--plain", str(plain_ppm), "--steps", "s",
-                     "--block-size", "16", *truth])
-        assert code == EXIT_DATA
+    def test_shared_cheapest_pieces_are_data_error(self, tmp_path, capsys):
+        # six cells copy block 0, so the plaintext cannot tell seven pieces
+        # apart: --plain alone refuses, and --key still scores
+        blocks, grid = split_blocks(synth_natural_image(256, 256, seed=8), 16)
+        blocks[[5, 17, 40, 41, 90, 255]] = blocks[0]
+        plain, ct = tmp_path / "plain.ppm", tmp_path / "ct.ppm"
+        plain.write_bytes(save_ppm(merge_blocks(blocks, grid, 3)))
+        main(["encrypt", str(plain), "--out", str(ct), "--key", KEY, "--steps", "srnc",
+              "--block-size", "16"])
+        argv = ["attack", str(ct), "--plain", str(plain), "--steps", "srnc", "--block-size", "16"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert "7 of 256 cells share their cheapest piece" in err and "Traceback" not in err
+        assert main([*argv, "--key", KEY]) == EXIT_OK
 
     def test_inexact_ground_truth_block_size_is_data_error(self, tmp_path, capsys):
         plain = tmp_path / "plain.ppm"
