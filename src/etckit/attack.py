@@ -28,6 +28,8 @@ from .cipher import (
     ORIENT_INVERSE,
     ROTATE_FLIP,
     SCRAMBLE,
+    SEAM_TURNS,
+    STEPS,
     CipherConfig,
     _rotate_flip,
     apply_orientation,
@@ -116,18 +118,13 @@ def identity_assembly(grid: BlockGrid) -> Assembly:
 
 
 def ground_truth_from_key(key: MasterKey, cfg: CipherConfig, grid: BlockGrid) -> GroundTruth:
-    """Exact ground truth for a ciphertext produced with (key, cfg)."""
+    """Exact ground truth for a ciphertext produced with (key, cfg): the
+    inverted draws that ``decrypt`` applies, which put piece ``inv[j]`` at
+    cell ``j`` and undo each piece's orientation."""
     draws = step_draws(key, cfg, grid.n_blocks)
-    n = grid.n_blocks
-    if SCRAMBLE in draws:
-        # ciphertext block i holds plaintext block perm[i]
-        cell_piece = inverse_permutation(draws[SCRAMBLE])
-    else:
-        cell_piece = np.arange(n, dtype=np.int64)
-    if ROTATE_FLIP in draws:
-        cell_orient = np.take(ORIENT_INVERSE, draws[ROTATE_FLIP])[cell_piece]
-    else:
-        cell_orient = np.zeros(n, dtype=np.int64)
+    undo = {name: invert(draws[name]) for name, *_, invert in STEPS if name in draws}
+    cell_piece = undo.get(SCRAMBLE, np.arange(grid.n_blocks, dtype=np.int64))
+    cell_orient = undo.get(ROTATE_FLIP, np.zeros(grid.n_blocks, dtype=np.int64))[cell_piece]
     shape = (grid.rows, grid.cols)
     return GroundTruth(cell_piece.reshape(shape), cell_orient.reshape(shape))
 
@@ -347,22 +344,18 @@ def _sides(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     return blocks[..., :, 0, :], blocks[..., :, -1, :], blocks[..., 0, :, :], blocks[..., -1, :, :]
 
 
-def _pose_tables() -> tuple[np.ndarray, np.ndarray]:
+def _edge_table() -> np.ndarray:
     """_EDGES[e, o] = (s, r): side e of a block in orientation o is side s of
-    the unturned block, reversed iff r. _SEAM_TURNS[seam, g]: where global
-    pose g sends the offset of the right (seam 0) or below (seam 1)
-    neighbour. Both are read off apply_orientation on a 3x3 block."""
-    block = np.arange(9).reshape(3, 3, 1)
-    posed = [apply_orientation(block, o) for o in range(8)]
+    the unturned block, reversed iff r, read off apply_orientation on a 2x2
+    block of distinct values."""
+    block = np.arange(4).reshape(2, 2, 1)
     where = {side[::step].tobytes(): (s, step < 0)
              for s, side in enumerate(_sides(block)) for step in (1, -1)}
-    edges = np.array([[where[side.tobytes()] for side in _sides(p)] for p in posed])
-    # cells 5 and 7 sit right of and below cell 4, the centre
-    turns = np.array([[np.argwhere(p[..., 0] == cell)[0] - 1 for p in posed] for cell in (5, 7)])
-    return edges.swapaxes(0, 1), turns
+    posed = [_sides(apply_orientation(block, o)) for o in range(8)]
+    return np.array([[where[side.tobytes()] for side in sides] for sides in posed]).swapaxes(0, 1)
 
 
-_EDGES, _SEAM_TURNS = _pose_tables()
+_EDGES = _edge_table()
 # relation (0 right, 1 below) -> (the first piece's side, the second's)
 _SEAM_SIDES = ((1, 0), (3, 2))
 
@@ -372,29 +365,35 @@ class _SideTable:
 
     One (4, n, B*C + 1) array of ``dtype`` holds side s (left, right, top,
     bottom) of piece p as B*C samples followed by their squared norm;
-    ``sides`` and ``sq`` are views of it. The edge of a piece in any orientation is one of its sides,
-    forward or reversed (``_EDGES``). Keys are ``piece * len(orientations) +
-    index``.
+    ``sides`` and ``sq`` are views of it. The edge of a piece in any
+    orientation is one of its sides, forward or reversed (``_EDGES``). Keys
+    are ``piece * len(orientations) + index``.
 
     Each side also has a probe, a (B*C + 1, 2) array whose columns are
     [-2 side, 1] and [-2 side reversed, 1]. A table row times a probe is
     |b|^2 - 2 a.b for the side read both ways, so one matrix product per
     placed edge scores every side of every piece.
 
-    ``dtype`` is float32 when ``2 * B*C * 255**2 < 2**24`` (B*C <= 129) and
-    float64 otherwise; the probes, ``edges`` and the seed scan use it too.
-    Either is exact. Each product of two terms is an integer of magnitude at
-    most 2 * 255**2 (a sample times -2 samples, a norm times 1), and every
-    partial sum that any summation order forms, with or without fused
-    multiply-adds, is a subset sum of them: an integer in [-2 * B*C * 255**2,
-    2 * B*C * 255**2], below float32's 2**24 under the bound.
+    Every integer buffer the solver keeps takes its dtype here: float32
+    where a subset-sum bound keeps each value below 2**24, float64
+    otherwise, so either is exact in any summation order.
+
+    - ``dtype`` (the table, probes, ``edges``, the seed scan): float32 when
+      ``2 * B*C * 255**2 < 2**24`` (B*C <= 129). Each product of two terms
+      is an integer of magnitude at most 2 * 255**2 (a sample times -2
+      samples, a norm times 1), and every partial sum that any order forms,
+      with or without fused multiply-adds, is a subset sum of them.
+    - ``sum_dtype`` (the greedy's K-wide sum per open cell, and ``used``):
+      float32 when ``4 * B*C * 255**2 < 2**24`` (B*C <= 64). A row is an
+      integer in [0, B*C * 255**2], and a cell sums at most 4 of them.
     """
 
     def __init__(self, pieces: np.ndarray, orientations: list[int]):
         n, b, _, c = pieces.shape
         d = b * c
         self.n, self.orientations, self.shape = n, orientations, (b, c)
-        self.dtype = np.float32 if 2 * d * 255**2 < 1 << 24 else np.float64
+        self.dtype, self.sum_dtype = (np.float32 if m * d * 255**2 < 1 << 24 else np.float64
+                                      for m in (2, 4))
         table = np.empty((4, n, d + 1), self.dtype)
         self.sides, self.sq = table[..., :d], table[..., d]
         self.sides[...] = np.stack(_sides(pieces)).reshape(4, n, d)
@@ -465,9 +464,8 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
     the first keys' edges as rows [-2 a, |a|^2, 1] times the second keys' as
     [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b with no pass after it: the
     integer numerators of ``_SideTable.row``, whose order and ties are those
-    of the mean. The rows and the block buffer are in the table's ``dtype``:
-    every partial sum of a product is a subset sum of terms of magnitude at
-    most 2 * 255**2, an integer that dtype holds exactly in any order.
+    of the mean. The rows and the block buffer are in the table's exact
+    ``dtype``.
     """
     n, codes = table.n, table.orientations
     no = len(codes)
@@ -477,11 +475,11 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
     poses = np.asarray(poses)
     found, scanned = [], []
     for rel in relations:
-        delta = _SEAM_TURNS[rel, 0]
-        if any((abs(_SEAM_TURNS[s, poses]) == delta).all(axis=1).any() for s in scanned):
+        delta = SEAM_TURNS[rel, 0]
+        if any((abs(SEAM_TURNS[s, poses]) == delta).all(axis=1).any() for s in scanned):
             continue
         scanned.append(rel)
-        moved = _SEAM_TURNS[rel, poses]
+        moved = SEAM_TURNS[rel, poses]
         keep = poses[(moved == delta).all(axis=1)]
         reps = [o for o in codes if o == ORIENT_COMPOSE[o, keep].min()]
         later = int((moved == -delta).all(axis=1).any())  # the second piece has the higher id
@@ -555,28 +553,26 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     rescores it: the best key is the first minimum of sum plus inf on the
     keys of placed pieces, scored sum / (B*C * count). The division keeps
     the order and ties of integers below 2**51, so only the chosen entry is
-    divided. The sums are float64 whatever the rows' dtype: a row is at most
-    B*C * 255**2, but up to 4 of them pass float32's 2**24. Integer sums are
-    exact in any order, so values and ties are those of a full rescan.
-    Entries sit in one heap ordered by (value, piece, cell). One that
-    surfaces counts only if it is still its cell's, and if its piece was
-    placed since, the cell is rescored then. The placements are those of
-    rescoring at once: the entry's key was the first minimum, so every lower
-    key scored strictly more, and with its piece's keys at inf the new first
-    minimum has a higher value, or the same value and a higher piece, so it
-    sorts after the old entry. The working set is one K-wide float64 sum
-    per open cell, one K-wide ``used`` and O(rescores) heap entries.
+    divided. Integer sums are exact in any order, so values and ties are
+    those of a full rescan. Entries sit in one heap ordered by (value,
+    piece, cell). One that surfaces counts only if it is still its cell's,
+    and if its piece was placed since, the cell is rescored then. The
+    placements are those of rescoring at once: the entry's key was the
+    first minimum, so every lower key scored strictly more, and with its
+    piece's keys at inf the new first minimum has a higher value, or the
+    same value and a higher piece, so it sorts after the old entry. The
+    working set is one K-wide sum per open cell and one K-wide ``used``, in
+    the sums' dtype (float32 when B*C <= 64), and O(rescores) heap entries.
 
-    Every row comes from one side table: each piece's 4 sides as a (4, n,
-    B*C + 1) array of samples and squared norm, float32 when B*C <= 129
-    and float64 otherwise (``_SideTable``: every partial sum of a row is an
-    integer below 2 * B*C * 255**2, so both are exact). An oriented edge is
-    one of them, forward or reversed, so a placed piece's row toward an open
-    cell is one matrix product: the table rows of the sides the candidates'
-    orientations read (with no orientation search, the relation's own side)
-    times the placed side's two-column probe, which scores its edge and the
-    edge reversed, gathered into key order (K = pieces x orientations keys).
-    No K x K table is built, and no (K, B*C) array outlives the seed.
+    Every row comes from one side table, each piece's 4 sides as samples and
+    squared norm, in dtypes that keep every row and sum exact
+    (``_SideTable``). An oriented edge is one of them, forward or reversed,
+    so a placed piece's row toward an open cell is one matrix product: the
+    table rows of the sides the candidates' orientations read (with no
+    orientation search, the relation's own side) times the placed side's
+    two-column probe, which scores its edge and the edge reversed, gathered
+    into key order (K = pieces x orientations keys). No K x K table is
+    built, and no (K, B*C) array outlives the seed.
 
     The seed scan is exact but reduced by symmetry (``_seed``): a global
     pose turns every piece and the pair's offset together and joins the
@@ -602,7 +598,7 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     _, k1, k2, rel = _seed(table, fitting, orientations)
     second = ((0, 1), (1, 0))[rel]
     placed: dict[tuple[int, int], int] = {(0, 0): k1, second: k2}
-    used = np.zeros(kk)  # inf on the keys of placed pieces, added to every score
+    used = np.zeros(kk, table.sum_dtype)  # inf on the keys of placed pieces, added to every score
     rmin, rmax, cmin, cmax = 0, second[0], 0, second[1]
 
     def fits(cell: tuple[int, int]) -> bool:
@@ -627,8 +623,7 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
             if o not in placed and fits(o):
                 # side s of the placed key faces o; the candidates' opposite side meets it
                 rec = cells.setdefault(o, [0, 0, None])
-                # float64 whatever the row's dtype: up to 4 rows pass 2**24
-                rec[0] = np.add(table.row(s, s ^ 1, key), rec[0], dtype=np.float64)
+                rec[0] = np.add(table.row(s, s ^ 1, key), rec[0], dtype=table.sum_dtype)
                 rec[1] += 1
 
     def rescore(cell: tuple[int, int]) -> None:
@@ -712,7 +707,7 @@ def score_assembly(
     direct = 0
     for g in range(8) if allow_global_pose else (0,):
         # pose g moves cell (r, c) to r * g(1, 0) + c * g(0, 1), then shifts
-        (ar, ac), (br, bc) = _SEAM_TURNS[:, g]
+        (ar, ac), (br, bc) = SEAM_TURNS[:, g]
         to_r, to_c = r * br + c * ar, r * bc + c * ac
         to_r, to_c = to_r - to_r.min(), to_c - to_c.min()
         if to_r.max() == rows - 1 and to_c.max() == cols - 1:  # g keeps the shape
@@ -726,7 +721,7 @@ def score_assembly(
     cell = np.arange(n).reshape(rows, cols)
     src, dst = [], []
     for seam, a, b in ((0, np.s_[:, :-1], np.s_[:, 1:]), (1, np.s_[:-1], np.s_[1:])):
-        want = _SEAM_TURNS[seam, rho[a]]
+        want = SEAM_TURNS[seam, rho[a]]
         good = (
             (rho[a] == rho[b])
             & (true_r[b] - true_r[a] == want[..., 0])

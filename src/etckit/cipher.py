@@ -178,20 +178,25 @@ def apply_orientation(block: np.ndarray, code: int) -> np.ndarray:
     return np.flip(out, axis=-2) if code >= 4 else out
 
 
-def _orientation_tables() -> tuple[np.ndarray, np.ndarray]:
-    """ORIENT_COMPOSE[a, b], the code of applying ``a`` and afterwards ``b``,
-    and ORIENT_INVERSE[a], the code that undoes ``a``, read off
-    :func:`apply_orientation` on a 2x2 block of distinct values."""
+def _orientation_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ORIENT_COMPOSE[a, b], the code of applying ``a`` and afterwards ``b``;
+    ORIENT_INVERSE[a], the code that undoes ``a``; and SEAM_TURNS[seam, g],
+    the (row, column) offset that ``g`` turns the right neighbour's offset
+    (0, 1) (seam 0) or the lower neighbour's (1, 0) (seam 1) into. All are
+    read off :func:`apply_orientation` on a 2x2 block of distinct values."""
     once = np.stack([apply_orientation(np.arange(4).reshape(2, 2, 1), c) for c in range(8)])
     code = {block.tobytes(): c for c, block in enumerate(once)}
     twice = [apply_orientation(once, b) for b in range(8)]  # twice[b][a]: a, then b
     compose = np.array([[code[t.tobytes()] for t in row] for row in twice]).T
     inverse = np.argwhere(compose == 0)[:, 1]  # row a hits the identity at a^-1
-    compose.flags.writeable = inverse.flags.writeable = False
-    return compose, inverse
+    # at[a, v]: the (row, column) of value v under a; 1 and 2 start right of and below 0
+    at = np.stack(np.divmod(once.reshape(8, 4).argsort(axis=1), 2), axis=-1)
+    seams = (at[:, 1:3] - at[:, :1]).swapaxes(0, 1)
+    compose.flags.writeable = inverse.flags.writeable = seams.flags.writeable = False
+    return compose, inverse, seams
 
 
-ORIENT_COMPOSE, ORIENT_INVERSE = _orientation_tables()
+ORIENT_COMPOSE, ORIENT_INVERSE, SEAM_TURNS = _orientation_tables()
 
 
 # ---------------------------------------------------------------------------

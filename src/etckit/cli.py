@@ -160,7 +160,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("attack", help="jigsaw-solver attack on a ciphertext")
     p.add_argument("cipher")
-    p.add_argument("--plain", required=True, metavar="PATH", help="ground-truth plaintext")
+    p.add_argument("--plain", metavar="PATH",
+                   help="ground-truth plaintext (with a key, only its geometry is checked)")
     p.add_argument("--orientation-search", action="store_true")
     p.add_argument("--out-csv", metavar="PATH", help="report CSV (default: stdout)")
     p.add_argument("--out-image", metavar="PATH", help="assembled image (default: none)")
@@ -243,24 +244,22 @@ def _cmd_rd_curve(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    from_key = bool(args.key or args.key_file)
+    if not (from_key or args.plain):
+        raise UsageError("a ground truth needs --plain PATH, --key HEX or --key-file PATH")
     cipher_img = _parse(args.cipher, load_ppm)
-    plain_img = _parse(args.plain, load_ppm)
+    if args.plain:
+        plain_img = _parse(args.plain, load_ppm)
+        stacked = cipher_img.channels == 1 and cipher_img.height == 3 * plain_img.height
+        if plain_img.channels == 3 and stacked:  # gray-scheme ciphertexts are plane-stacked
+            plain_img = stack_planes(plain_img)
+        if (plain_img.width, plain_img.height) != (cipher_img.width, cipher_img.height):
+            raise DataError(f"plaintext {plain_img.width}x{plain_img.height} does not match "
+                            f"ciphertext {cipher_img.width}x{cipher_img.height}")
     cfg = _config(args)
-    if (
-        plain_img.channels == 3
-        and cipher_img.channels == 1
-        and cipher_img.height == 3 * plain_img.height
-    ):
-        plain_img = stack_planes(plain_img)  # gray-scheme ciphertexts are plane-stacked
-    if (plain_img.width, plain_img.height) != (cipher_img.width, cipher_img.height):
-        raise DataError(
-            f"plaintext {plain_img.width}x{plain_img.height} does not match "
-            f"ciphertext {cipher_img.width}x{cipher_img.height}"
-        )
 
     started = time.perf_counter()
     puzzle = Puzzle.from_image(cipher_img, cfg.block_size)
-    from_key = bool(args.key or args.key_file)
     if from_key:
         gt = ground_truth_from_key(_load_key(args), cfg, puzzle.grid)
     else:

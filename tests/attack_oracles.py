@@ -1,9 +1,10 @@
 """Reference implementations of the jigsaw attack's hot paths.
 
 These are the straightforward versions the library started from: the greedy
-solver rescans every open cell after every placement, the ground truth and the
-renderer work one piece at a time, and the scorer checks one seam at a time
-with its own hand-written orientation algebra. The library's vectorised and
+solver rescans every open cell after every placement, the ground truth fills
+the full cells x pieces cost table one piece variant at a time, the renderer
+works one piece at a time, and the scorer checks one seam at a time with its
+own hand-written orientation algebra. The library's vectorised and
 incremental versions must return exactly what these return, so tests compare
 the two.
 """
@@ -56,35 +57,27 @@ def reference_ground_truth_from_plain(
     n, f, _, c = piece_feat.shape
     white = 255.0 * (grid.block_size // f) ** 2 if sums else 255.0
 
-    variants = []  # (orientation, negpos, channel perm index or None)
-    for orient in range(8):
-        for neg in (0, 1):
-            if c == 3:
-                variants.extend((orient, neg, p3) for p3 in range(6))
-            else:
-                variants.append((orient, neg, None))
-
     flat_cells = cell_feat.reshape(n, -1)
-    cost = np.empty((n, n))
-    orient_choice = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        vfeats = np.empty((len(variants), f * f * c))
-        for vi, (orient, neg, p3) in enumerate(variants):
-            feat = apply_orientation(piece_feat[i], orient)
-            if neg:
-                feat = white - feat
-            if p3 is not None:
-                feat = feat[..., CHANNEL_PERMS[p3]]
-            vfeats[vi] = feat.ravel()
-        # squared distance of every variant to every cell
-        d = (
-            (vfeats * vfeats).sum(axis=1)[:, None]
-            + (flat_cells * flat_cells).sum(axis=1)[None, :]
-            - 2.0 * vfeats @ flat_cells.T
-        )
-        best_v = d.argmin(axis=0)
-        cost[:, i] = d[best_v, np.arange(n)]
-        orient_choice[:, i] = [variants[v][0] for v in best_v]
+    cell_sq = (flat_cells * flat_cells).sum(axis=1)
+    # cost[cell, piece]: the least distance over the piece's variants, and
+    # orient_choice the orientation of the first variant reaching it in
+    # (orientation, negpos, channel order) order. Each variant of all pieces
+    # at once is one matrix product against every cell, and only a strictly
+    # lower distance replaces the one kept.
+    cost = np.full((n, n), np.inf)
+    orient_choice = np.zeros((n, n), dtype=np.int64)
+    for orient in range(8):
+        turned = apply_orientation(piece_feat, orient)
+        for neg in (0, 1):
+            feat = white - turned if neg else turned
+            for perm in CHANNEL_PERMS if c == 3 else [(0,)]:
+                vfeats = feat[..., perm].reshape(n, -1)
+                d = -2.0 * flat_cells @ vfeats.T
+                d += cell_sq[:, None]
+                d += (vfeats * vfeats).sum(axis=1)
+                lower = d < cost
+                np.copyto(cost, d, where=lower)
+                np.copyto(orient_choice, orient, where=lower)
 
     ids = cost.argmin(axis=1)
     ors = orient_choice[np.arange(n), ids]

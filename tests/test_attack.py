@@ -31,11 +31,17 @@ from etckit.attack import (
 )
 from etckit.cipher import (
     ORIENT_COMPOSE,
+    ORIENT_INVERSE,
+    ROTATE_FLIP,
+    SCHEME_COLOR,
     SCHEME_GRAYSCALE,
+    SCRAMBLE,
+    SEAM_TURNS,
     CipherConfig,
     apply_orientation,
     encrypt,
     stack_planes,
+    step_draws,
 )
 from etckit.codec import CodecParams, jpeg_roundtrip
 from etckit.images import BlockGrid, ImageBuffer, merge_blocks, save_ppm, split_blocks
@@ -43,11 +49,14 @@ from etckit.keystream import MasterKey
 from etckit.synth import synth_natural_image
 
 from attack_oracles import (
+    reference_compose_orientations,
     reference_edge_tables,
     reference_greedy_assemble,
     reference_ground_truth_from_plain,
+    reference_invert_orientation,
     reference_render_assembly,
     reference_pose_codes,
+    reference_pose_direction,
     reference_pose_grid,
     reference_score_assembly,
 )
@@ -109,6 +118,24 @@ class TestGroundTruth:
             pz = Puzzle.from_image(ct, 16)
             gt = ground_truth_from_key(key, cfg, pz.grid)
             assert render_assembly(Assembly(gt.piece_ids, gt.orientations), pz) == img
+
+    @pytest.mark.parametrize("scheme, letters", [(SCHEME_COLOR, "srnc"), (SCHEME_GRAYSCALE, "srn")])
+    def test_from_key_matches_the_hand_written_inverses_for_every_step_subset(self, scheme, letters):
+        # cell j holds the piece the scramble moved it to, turned by the
+        # inverse of that piece's rotate/flip draw; negpos and channel order
+        # leave the placement alone
+        grid, key = BlockGrid(8, 4, 6), MasterKey(0xBEEF)
+        n = grid.n_blocks
+        for size in range(len(letters) + 1):
+            for steps in itertools.combinations(letters, size):
+                cfg = CipherConfig(scheme, 8, "".join(steps))
+                draws = step_draws(key, cfg, n)
+                cell_piece = np.argsort(draws.get(SCRAMBLE, np.arange(n)))
+                codes = draws.get(ROTATE_FLIP, np.zeros(n, np.int64))
+                want = [reference_invert_orientation(int(codes[p])) for p in cell_piece]
+                gt = ground_truth_from_key(key, cfg, grid)
+                assert gt.piece_ids.ravel().tolist() == cell_piece.tolist()
+                assert gt.orientations.ravel().tolist() == want
 
     def test_from_plain_matches_key_on_exact_ciphertext(self):
         img = synth_natural_image(128, 128, seed=11)
@@ -223,6 +250,19 @@ class TestMetricOracle:
         asm = Assembly(np.asarray([[1, 0], [2, 3]]), np.zeros((2, 2), np.int64))
         got = score_assembly(asm, pz, allow_global_pose=False)
         assert got == Metrics(0.5, 0.25, 0.5)
+
+
+class TestOrientationTables:
+    def test_tables_match_the_hand_written_algebra(self):
+        # ORIENT_COMPOSE, ORIENT_INVERSE and SEAM_TURNS are read off one
+        # probe block; the oracle writes the dihedral group out by hand
+        for a in range(8):
+            assert ORIENT_INVERSE[a] == reference_invert_orientation(a)
+            for b in range(8):
+                assert ORIENT_COMPOSE[a, b] == reference_compose_orientations(a, b)
+            for seam, delta in enumerate([(0, 1), (1, 0)]):
+                assert tuple(SEAM_TURNS[seam, a].tolist()) == reference_pose_direction(a, delta)
+        assert SEAM_TURNS.shape == (2, 8, 2)
 
 
 class TestScoreAssembly:
@@ -508,8 +548,16 @@ def _pieces(kind, n, bs, c, seed):
     """``n`` pieces of ``kind``. Duplicated and uniform pieces make many
     compatibility scores tie exactly, so every tie-break rule is exercised.
     An antisymmetric piece turned by 180 degrees equals its negative, so the
-    ground truth's orientation and negpos variants tie exactly."""
+    ground truth's orientation and negpos variants tie exactly. Extreme
+    pieces have light left columns and top rows and dark right columns and
+    bottom rows, so every seam row is near B*C * 255**2, and +-1 noise
+    leaves them an integer or two apart."""
     rng = np.random.default_rng(seed)
+    if kind == "extreme":
+        light = np.zeros((n, bs, bs, c), bool)
+        light[:, :, 0] = light[:, 0, :] = True
+        noise = (rng.random(light.shape) < 0.02).astype(np.uint8)
+        return np.where(light, 255 - noise, noise).astype(np.uint8)
     if kind == "antisymmetric":
         half = rng.integers(0, 256, (n, bs, bs // 2, c), dtype=np.uint8)
         return np.concatenate([half, 255 - half[:, ::-1, ::-1]], axis=2)
@@ -685,16 +733,30 @@ class TestAgainstReference:
         # meet dark right columns and bottom rows at every seam, so three
         # rows pass 2**24. The +-1 noise leaves pieces an integer or two
         # apart, which a float32 sum would round into a tie
-        rng = np.random.default_rng(seed)
-        light = np.zeros((16, bs, bs, c), bool)
-        light[:, :, 0] = light[:, 0, :] = True
-        noise = (rng.random(light.shape) < 0.02).astype(np.uint8)
-        pieces = np.where(light, 255 - noise, noise).astype(np.uint8)
+        pieces = _pieces("extreme", 16, bs, c, seed)
         assert _SideTable(pieces, [0]).dtype == np.float32
         assert 3 * min(t.min() for t in reference_edge_tables(pieces, [0])) > 2**24
         pz = Puzzle(pieces, BlockGrid(bs, 4, 4))
         asm = greedy_assemble(pz)
         assert np.array_equal(asm.piece_ids, reference_greedy_assemble(pz).piece_ids)
+
+    @pytest.mark.parametrize("c, bs, dtype", [(1, 64, np.float32), (3, 22, np.float64)])
+    @pytest.mark.parametrize("kind", ["natural", "uniform", "extreme"])
+    @pytest.mark.parametrize("search", [False, True])
+    def test_open_cell_sums_on_both_sides_of_the_float32_bound(self, c, bs, dtype, kind, search):
+        # B*C = 64 is the last width with 4 * B*C * 255**2 < 2**24, so an open
+        # cell's sum of up to 4 rows is float32 there and float64 at 66.
+        # Extreme pieces put the centre cell's 4 rows near 2**24; uniform
+        # pieces tie
+        if kind == "extreme":
+            pz = Puzzle(_pieces(kind, 9, bs, c, bs), BlockGrid(bs, 3, 3))
+        else:
+            _, pz = _cipher_case((3, 3), kind, c, bs, 0x5EED, 3)
+        assert _SideTable(pz.pieces, [0]).sum_dtype == dtype
+        asm = greedy_assemble(pz, orientation_search=search)
+        ref = reference_greedy_assemble(pz, orientation_search=search)
+        assert np.array_equal(asm.piece_ids, ref.piece_ids)
+        assert np.array_equal(asm.orientations, ref.orientations)
 
     @pytest.mark.parametrize(
         "values, shape, want",
@@ -882,9 +944,10 @@ class TestMemoryGuard:
         assert peak < kk * kk * 8 // 4
 
     def test_greedy_holds_one_row_per_open_cell(self):
-        # 768 gray-based pieces of 8x8 in 8 orientations: K = 6144, a 48 KiB
-        # row. One running sum per open cell peaks near 16 MiB; up to four
-        # cached rows per open cell took about 40 MiB
+        # 768 gray-based pieces of 8x8 in 8 orientations: K = 6144. At B*C
+        # = 8 the running sum per open cell is float32, a 24 KiB row, and the
+        # solve peaks near 8 MiB; float64 sums peaked near 15 MiB, and up to
+        # four cached rows per open cell took about 40 MiB
         img = synth_natural_image(128, 128, seed=7)
         cfg = CipherConfig(scheme=SCHEME_GRAYSCALE, steps="sr", block_size=8)
         pz = Puzzle.from_image(encrypt(img, MasterKey(1234), cfg)[0], 8)
@@ -895,7 +958,7 @@ class TestMemoryGuard:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 << 20
+        assert peak < 12 << 20
 
     def test_ground_truth_stays_below_one_table(self):
         # 1024 pieces: one n x n float64 cost table is 8 MiB

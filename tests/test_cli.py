@@ -258,6 +258,31 @@ class TestAttack:
         row = capsys.readouterr().out.strip().split("\n")[1]
         assert row.split(",")[0] == want
 
+    @pytest.mark.parametrize("scheme", ["color", "gray"])
+    def test_key_ground_truth_needs_no_plaintext(self, tmp_path, plain_ppm, capsys, scheme):
+        # with a key the plaintext only checks the geometry, so the row but
+        # for its seconds is the same with and without --plain
+        ct, key_file = tmp_path / "ct.ppm", tmp_path / "k.key"
+        key_file.write_text(f"{KEY}\n")
+        main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY, "--scheme", scheme])
+        argv = ["attack", str(ct), "--scheme", scheme, "--orientation-search"]
+        rows = []
+        for extra in (["--key", KEY], ["--key-file", str(key_file)],
+                      ["--key", KEY, "--plain", str(plain_ppm)]):
+            capsys.readouterr()
+            assert main([*argv, *extra]) == EXIT_OK
+            rows.append(capsys.readouterr().out.strip().split("\n")[1].split(",")[:6])
+        assert rows[0] == rows[1] == rows[2]
+
+    def test_no_plaintext_and_no_key_is_usage_error(self, tmp_path, plain_ppm, capsys):
+        ct = tmp_path / "ct.ppm"
+        main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY])
+        capsys.readouterr()
+        assert main(["attack", str(ct)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--plain", "--key", "--key-file"))
+        assert "Traceback" not in err
+
     def test_shared_cheapest_pieces_are_data_error(self, tmp_path, capsys):
         # six cells copy block 0, so the plaintext cannot tell seven pieces
         # apart: --plain alone refuses, and --key still scores
