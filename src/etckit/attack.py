@@ -26,13 +26,13 @@ from .cipher import (
     CHANNEL_PERMS,
     ORIENT_COMPOSE,
     ORIENT_INVERSE,
-    ROTATE_FLIP,
+    POSE_INVERSE,
     SCRAMBLE,
     SEAM_TURNS,
-    STEPS,
     CipherConfig,
-    _rotate_flip,
     apply_orientation,
+    apply_poses,
+    cell_poses,
     inverse_permutation,
     step_draws,
     steps_to_letters,
@@ -61,10 +61,11 @@ _SEED_CHUNK = 1 << 19
 
 @dataclass(frozen=True)
 class _Placement:
-    """Per-cell (piece id, orientation), each piece used once."""
+    """Per-cell (piece id, pose), each piece used once: the cell holds its
+    piece in pose o + 8 * (neg + 2 * perm) (``cipher.apply_poses``)."""
 
     piece_ids: np.ndarray
-    orientations: np.ndarray
+    poses: np.ndarray
 
     _kind: ClassVar[str]  # names the type in error messages
 
@@ -72,21 +73,26 @@ class _Placement:
         ids = np.asarray(self.piece_ids)
         if sorted(ids.ravel().tolist()) != list(range(ids.size)):
             raise ValueError(f"{self._kind} must place every piece exactly once")
-        ors = np.asarray(self.orientations)
-        if ors.shape != ids.shape or ((ors < 0) | (ors > 7)).any():
-            raise ValueError(f"{self._kind} orientations must match the grid and lie in [0, 8)")
+        poses, top = np.asarray(self.poses), len(POSE_INVERSE)
+        if poses.shape != ids.shape or ((poses < 0) | (poses >= top)).any():
+            raise ValueError(f"{self._kind} poses must match the grid and lie in [0, {top})")
+
+    @property
+    def orientations(self) -> np.ndarray:
+        """Per-cell rotate/flip code in [0, 8), the low part of the pose."""
+        return self.poses % 8
 
 
 @dataclass(frozen=True)
 class GroundTruth(_Placement):
-    """Per-cell (piece id, orientation) that reconstructs the plaintext."""
+    """Per-cell (piece id, pose) that reconstructs the plaintext."""
 
     _kind = "ground truth"
 
 
 @dataclass(frozen=True)
 class Assembly(_Placement):
-    """A solver's answer: per-cell (piece id, orientation), each piece used once."""
+    """A solver's answer: per-cell (piece id, pose), each piece used once."""
 
     _kind = "assembly"
 
@@ -105,11 +111,8 @@ class Puzzle:
     ground_truth: GroundTruth | None = None
 
     @classmethod
-    def from_image(
-        cls, img: ImageBuffer, block_size: int, ground_truth: GroundTruth | None = None
-    ) -> "Puzzle":
-        pieces, grid = split_blocks(img, block_size)
-        return cls(pieces, grid, ground_truth)
+    def from_image(cls, img: ImageBuffer, block_size: int, ground_truth: GroundTruth | None = None) -> "Puzzle":
+        return cls(*split_blocks(img, block_size), ground_truth)
 
 
 def identity_assembly(grid: BlockGrid) -> Assembly:
@@ -118,15 +121,9 @@ def identity_assembly(grid: BlockGrid) -> Assembly:
 
 
 def ground_truth_from_key(key: MasterKey, cfg: CipherConfig, grid: BlockGrid) -> GroundTruth:
-    """Exact ground truth for a ciphertext produced with (key, cfg): the
-    inverted draws that ``decrypt`` applies, which put piece ``inv[j]`` at
-    cell ``j`` and undo each piece's orientation."""
-    draws = step_draws(key, cfg, grid.n_blocks)
-    undo = {name: invert(draws[name]) for name, *_, invert in STEPS if name in draws}
-    cell_piece = undo.get(SCRAMBLE, np.arange(grid.n_blocks, dtype=np.int64))
-    cell_orient = undo.get(ROTATE_FLIP, np.zeros(grid.n_blocks, dtype=np.int64))[cell_piece]
-    shape = (grid.rows, grid.cols)
-    return GroundTruth(cell_piece.reshape(shape), cell_orient.reshape(shape))
+    """Exact ground truth of a (key, cfg) ciphertext: what ``decrypt`` applies (``cipher.cell_poses``)."""
+    ids, poses = cell_poses(step_draws(key, cfg, grid.n_blocks), grid.n_blocks)
+    return GroundTruth(ids.reshape(grid.rows, grid.cols), poses.reshape(grid.rows, grid.cols))
 
 
 def _cell_sums(blocks: np.ndarray, f: int) -> np.ndarray:
@@ -182,30 +179,31 @@ class _Features:
         grid = np.arange(f * f * c).reshape(f, f, c)
         self._turns = np.stack([apply_orientation(grid, o).reshape(-1, c).T for o in range(8)])
 
-    def _distance(self, most, least, cells, pieces) -> np.ndarray:
+    def _distance(self, most, least, cells, pieces) -> tuple[np.ndarray, np.ndarray]:
         """Pair distances from dots ``v . c`` of non-negated piece variants
-        with cells: ``min(|c|^2 + |p|^2 - 2 most, |c|^2 + |full - p|^2 - 2
-        full sum(c) + 2 least)``, the plain distance of the variant whose dot
-        is ``most`` against the negated distance of the one whose dot is
+        with cells: ``|c|^2 + |p|^2 - 2 most``, the plain distance of the
+        variant whose dot is ``most``, and ``|c|^2 + |full - p|^2 - 2 full
+        sum(c) + 2 least``, the negated distance of the one whose dot is
         ``least``. ``cells`` and ``pieces`` index the norms so that they
-        broadcast against the dots. Works in place and returns ``most``."""
+        broadcast against the dots. Works in place on both dots."""
         most *= -2
         most += self.piece_sq[pieces]
         most += self.cell_sq[cells]
         least *= 2
         least += self.neg_sq[pieces]
         least += self.cell_neg[cells]
-        return np.minimum(most, least, out=most)
+        return most, least
 
     def pair_costs(self, cell_ids: np.ndarray, piece_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distance of each (cell, piece) pair, and the orientation of the
-        first variant reaching it in (orientation, negpos, channel order)
-        order, from the exact distances of all its variants, ``_GT_PAIRS``
-        pairs at a time."""
+        """Distance of each (cell, piece) pair, and the pose of the first
+        variant reaching it in (orientation, negpos, channel order) order,
+        from the exact distances of all its variants, ``_GT_PAIRS`` pairs at
+        a time."""
         m, (n, f, _, c) = len(cell_ids), self.pieces.shape
         flat = self.pieces.reshape(n, -1)
         perms = np.asarray(self.perms)
-        cost, orient = np.empty(m), np.empty(m, dtype=np.int64)
+        variant_pose = (np.arange(8)[:, None, None] + 8 * (np.arange(2)[:, None] + 2 * np.arange(len(perms)))).ravel()
+        cost, pose = np.empty(m), np.empty(m, dtype=np.int64)
         for lo in range(0, m, _GT_PAIRS):
             at_c, at_p = cell_ids[lo : lo + _GT_PAIRS], piece_ids[lo : lo + _GT_PAIRS]
             k = len(at_c)
@@ -213,18 +211,16 @@ class _Features:
             mates = self.cells[at_c].reshape(k, f * f, c)
             g = np.matmul(mine, mates).reshape(k, 8, c, c)  # g[:, o, a, b]: channel a . b
             dots = g[..., perms, np.arange(c)].sum(axis=-1)  # (k, 8, P)
-            # dist[:, o * P + j]: orientation o and channel order j, the least
-            # over negation; orientation is the major axis in both this order
-            # and the variant order, so the first argmin has the orientation
-            # of the first variant reaching the cost
-            dist = self._distance(dots, dots.copy(), at_c[:, None, None], at_p[:, None, None]).reshape(k, -1)
+            # dist[:, (o * 2 + neg) * P + j]: every variant, in variant order
+            dist = np.stack(self._distance(dots, dots.copy(), at_c[:, None, None], at_p[:, None, None]), 2)
+            dist = dist.reshape(k, -1)
             best = dist.argmin(axis=1)
             cost[lo : lo + k] = dist[np.arange(k), best]
-            orient[lo : lo + k] = best // len(perms)
-        return cost, orient
+            pose[lo : lo + k] = variant_pose[best]
+        return cost, pose
 
     def distinct_cheapest(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each cell's lowest-index cheapest piece and its orientation. Scans
+        """Each cell's lowest-index cheapest piece and its pose. Scans
         the sorted-feature bound of ``ground_truth_from_plain`` ``_GT_PIECES``
         cells at a time and scores each cell's candidates. Raises
         ``ValueError`` once the candidates pass ``_GT_BUDGET`` per cell, or
@@ -232,7 +228,7 @@ class _Features:
         n = len(self.cells)
         cells = self.cells.reshape(n, -1)
         sorted_pieces = np.sort(self.pieces.reshape(n, -1), axis=1).T  # (F*F*C, n)
-        ids, ors = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        ids, poses = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         budget = _GT_BUDGET * n
         for lo in range(0, n, _GT_PIECES):
             part = np.sort(cells[lo : lo + _GT_PIECES], axis=1)
@@ -241,10 +237,10 @@ class _Features:
             # |sc - sp|^2 and |sc - (full - reverse(sp))|^2 are distances of
             # the dots sc . sp and sc . reverse(sp) = reverse(sc) . sp
             neg = part[:, ::-1] @ sorted_pieces
-            bound = self._distance(part @ sorted_pieces, neg, here[:, None], slice(None))
+            bound = np.minimum(*self._distance(part @ sorted_pieces, neg, here[:, None], slice(None)))
             del neg
             first = bound.argmin(axis=1)
-            upper, ors[here] = self.pair_costs(here, first)
+            upper, poses[here] = self.pair_costs(here, first)
             hit = bound <= upper[:, None]
             hit[at, first] = False  # scored already
             rows, cols = hit.nonzero()
@@ -256,18 +252,18 @@ class _Features:
                     "plaintext; score against the key (--key)"
                 )
             # the exact distances of the candidates, inf elsewhere
-            cost, orient = self.pair_costs(lo + rows, cols)
+            cost, pose = self.pair_costs(lo + rows, cols)
             bound.fill(np.inf)
             bound[at, first] = upper
             bound[rows, cols] = cost
             ids[here] = best = bound.argmin(axis=1)
             won = cols == best[rows]
-            ors[lo + rows[won]] = orient[won]
+            poses[lo + rows[won]] = pose[won]
         shared = int((np.bincount(ids, minlength=n)[ids] > 1).sum())
         if shared:
             raise ValueError(f"{shared} of {n} cells share their cheapest piece with another "
                              "cell; score against the key (--key)")
-        return ids, ors
+        return ids, poses
 
 
 def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
@@ -278,8 +274,11 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     its pixel sums over the largest power-of-two grid of cells (up to 8x8)
     that divides the block size. The cost of a (cell, piece) pair is the
     least squared distance from the cell's features to those of any of the
-    piece's variants, and its orientation is that of the first variant
-    reaching it in (orientation, negpos, channel order) order.
+    piece's variants, and its pose is that of the first variant reaching it
+    in (orientation, negpos, channel order) order. Past JPEG, a block whose
+    channels nearly coincide can take another channel order than the key's
+    (``synth``: 279 of 4 096 32-px cells at q50, 71 of 1 024 16-px cells at
+    q75, 2 at q95); ids, orientations and negation matched the key's.
 
     Each cell takes its lowest-index cheapest piece. Where that does not
     single out one piece per cell, this raises ``ValueError`` instead of
@@ -317,21 +316,18 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
     ``_GT_BUDGET`` x n) whether it answers or refuses.
     """
     grid = puzzle.grid
-    n, b, _, c = puzzle.pieces.shape
+    _, b, _, c = puzzle.pieces.shape
     f, full = _feature_grid(b)
     if 2 * f * f * c * full * full >= 2**53:
-        raise ValueError(
-            f"block size {b} with {c} channel(s) gives feature distances that may "
-            "reach 2**53, past float64's exact integers"
-        )
+        raise ValueError(f"block size {b} with {c} channel(s) gives feature distances that may "
+                         "reach 2**53, past float64's exact integers")
     plain_blocks, _ = split_blocks(plain, grid.block_size)
     if plain_blocks.shape != puzzle.pieces.shape:
         raise ValueError(f"plaintext geometry does not match the puzzle grid: plaintext "
                          f"blocks {plain_blocks.shape}, pieces {puzzle.pieces.shape}")
 
-    ids, ors = _Features(plain_blocks, puzzle.pieces).distinct_cheapest()
-    shape = (grid.rows, grid.cols)
-    return GroundTruth(ids.reshape(shape), ors.reshape(shape))
+    ids, poses = _Features(plain_blocks, puzzle.pieces).distinct_cheapest()
+    return GroundTruth(ids.reshape(grid.rows, grid.cols), poses.reshape(grid.rows, grid.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +661,8 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
 
 
 def render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer:
-    """Paint the assembled image (pieces drawn in their assigned orientations)."""
-    out = _rotate_flip(puzzle.pieces[assembly.piece_ids.ravel()], assembly.orientations.ravel())
+    """Paint the assembled image (pieces drawn in their assigned poses)."""
+    out = apply_poses(puzzle.pieces[assembly.piece_ids.ravel()], assembly.poses.ravel())
     return merge_blocks(out, puzzle.grid, out.shape[-1])
 
 
@@ -685,7 +681,10 @@ def score_assembly(
     square grid also the quarter turns and both diagonal flips. Border
     compatibility cannot tell an assembly from any of its poses. Nc is the
     share of right and below seams that are correct, and Lc the share of
-    cells in the largest 4-connected region joined by correct seams.
+    cells in the largest 4-connected region joined by correct seams. All
+    three read orientations only, so a cell's negation or channel order never
+    counts against them: past JPEG the appearance truth's channel order is
+    not the key's (``ground_truth_from_plain``).
 
     A seam between pieces placed at offset ``delta`` in orientations (ou, ov)
     is correct when one global pose maps both placements onto the ground

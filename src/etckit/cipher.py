@@ -8,9 +8,10 @@ first stacks the R, G, B planes vertically into one single-channel raster and
 uses smaller (8x8) blocks, trading color information for a larger block count.
 
 :data:`STEPS` is the one description of the steps, one row each: name,
-letter, keystream tag, alphabet, block map and draw inverse. Every step draws
-from its own keyed stream, so enabling or disabling one step never shifts
-another step's draws.
+letter, keystream tag, alphabet and block map. Every step draws from its own
+keyed stream, so enabling or disabling one step never shifts another step's
+draws. Decryption undoes them as data: each plaintext cell is one ciphertext
+block in one pose (:func:`cell_poses`, :func:`apply_poses`).
 """
 
 from __future__ import annotations
@@ -105,17 +106,9 @@ class CipherSidecar:
                 raise ValueError(f"{name} must be in [0, {self.block_size}), got {pad}")
 
     def to_text(self) -> str:
-        lines = [
-            f"version={SIDECAR_VERSION}",
-            f"scheme={self.scheme}",
-            f"block_size={self.block_size}",
-            f"steps={steps_to_letters(self.steps)}",
-            f"orig_w={self.orig_w}",
-            f"orig_h={self.orig_h}",
-            f"pad_r={self.pad_r}",
-            f"pad_b={self.pad_b}",
-        ]
-        return "\n".join(lines) + "\n"
+        fields = {"version": SIDECAR_VERSION, **{k: getattr(self, k) for k in self.__dataclass_fields__}}
+        fields["steps"] = steps_to_letters(self.steps)
+        return "".join(f"{k}={v}\n" for k, v in fields.items())
 
     @classmethod
     def from_text(cls, text: str) -> "CipherSidecar":
@@ -203,8 +196,7 @@ ORIENT_COMPOSE, ORIENT_INVERSE, SEAM_TURNS = _orientation_tables()
 # The step table
 #
 # Each map transforms a whole (n, B, B, C) block stack under per-block draws
-# and may overwrite its input. The inverse of every step is the same map under
-# inverted draws, so decryption walks the table backwards.
+# and may overwrite its input.
 
 
 def _scramble(blocks: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -239,15 +231,14 @@ def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return blocks
 
 
-# (name, letter, stream tag, alphabet or None for a permutation, map, invert_draws)
+# (name, letter, stream tag, alphabet or None for a permutation, map), in application order
 STEPS = (
-    (SCRAMBLE, "s", TAG_SCRAMBLE, None, _scramble, inverse_permutation),
-    (ROTATE_FLIP, "r", TAG_ROTATE_FLIP, 8, _rotate_flip, lambda c: np.take(ORIENT_INVERSE, c)),
-    (NEGPOS, "n", TAG_NEGPOS, 2, _negpos, lambda bits: bits),
-    (COLOR_SHUFFLE, "c", TAG_COLOR_SHUFFLE, 6, _color_shuffle, lambda c: np.take(COLOR_INVERSE, c)),
+    (SCRAMBLE, "s", TAG_SCRAMBLE, None, _scramble),
+    (ROTATE_FLIP, "r", TAG_ROTATE_FLIP, 8, _rotate_flip),
+    (NEGPOS, "n", TAG_NEGPOS, 2, _negpos),
+    (COLOR_SHUFFLE, "c", TAG_COLOR_SHUFFLE, 6, _color_shuffle),
 )
 
-# Application order is fixed; decryption undoes steps in reverse.
 STEP_ORDER = tuple(name for name, *_ in STEPS)
 STEP_LETTERS = {name: letter for name, letter, *_ in STEPS}
 _LETTER_STEPS = {letter: name for name, letter, *_ in STEPS}
@@ -275,7 +266,7 @@ def keyspace_bits(n_blocks: int, steps, scheme: str = SCHEME_COLOR) -> float:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     enabled = CipherConfig(scheme, 1, normalize_steps(steps)).steps
     bits = 0.0
-    for name, _, _, alphabet, _, _ in STEPS:
+    for name, _, _, alphabet, _ in STEPS:
         if name in enabled:
             bits += n_blocks * math.log2(alphabet) if alphabet else math.lgamma(n_blocks + 1) / math.log(2.0)
     return bits
@@ -288,7 +279,7 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
     never shifts another step's draws.
     """
     draws = {}
-    for name, _, tag, alphabet, _, _ in STEPS:
+    for name, _, tag, alphabet, _ in STEPS:
         if name not in cfg.steps:
             continue
         seed = derive_step_seed(key, tag)
@@ -297,6 +288,31 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
         else:
             draws[name] = gen_symbols(seed, n_blocks, alphabet)
     return draws
+
+
+# ---------------------------------------------------------------------------
+# Poses: the per-block steps' draws in mixed radix, o + 8 * (neg + 2 * perm), in
+# [0, 96) ([0, 16) on one channel). The maps commute and negation is its own
+# inverse, so POSE_INVERSE[code] undoes each part on its own.
+
+POSE_INVERSE = (ORIENT_INVERSE + 8 * (np.arange(2)[:, None] + 2 * np.array(COLOR_INVERSE)[:, None, None])).ravel()
+
+
+def apply_poses(blocks: np.ndarray, poses: np.ndarray) -> np.ndarray:
+    """Each block of an (n, B, B, C) stack in its pose; may overwrite ``blocks``."""
+    perm, rest = np.divmod(poses, 16)
+    if perm.any() and blocks.shape[-1] != 3:
+        raise ValueError(f"pose {poses[perm.argmax()]} orders channels, which needs 3, not {blocks.shape[-1]}")
+    blocks = _negpos(_rotate_flip(blocks, rest % 8), rest // 8)
+    return _color_shuffle(blocks, perm) if perm.any() else blocks
+
+
+def cell_poses(draws: dict[str, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, poses)`` that undo ``draws`` of :func:`step_draws` on n blocks:
+    plaintext cell j is ciphertext block ``ids[j]`` in pose ``poses[j]``."""
+    ids = inverse_permutation(draws[SCRAMBLE]) if SCRAMBLE in draws else np.arange(n)
+    codes = [draws.get(name, np.zeros(n, np.int64)) for name in (ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE)]
+    return ids, POSE_INVERSE[(codes[0] + 8 * (codes[1] + 2 * codes[2]))[ids]]
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +342,17 @@ def unstack_planes(img: ImageBuffer) -> ImageBuffer:
 
 def _check_geometry(img: ImageBuffer, cfg: CipherConfig) -> None:
     if cfg.scheme == SCHEME_COLOR and img.channels != 3:
-        raise ValueError(
-            f"color scheme requires a 3-channel image, got {img.channels} channel(s)"
-        )
+        raise ValueError(f"color scheme requires a 3-channel image, got {img.channels} channel(s)")
     if img.width % cfg.block_size or img.height % cfg.block_size:
-        raise ValueError(
-            f"{img.width}x{img.height} not divisible by block size "
-            f"{cfg.block_size}; pad the image first"
-        )
+        raise ValueError(f"{img.width}x{img.height} not divisible by block size {cfg.block_size}; "
+                         "pad the image first")
+
+
+def check_ciphertext(img: ImageBuffer, cfg: CipherConfig) -> None:
+    """Raise ``ValueError`` unless ``img`` has a ``cfg`` ciphertext's channels and block alignment."""
+    if cfg.scheme == SCHEME_GRAYSCALE and img.channels != 1:
+        raise ValueError("grayscale-based ciphertext must be single-channel")
+    _check_geometry(img, cfg)
 
 
 def encrypt(
@@ -362,7 +381,7 @@ def encrypt(
     work = stack_planes(img) if cfg.scheme == SCHEME_GRAYSCALE else img
     blocks, grid = split_blocks(work, cfg.block_size)
     draws = step_draws(key, cfg, grid.n_blocks)
-    for name, _, _, _, step_map, _ in STEPS:
+    for name, _, _, _, step_map in STEPS:
         if name in draws:
             blocks = step_map(blocks, draws[name])
     return merge_blocks(blocks, grid, work.channels), sidecar
@@ -376,20 +395,13 @@ def decrypt(img: ImageBuffer, key: MasterKey, sidecar: CipherSidecar) -> ImageBu
     stacked = cfg.scheme == SCHEME_GRAYSCALE and img.height == 3 * padded_h
     expect_h = 3 * padded_h if stacked else padded_h
     if img.width != padded_w or img.height != expect_h:
-        raise ValueError(
-            f"ciphertext is {img.width}x{img.height}, sidecar implies "
-            f"{padded_w}x{expect_h}"
-        )
-    if cfg.scheme == SCHEME_GRAYSCALE and img.channels != 1:
-        raise ValueError("grayscale-based ciphertext must be single-channel")
-    _check_geometry(img, cfg)
+        raise ValueError(f"ciphertext is {img.width}x{img.height}, sidecar implies {padded_w}x{expect_h}")
+    check_ciphertext(img, cfg)
 
-    blocks, grid = split_blocks(img, cfg.block_size)
-    draws = step_draws(key, cfg, grid.n_blocks)
-    for name, _, _, _, step_map, invert_draws in reversed(STEPS):
-        if name in draws:
-            blocks = step_map(blocks, invert_draws(draws[name]))
-    out = merge_blocks(blocks, grid, img.channels)
+    out, grid = split_blocks(img, cfg.block_size)  # each rebinding of out frees the last stack
+    ids, poses = cell_poses(step_draws(key, cfg, grid.n_blocks), grid.n_blocks)
+    out = np.take(out, ids, axis=0)
+    out = merge_blocks(apply_poses(out, poses), grid, img.channels)
     if stacked:
         out = unstack_planes(out)
     if sidecar.pad_r or sidecar.pad_b:

@@ -29,6 +29,7 @@ from .cipher import (
     SIDECAR_VERSION,
     CipherConfig,
     CipherSidecar,
+    check_ciphertext,
     decrypt,
     encrypt,
     keyspace_bits,
@@ -257,6 +258,8 @@ def _cmd_attack(args) -> int:
             raise DataError(f"plaintext {plain_img.width}x{plain_img.height} does not match "
                             f"ciphertext {cipher_img.width}x{cipher_img.height}")
     cfg = _config(args)
+    if from_key:  # the key's ground truth holds only for what decrypt would take
+        check_ciphertext(cipher_img, cfg)
 
     started = time.perf_counter()
     puzzle = Puzzle.from_image(cipher_img, cfg.block_size)

@@ -21,6 +21,8 @@ from etckit.attack import (
 from etckit.cipher import CHANNEL_PERMS, apply_orientation
 from etckit.images import ImageBuffer, merge_blocks, split_blocks
 
+from step_oracles import apply_color_shuffle, apply_negpos, orient_block
+
 
 def _block_features(pieces: np.ndarray, sums: bool = False) -> np.ndarray:
     """Coarse per-block features: cell means (or, with ``sums``, cell sums) on
@@ -60,34 +62,34 @@ def reference_ground_truth_from_plain(
     flat_cells = cell_feat.reshape(n, -1)
     cell_sq = (flat_cells * flat_cells).sum(axis=1)
     # cost[cell, piece]: the least distance over the piece's variants, and
-    # orient_choice the orientation of the first variant reaching it in
-    # (orientation, negpos, channel order) order. Each variant of all pieces
-    # at once is one matrix product against every cell, and only a strictly
-    # lower distance replaces the one kept.
+    # pose_choice the pose o + 8 * (neg + 2 * perm) of the first variant
+    # reaching it in (orientation, negpos, channel order) order. Each variant
+    # of all pieces at once is one matrix product against every cell, and
+    # only a strictly lower distance replaces the one kept.
     cost = np.full((n, n), np.inf)
-    orient_choice = np.zeros((n, n), dtype=np.int64)
+    pose_choice = np.zeros((n, n), dtype=np.int64)
     for orient in range(8):
         turned = apply_orientation(piece_feat, orient)
         for neg in (0, 1):
             feat = white - turned if neg else turned
-            for perm in CHANNEL_PERMS if c == 3 else [(0,)]:
+            for p, perm in enumerate(CHANNEL_PERMS if c == 3 else [(0,)]):
                 vfeats = feat[..., perm].reshape(n, -1)
                 d = -2.0 * flat_cells @ vfeats.T
                 d += cell_sq[:, None]
                 d += (vfeats * vfeats).sum(axis=1)
                 lower = d < cost
                 np.copyto(cost, d, where=lower)
-                np.copyto(orient_choice, orient, where=lower)
+                np.copyto(pose_choice, orient + 8 * (neg + 2 * p), where=lower)
 
     ids = cost.argmin(axis=1)
-    ors = orient_choice[np.arange(n), ids]
+    poses = pose_choice[np.arange(n), ids]
     taken = ids.tolist()
     shared = sum(taken.count(piece) > 1 for piece in taken)  # cells whose piece another takes
     if shared:
         raise ValueError(f"{shared} of {n} cells share their cheapest piece with another "
                          "cell; score against the key (--key)")
     shape = (grid.rows, grid.cols)
-    return GroundTruth(ids.reshape(shape), ors.reshape(shape))
+    return GroundTruth(ids.reshape(shape), poses.reshape(shape))
 
 
 def reference_edge_tables(
@@ -223,14 +225,17 @@ def reference_greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) 
 
 
 def reference_render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer:
-    """Paint the assembled image (pieces drawn in their assigned orientations)."""
+    """Paint the assembled image: each piece turned, then negated, then its
+    channels reordered, by the parts of its pose o + 8 * (neg + 2 * perm)."""
     grid = puzzle.grid
     n, b, _, c = puzzle.pieces.shape
     out = np.empty((n, b, b, c), dtype=np.uint8)
     flat_ids = assembly.piece_ids.ravel()
-    flat_ors = assembly.orientations.ravel()
+    flat_poses = assembly.poses.ravel()
     for cell in range(n):
-        out[cell] = apply_orientation(puzzle.pieces[flat_ids[cell]], int(flat_ors[cell]))
+        perm, rest = divmod(int(flat_poses[cell]), 16)
+        block = apply_negpos(orient_block(puzzle.pieces[flat_ids[cell]], rest % 8), rest // 8)
+        out[cell] = apply_color_shuffle(block, perm) if c == 3 else block
     return merge_blocks(out, grid, c)
 
 

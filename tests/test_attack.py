@@ -30,6 +30,9 @@ from etckit.attack import (
     score_assembly,
 )
 from etckit.cipher import (
+    CHANNEL_PERMS,
+    COLOR_SHUFFLE,
+    NEGPOS,
     ORIENT_COMPOSE,
     ORIENT_INVERSE,
     ROTATE_FLIP,
@@ -39,6 +42,7 @@ from etckit.cipher import (
     SEAM_TURNS,
     CipherConfig,
     apply_orientation,
+    apply_poses,
     encrypt,
     stack_planes,
     step_draws,
@@ -77,20 +81,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             Assembly(np.asarray([[0, 0], [1, 2]]), np.zeros((2, 2), np.int64))
 
-    def test_assembly_orientation_range(self):
+    def test_assembly_pose_range(self):
         with pytest.raises(ValueError):
-            Assembly(np.asarray([[0, 1], [2, 3]]), np.full((2, 2), 8))
+            Assembly(np.asarray([[0, 1], [2, 3]]), np.full((2, 2), 96))
 
     def test_ground_truth_must_use_each_piece_once(self):
         # scored, it would give Metrics(0.25, 0.0, 0.25)
         with pytest.raises(ValueError, match="ground truth must place every piece exactly once"):
             GroundTruth(np.zeros((2, 2), np.int64), np.zeros((2, 2), np.int64))
 
-    def test_ground_truth_orientation_range(self):
-        # scored, it would index past the 8 x 8 composition table
-        with pytest.raises(ValueError, match="ground truth orientations"):
-            GroundTruth(np.asarray([[0, 1], [2, 3]]), np.asarray([[0, 9], [0, 0]]))
-        with pytest.raises(ValueError, match="ground truth orientations"):
+    def test_ground_truth_pose_range(self):
+        # a code past 95 names no channel order, which rendering would skip
+        with pytest.raises(ValueError, match="ground truth poses"):
+            GroundTruth(np.asarray([[0, 1], [2, 3]]), np.asarray([[0, 96], [0, 0]]))
+        with pytest.raises(ValueError, match="ground truth poses"):
             GroundTruth(np.asarray([[0, 1], [2, 3]]), np.zeros((1, 4), np.int64))
 
     def test_puzzle_from_image(self):
@@ -107,35 +111,41 @@ class TestGroundTruth:
         assert (gt.piece_ids == np.arange(4).reshape(2, 2)).all()
         assert (gt.orientations == 0).all()
 
-    def test_from_key_restores_plaintext(self):
-        # placing piece gt.piece_ids[r, c] at (r, c) with gt.orientations[r, c]
-        # must repaint the plaintext for scramble+rotate ciphertexts
-        img = _img(64, 64, seed=5)
-        for steps in ("s", "r", "sr"):
-            cfg = CipherConfig(steps=steps)
-            key = MasterKey(0xBEEF)
-            ct, _ = encrypt(img, key, cfg)
-            pz = Puzzle.from_image(ct, 16)
-            gt = ground_truth_from_key(key, cfg, pz.grid)
-            assert render_assembly(Assembly(gt.piece_ids, gt.orientations), pz) == img
+    @pytest.mark.parametrize("scheme, letters", [(SCHEME_COLOR, "srnc"), (SCHEME_GRAYSCALE, "srn")])
+    def test_from_key_restores_plaintext(self, scheme, letters):
+        # placing piece gt.piece_ids[r, c] at (r, c) in pose gt.poses[r, c]
+        # must repaint the plaintext, plane-stacked in the gray-based scheme,
+        # for every step subset
+        img, key = _img(64, 64, seed=5), MasterKey(0xBEEF)
+        want = stack_planes(img) if scheme == SCHEME_GRAYSCALE else img
+        for size in range(len(letters) + 1):
+            for steps in itertools.combinations(letters, size):
+                cfg = CipherConfig(scheme, steps="".join(steps))
+                pz = Puzzle.from_image(encrypt(img, key, cfg)[0], cfg.block_size)
+                gt = ground_truth_from_key(key, cfg, pz.grid)
+                assert render_assembly(Assembly(gt.piece_ids, gt.poses), pz) == want, steps
 
     @pytest.mark.parametrize("scheme, letters", [(SCHEME_COLOR, "srnc"), (SCHEME_GRAYSCALE, "srn")])
     def test_from_key_matches_the_hand_written_inverses_for_every_step_subset(self, scheme, letters):
-        # cell j holds the piece the scramble moved it to, turned by the
-        # inverse of that piece's rotate/flip draw; negpos and channel order
-        # leave the placement alone
+        # cell j holds the piece the scramble moved it to, in the pose that
+        # undoes that piece's draws: the inverse rotate/flip, the same negpos
+        # bit and the inverse channel order, whose permutation is the argsort
         grid, key = BlockGrid(8, 4, 6), MasterKey(0xBEEF)
         n = grid.n_blocks
+        color_inverse = [CHANNEL_PERMS.index(tuple(np.argsort(perm))) for perm in CHANNEL_PERMS]
         for size in range(len(letters) + 1):
             for steps in itertools.combinations(letters, size):
                 cfg = CipherConfig(scheme, 8, "".join(steps))
                 draws = step_draws(key, cfg, n)
                 cell_piece = np.argsort(draws.get(SCRAMBLE, np.arange(n)))
-                codes = draws.get(ROTATE_FLIP, np.zeros(n, np.int64))
+                codes, neg, perm = (draws.get(name, np.zeros(n, np.int64))
+                                    for name in (ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE))
                 want = [reference_invert_orientation(int(codes[p])) for p in cell_piece]
                 gt = ground_truth_from_key(key, cfg, grid)
                 assert gt.piece_ids.ravel().tolist() == cell_piece.tolist()
                 assert gt.orientations.ravel().tolist() == want
+                poses = [w + 8 * (neg[p] + 2 * color_inverse[perm[p]]) for w, p in zip(want, cell_piece)]
+                assert gt.poses.ravel().tolist() == poses
 
     def test_from_plain_matches_key_on_exact_ciphertext(self):
         img = synth_natural_image(128, 128, seed=11)
@@ -146,7 +156,7 @@ class TestGroundTruth:
         gt_key = ground_truth_from_key(key, cfg, pz.grid)
         gt_app = ground_truth_from_plain(img, pz)
         assert (gt_app.piece_ids == gt_key.piece_ids).all()
-        assert (gt_app.orientations == gt_key.orientations).all()
+        assert (gt_app.poses == gt_key.poses).all()
 
     def test_from_plain_rejects_geometry_mismatch(self):
         # the message names the plaintext blocks' shape and the pieces'
@@ -401,13 +411,13 @@ class TestGreedyAssemble:
 
 
 def _outcome(ground_truth, *args, **kwargs):
-    """A ground truth's (piece ids, orientations), or the message of the
+    """A ground truth's (piece ids, poses), or the message of the
     ``ValueError`` it refuses with."""
     try:
         gt = ground_truth(*args, **kwargs)
     except ValueError as exc:
         return str(exc)
-    return gt.piece_ids.tolist(), gt.orientations.tolist()
+    return gt.piece_ids.tolist(), gt.poses.tolist()
 
 
 def _count_pairs(monkeypatch):
@@ -429,9 +439,9 @@ class TestGroundTruthPruning:
     cheapest pieces do not single out one piece per cell it refuses."""
 
     @staticmethod
-    def _assert_same(got, want):
+    def _assert_same(got, want, part="poses"):
         assert np.array_equal(got.piece_ids, want.piece_ids)
-        assert np.array_equal(got.orientations, want.orientations)
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
     @pytest.mark.parametrize("size", [512, 1024])  # 256 and 1024 pieces
     @pytest.mark.parametrize("quality", [95, 75, 50])
@@ -459,7 +469,8 @@ class TestGroundTruthPruning:
         pz = Puzzle.from_image(ct, 16)
         pairs = _count_pairs(monkeypatch)
         got = ground_truth_from_plain(img, pz)
-        self._assert_same(got, ground_truth_from_key(key, cfg, pz.grid))
+        # past JPEG, the appearance truth's channel order may differ from the key's
+        self._assert_same(got, ground_truth_from_key(key, cfg, pz.grid), "orientations")
         assert 16 * pz.grid.n_blocks < sum(pairs) <= attack._GT_BUDGET * pz.grid.n_blocks
 
     def test_unrelated_plaintext_stops_at_the_budget(self, monkeypatch):
@@ -823,7 +834,7 @@ class TestAgainstReference:
     def test_ground_truth_ties_take_the_first_variant_at_block_6(self, c):
         # an antisymmetric piece turned by 180 degrees is its own negative, so
         # (orientation 0, negated) and (orientation 2, plain) undo both
-        # ciphertexts exactly; orientation 0 comes first
+        # ciphertexts exactly; orientation 0 comes first, in pose 8
         grid = BlockGrid(6, 2, 3)
         plain = _pieces("antisymmetric", 6, 6, c, 5)
         for ct in (255 - plain, apply_orientation(plain, 2)):
@@ -831,6 +842,7 @@ class TestAgainstReference:
             gt = ground_truth_from_plain(merge_blocks(plain, grid, c), pz)
             assert gt.piece_ids.tolist() == [[0, 1, 2], [3, 4, 5]]
             assert gt.orientations.tolist() == [[0, 0, 0], [0, 0, 0]]
+            assert gt.poses.tolist() == [[8, 8, 8], [8, 8, 8]]
 
     def test_ground_truth_matches_reference_across_chunks(self, monkeypatch):
         img = synth_natural_image(96, 96, seed=12)
@@ -842,7 +854,7 @@ class TestAgainstReference:
             monkeypatch.setattr(attack, "_GT_PIECES", chunk)
             got = ground_truth_from_plain(img, pz)
             assert np.array_equal(got.piece_ids, want.piece_ids)
-            assert np.array_equal(got.orientations, want.orientations)
+            assert np.array_equal(got.poses, want.poses)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(_GRIDS), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
@@ -850,8 +862,17 @@ class TestAgainstReference:
         rows, cols = grid
         rng = np.random.default_rng(seed)
         pz = Puzzle.from_image(_img(rows * 4, cols * 4, c, seed=seed % 997), 4)
-        asm = Assembly(rng.permutation(rows * cols).reshape(grid), rng.integers(0, 8, grid))
+        asm = Assembly(rng.permutation(rows * cols).reshape(grid), rng.integers(0, 96 if c == 3 else 16, grid))
         assert render_assembly(asm, pz) == reference_render_assembly(asm, pz)
+
+    def test_render_refuses_channel_orders_on_one_channel_pieces(self):
+        # poses 16 and up reorder channels, which one-channel pieces lack
+        pz = Puzzle.from_image(_img(4, 8, 1), 4)
+        asm = Assembly(np.array([[0, 1]]), np.array([[15, 16]]))
+        with pytest.raises(ValueError, match="^pose 16 orders channels"):
+            render_assembly(asm, pz)
+        with pytest.raises(ValueError, match="^pose 16 orders channels"):
+            apply_poses(pz.pieces, np.array([15, 16]))
 
 
 @st.composite

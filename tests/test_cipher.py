@@ -480,7 +480,7 @@ class TestStepTable:
         n = len(strided())
         draws = {SCRAMBLE: np.roll(np.arange(n), 1), ROTATE_FLIP: np.arange(n) % 8,
                  NEGPOS: np.arange(n) % 2, COLOR_SHUFFLE: np.arange(n) % 6}
-        for name, _, _, _, step_map, _ in STEPS:
+        for name, _, _, _, step_map in STEPS:
             blocks = strided()
             assert not blocks.flags.c_contiguous
             want = step_map(np.ascontiguousarray(blocks), draws[name])

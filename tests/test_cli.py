@@ -274,6 +274,21 @@ class TestAttack:
             rows.append(capsys.readouterr().out.strip().split("\n")[1].split(",")[:6])
         assert rows[0] == rows[1] == rows[2]
 
+    @pytest.mark.parametrize("made, scored, message", [
+        ("gray", "color", "color scheme requires a 3-channel image, got 1 channel(s)"),
+        ("color", "gray", "grayscale-based ciphertext must be single-channel"),
+    ])
+    def test_key_ground_truth_refuses_the_other_schemes_channels(self, tmp_path, plain_ppm,
+                                                                  capsys, made, scored, message):
+        # the key's ground truth fits only a ciphertext that decrypt takes, so
+        # a ciphertext of the other scheme is a data error, not a score
+        ct = tmp_path / "ct.ppm"
+        main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY, "--scheme", made])
+        capsys.readouterr()
+        assert main(["attack", str(ct), "--key", KEY, "--scheme", scored]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_no_plaintext_and_no_key_is_usage_error(self, tmp_path, plain_ppm, capsys):
         ct = tmp_path / "ct.ppm"
         main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY])

@@ -349,7 +349,7 @@ def test_step_draws_are_int64_arrays_equal_to_the_list_api(n):
     cfg = cipher.CipherConfig(steps="srnc")
     draws = cipher.step_draws(key, cfg, n)
     assert set(draws) == set(STEP_ORDER)
-    for name, _, tag, alphabet, _, _ in cipher.STEPS:
+    for name, _, tag, alphabet, _ in cipher.STEPS:
         seed = derive_step_seed(key, tag)
         want = gen_permutation(seed, n) if alphabet is None else gen_symbols(seed, n, alphabet)
         assert draws[name].dtype == np.int64
