@@ -78,7 +78,10 @@ def _parse(path: str, parse):
 
 
 def _read_templates(path: str, protected: bool = False) -> list:
-    return _parse(path, lambda data: parse_template_csv(data.decode(), protected=protected))
+    templates = _parse(path, lambda data: parse_template_csv(data.decode(), protected=protected))
+    if not templates:
+        raise DataError(f"{path}: no template rows")
+    return templates
 
 
 def _write(path: str, data: bytes) -> None:

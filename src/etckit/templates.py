@@ -211,9 +211,38 @@ def format_template_csv(templates) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_values(rows: list[str]) -> np.ndarray | None:
+    """The rows' comma-separated values as an (n, d) float64 array, read by
+    numpy's C text reader, or None if it refuses any row.
+
+    Each value reads to the same bits as ``float()`` would give; the reader
+    refuses digit-group underscores and non-ASCII digits. ``comments=None``
+    keeps ``#`` a plain character. The reader would skip an empty row and take
+    ``\x1f`` around a value as whitespace, both of which ``float()`` refuses,
+    so such rows are refused here and the row count is checked.
+    """
+    if "" in rows or any("\x1f" in r for r in rows):
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return values if values.shape[0] == len(rows) else None
+
+
+def _row_values(row: str) -> np.ndarray:
+    """One row's values, or ValueError naming the first value the reader refuses."""
+    values = _read_values([row])
+    if values is None:
+        field = next((f for f in row.split(",") if _read_values([f]) is None), row)
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return values[0]
+
+
 def parse_template_csv(text: str, protected: bool = False):
     """Parse the template CSV format; returns Template or ProtectedTemplate rows.
-    A malformed row raises ``ValueError`` naming its 1-based line."""
+    A malformed row raises ``ValueError`` naming its 1-based line; of several,
+    the first line wins."""
     lines = [(at, ln) for at, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty template CSV")
@@ -222,16 +251,29 @@ def parse_template_csv(text: str, protected: bool = False):
         raise ValueError("template CSV must start with client_id,label,v0,...")
     d = len(header) - 2
     cls = ProtectedTemplate if protected else Template
-    out = []
+    heads, tails = [], []
+    refused = None  # the first row whose identity fields are malformed
     for at, ln in lines[1:]:
-        fields = ln.split(",")
+        fields = ln.split(",", 2)
         try:
-            if len(fields) != d + 2:
-                raise ValueError(f"row has {len(fields)} fields, expected {d + 2}")
-            client_id = int(fields[0])
-            label = int(fields[1]) if fields[1] != "" else None
-            values = np.asarray([float(x) for x in fields[2:]])
-            out.append(cls(values, client_id, label))
+            if ln.count(",") != d + 1:
+                raise ValueError(f"row has {ln.count(',') + 1} fields, expected {d + 2}")
+            heads.append((at, int(fields[0]), int(fields[1]) if fields[1] != "" else None))
+        except ValueError as exc:
+            refused = exc, at
+            break
+        tails.append(fields[2])
+    # all value fields in one call; a refused batch is read again row by row
+    # to name the first line at fault
+    values = _read_values(tails) if tails else None
+    out = []
+    for i, (at, client_id, label) in enumerate(heads):
+        try:
+            row = values[i] if values is not None else _row_values(tails[i])
+            out.append(cls(row, client_id, label))
         except ValueError as exc:
             raise ValueError(f"line {at}: {exc}") from exc
+    if refused is not None:
+        exc, at = refused
+        raise ValueError(f"line {at}: {exc}") from exc
     return out

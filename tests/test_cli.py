@@ -452,6 +452,16 @@ class TestTemplatesCli:
         assert code == EXIT_DATA
         assert f"{files[which]}: line 4: row has 3 fields, expected 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["protect", "classify"])
+    def test_header_only_csv_names_the_file(self, tmp_path, capsys, command):
+        hdr = tmp_path / "hdr.csv"
+        hdr.write_text("client_id,label,v0,v1\n")
+        (tmp_path / "q.csv").write_text("client_id,label,v0,v1\n1,,0.5,0.25\n")
+        argv = {"protect": ["protect", str(hdr), "--key", KEY],
+                "classify": ["classify", str(tmp_path / "q.csv"), "--model", str(hdr)]}[command]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"etckit: {hdr}: no template rows\n"
+
     def test_protect_garbage_csv_is_data_error(self, tmp_path):
         (tmp_path / "bad.csv").write_text("nonsense\n")
         assert main(["protect", str(tmp_path / "bad.csv"), "--key", KEY]) == EXIT_DATA

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,16 @@ class TestCsv:
             assert (a.client_id, a.label) == (b.client_id, b.label)
             assert (a.values == b.values).all()
 
+    @pytest.mark.parametrize("cls", [Template, ProtectedTemplate])
+    def test_round_trip_is_bit_exact(self, cls):
+        edge = np.asarray([-0.0, 5e-324, -5e-324, 1e-17, 1e308, -1e308, 0.1, -2.0 / 3])
+        ts = [cls(edge, client_id=3, label=1), cls(-edge[::-1], client_id=4)]
+        parsed = parse_template_csv(format_template_csv(ts), protected=cls is ProtectedTemplate)
+        for a, b in zip(ts, parsed, strict=True):
+            assert type(b) is cls
+            assert (b.client_id, b.label) == (a.client_id, a.label)
+            assert b.values.tobytes() == a.values.tobytes()
+
     def test_text_is_the_per_value_format(self):
         # one "%.17g" over Python floats writes what f"{v:.17g}" wrote per
         # numpy scalar, digit for digit
@@ -324,6 +335,32 @@ class TestCsv:
         text = f"client_id,label,v0,v1\n1,0,0.5,0.5\n\n{row}\n2,1,0.1,0.2\n"
         with pytest.raises(ValueError, match=f"^line 4: .*{message}"):
             parse_template_csv(text)
+
+    @pytest.mark.filterwarnings("error")  # the reader warns on a batch of blank rows
+    @pytest.mark.parametrize(
+        "value",
+        ["", "1.5#x", "1_0", "\u0661", "1\x1f"],
+        ids=["blank", "hash", "underscore", "arabic-indic-digit", "unit-separator"],
+    )
+    def test_reader_refusals_name_their_line(self, value):
+        # d = 1: a blank value row has no comma left to keep it from being
+        # skipped, which would shift the later ids onto the wrong values
+        text = f"client_id,label,v0\n1,0,0.5\n\n2,0,{value}\n3,1,0.25\n"
+        message = f"line 4: could not convert string to float: {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_template_csv(text)
+
+    def test_first_faulty_line_wins(self):
+        # values are read in one batch after the id checks, yet a bad value
+        # or a non-finite one on line 2 is still reported before a later
+        # fault, and a short row on line 3 before a bad value on line 4
+        head = "client_id,label,v0,v1\n"
+        with pytest.raises(ValueError, match="^line 2: could not convert"):
+            parse_template_csv(head + "1,0,0.5,x\ny,0,0.5,0.5\n")
+        with pytest.raises(ValueError, match="^line 2: template values must be finite"):
+            parse_template_csv(head + "1,0,0.5,inf\n2,0,0.5,x\n")
+        with pytest.raises(ValueError, match="^line 3: row has 1 fields"):
+            parse_template_csv(head + "1,0,0.5,0.5\nz\n2,0,x,0.5\n")
 
     _SPLICES = st.one_of(
         st.text(max_size=3),
