@@ -78,7 +78,10 @@ def _parse(path: str, parse):
 
 
 def _read_templates(path: str, protected: bool = False) -> list:
-    templates = _parse(path, lambda data: parse_template_csv(data.decode(), protected=protected))
+    # utf-8-sig drops the byte-order mark that spreadsheet tools write before the header
+    templates = _parse(
+        path, lambda data: parse_template_csv(data.decode("utf-8-sig"), protected=protected)
+    )
     if not templates:
         raise DataError(f"{path}: no template rows")
     return templates

@@ -462,6 +462,24 @@ class TestTemplatesCli:
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err == f"etckit: {hdr}: no template rows\n"
 
+    @pytest.mark.parametrize("command", ["protect", "classify"])
+    def test_byte_order_mark_before_the_header_is_ignored(self, tmp_path, capsys, command):
+        body = b"client_id,label,v0\n1,0,0.5\n2,1,-0.25\n"
+        (tmp_path / "plain.csv").write_bytes(body)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + body)
+
+        def run(name):
+            path = str(tmp_path / name)
+            argv = {"protect": ["protect", path, "--key", KEY],
+                    "classify": ["classify", path, "--model", path]}[command]
+            assert main(argv) == EXIT_OK
+            return capsys.readouterr()
+
+        with_mark = run("bom.csv")
+        assert with_mark.err == ""
+        assert with_mark.out == run("plain.csv").out
+        assert with_mark.out.count("\n") == 3
+
     def test_protect_garbage_csv_is_data_error(self, tmp_path):
         (tmp_path / "bad.csv").write_text("nonsense\n")
         assert main(["protect", str(tmp_path / "bad.csv"), "--key", KEY]) == EXIT_DATA

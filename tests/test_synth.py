@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
+import synth_oracle
 
-from etckit.synth import reference_images, synth_natural_image
+from etckit.synth import (
+    REFERENCE_FIRST_SEED,
+    _spectral_field,
+    reference_images,
+    synth_natural_image,
+)
+
+# (width, height): single pixel, a row, a column, odd, non-square, and a benchmark size
+ORACLE_SHAPES = [(1, 1), (3, 1), (1, 3), (97, 61), (48, 80), (512, 512)]
+
+
+def _oracle_seeds(width, height):
+    return (0, 7, 2**40 + 3) if width * height > 10_000 else range(17)
 
 
 class TestSynthNaturalImage:
@@ -44,6 +57,49 @@ class TestSynthNaturalImage:
     def test_rejects_bad_channels(self):
         with pytest.raises(ValueError):
             synth_natural_image(16, 16, seed=0, channels=2)
+        for width, height, name, value in [(0, 16, "width", 0), (16, 0, "height", 0),
+                                           (-4, 16, "width", -4), (16, -1, "height", -1)]:
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+                synth_natural_image(width, height, seed=0)
+        with pytest.raises(ValueError, match="^size must be at least 1, got 0$"):
+            reference_images(2, size=0)
+        with pytest.raises(ValueError, match="^count must be at least 0, got -1$"):
+            reference_images(count=-1)
+        assert reference_images(count=0) == []
+
+
+class TestMatchesOracle:
+    """Bit for bit against ``synth_oracle``: the float fields as well as the
+    images, since a last-bit change in a field can leave the images of the
+    seeds tried equal and flip a pixel on another."""
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    @pytest.mark.parametrize(("width", "height"), ORACLE_SHAPES)
+    def test_spectral_field(self, width, height, alpha):
+        f = np.hypot(np.fft.fftfreq(height)[:, None], np.fft.rfftfreq(width)[None, :])
+        gain = 1.0 / (f + 1.0 / max(height, width)) ** alpha
+        for seed in _oracle_seeds(width, height):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _spectral_field(rng, gain, width)
+            want = synth_oracle._spectral_field(oracle_rng, height, width, alpha)
+            assert got.dtype == want.dtype and got.shape == want.shape == (height, width)
+            assert got.tobytes() == want.tobytes(), seed
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize(("width", "height"), ORACLE_SHAPES)
+    def test_image(self, width, height, channels):
+        for seed in _oracle_seeds(width, height):
+            got = synth_natural_image(width, height, seed, channels).data
+            want = synth_oracle.synth_natural_image(width, height, seed, channels).data
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize(("count", "size"), [(3, 512), (2, 97)])
+    def test_reference_images(self, count, size):
+        seeds = range(REFERENCE_FIRST_SEED, REFERENCE_FIRST_SEED + count)
+        want = [synth_oracle.synth_natural_image(size, size, seed) for seed in seeds]
+        assert reference_images(count, size) == want
 
 
 class TestReferenceImages:
