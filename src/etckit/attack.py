@@ -34,7 +34,8 @@ from .cipher import (
     apply_poses,
     cell_poses,
     inverse_permutation,
-    step_draws,
+    key_schedule,
+    step_draws,  # noqa: F401  (a module attribute the benchmark's tracer wraps)
     steps_to_letters,
 )
 from .images import BlockGrid, ImageBuffer, merge_blocks, split_blocks
@@ -57,6 +58,9 @@ _GT_BUDGET = 32
 # float32, 4 MiB in float64): of 2**17, 2**18 and 2**19, the largest scanned
 # K = 8192 fastest in float64.
 _SEED_CHUNK = 1 << 19
+# Bytes of the solver's open-cell sums past which it refuses: each open cell
+# holds one K-wide row, and badly solved puzzles open about 0.41 n cells.
+_SUMS_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def identity_assembly(grid: BlockGrid) -> Assembly:
 
 def ground_truth_from_key(key: MasterKey, cfg: CipherConfig, grid: BlockGrid) -> GroundTruth:
     """Exact ground truth of a (key, cfg) ciphertext: what ``decrypt`` applies (``cipher.cell_poses``)."""
-    ids, poses = cell_poses(step_draws(key, cfg, grid.n_blocks), grid.n_blocks)
+    ids, poses = cell_poses(*key_schedule(key, cfg, grid.n_blocks))
     return GroundTruth(ids.reshape(grid.rows, grid.cols), poses.reshape(grid.rows, grid.cols))
 
 
@@ -558,7 +562,8 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     piece's keys at inf the new first minimum has a higher value, or the
     same value and a higher piece, so it sorts after the old entry. The
     working set is one K-wide sum per open cell and one K-wide ``used``, in
-    the sums' dtype (float32 when B*C <= 64), and O(rescores) heap entries.
+    the sums' dtype (float32 when B*C <= 64), and O(rescores) heap entries;
+    past ``_SUMS_BUDGET`` bytes of sums it raises ``ValueError``.
 
     Every row comes from one side table, each piece's 4 sides as samples and
     squared norm, in dtypes that keep every row and sum exact
@@ -621,6 +626,9 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
                 rec = cells.setdefault(o, [0, 0, None])
                 rec[0] = np.add(table.row(s, s ^ 1, key), rec[0], dtype=table.sum_dtype)
                 rec[1] += 1
+        if (live := len(cells) * used.nbytes) > _SUMS_BUDGET:  # one used-sized sum per open cell
+            raise ValueError(f"greedy_assemble of n = {n} pieces (K = {kk} keys) holds {live} bytes of "
+                             f"sums in {len(cells)} open cells, past its budget of {_SUMS_BUDGET} bytes")
 
     def rescore(cell: tuple[int, int]) -> None:
         """Store and push the cell's entry: its first least key and mean."""

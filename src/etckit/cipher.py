@@ -8,14 +8,16 @@ first stacks the R, G, B planes vertically into one single-channel raster and
 uses smaller (8x8) blocks, trading color information for a larger block count.
 
 :data:`STEPS` is the one description of the steps, one row each: name,
-letter, keystream tag, alphabet and block map. Every step draws from its own
-keyed stream, so enabling or disabling one step never shifts another step's
-draws. Decryption undoes them as data: each plaintext cell is one ciphertext
-block in one pose (:func:`cell_poses`, :func:`apply_poses`).
+letter, keystream tag and alphabet. Every step draws from its own keyed
+stream, so enabling or disabling one step never shifts another step's draws.
+Both directions apply one cached key schedule (:func:`key_schedule`): each
+block is gathered and put in its pose (:func:`apply_poses`), and decryption
+does the same with the inverse (:func:`cell_poses`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -193,14 +195,10 @@ ORIENT_COMPOSE, ORIENT_INVERSE, SEAM_TURNS = _orientation_tables()
 
 
 # ---------------------------------------------------------------------------
-# The step table
+# The per-block maps
 #
-# Each map transforms a whole (n, B, B, C) block stack under per-block draws
-# and may overwrite its input.
-
-
-def _scramble(blocks: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return np.take(blocks, perm, axis=0)  # out[i] = blocks[perm[i]]
+# Each transforms a whole (n, B, B, C) block stack under per-block codes and
+# may overwrite its input.
 
 
 def _by_code(n_codes: int, planes):
@@ -222,21 +220,12 @@ _rotate_flip = _by_code(len(ORIENT_INVERSE), lambda m, k: np.moveaxis(apply_orie
 _color_shuffle = _by_code(len(CHANNEL_PERMS), lambda m, k: (m[..., ch] for ch in CHANNEL_PERMS[k]))
 
 
-def _negpos(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    # p -> 255 - p, which is p ^ 255 on uint8, on the blocks whose bit is 1;
-    # the mask broadcasts, so the update stays in place on any block layout
-    mask = bits.astype(np.uint8)
-    mask *= 255
-    blocks ^= mask[:, None, None, None]
-    return blocks
-
-
-# (name, letter, stream tag, alphabet or None for a permutation, map), in application order
+# (name, letter, stream tag, alphabet or None for a permutation), in application order
 STEPS = (
-    (SCRAMBLE, "s", TAG_SCRAMBLE, None, _scramble),
-    (ROTATE_FLIP, "r", TAG_ROTATE_FLIP, 8, _rotate_flip),
-    (NEGPOS, "n", TAG_NEGPOS, 2, _negpos),
-    (COLOR_SHUFFLE, "c", TAG_COLOR_SHUFFLE, 6, _color_shuffle),
+    (SCRAMBLE, "s", TAG_SCRAMBLE, None),
+    (ROTATE_FLIP, "r", TAG_ROTATE_FLIP, 8),
+    (NEGPOS, "n", TAG_NEGPOS, 2),
+    (COLOR_SHUFFLE, "c", TAG_COLOR_SHUFFLE, 6),
 )
 
 STEP_ORDER = tuple(name for name, *_ in STEPS)
@@ -266,7 +255,7 @@ def keyspace_bits(n_blocks: int, steps, scheme: str = SCHEME_COLOR) -> float:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     enabled = CipherConfig(scheme, 1, normalize_steps(steps)).steps
     bits = 0.0
-    for name, _, _, alphabet, _ in STEPS:
+    for name, _, _, alphabet in STEPS:
         if name in enabled:
             bits += n_blocks * math.log2(alphabet) if alphabet else math.lgamma(n_blocks + 1) / math.log(2.0)
     return bits
@@ -279,7 +268,7 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
     never shifts another step's draws.
     """
     draws = {}
-    for name, _, tag, alphabet, _ in STEPS:
+    for name, _, tag, alphabet in STEPS:
         if name not in cfg.steps:
             continue
         seed = derive_step_seed(key, tag)
@@ -298,21 +287,38 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
 POSE_INVERSE = (ORIENT_INVERSE + 8 * (np.arange(2)[:, None] + 2 * np.array(COLOR_INVERSE)[:, None, None])).ravel()
 
 
+@functools.lru_cache(maxsize=1)
+def key_schedule(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, poses)`` of :func:`step_draws` on ``n_blocks`` blocks:
+    ciphertext block i is plaintext block ``perm[i]`` (int64) in pose
+    ``poses[i]`` (uint8). Both are read-only. Only the last schedule is
+    kept, 9 bytes per block, until the next miss or ``cache_clear()``."""
+    draws = step_draws(key, cfg, n_blocks)
+    perm = draws.get(SCRAMBLE, np.arange(n_blocks))
+    rotate, neg, shuffle = (draws.get(name, 0) for name in (ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE))
+    poses = np.empty(n_blocks, np.uint8)
+    poses[:] = rotate + 8 * (neg + 2 * shuffle)
+    perm.flags.writeable = poses.flags.writeable = False
+    return perm, poses
+
+
 def apply_poses(blocks: np.ndarray, poses: np.ndarray) -> np.ndarray:
     """Each block of an (n, B, B, C) stack in its pose; may overwrite ``blocks``."""
     perm, rest = np.divmod(poses, 16)
     if perm.any() and blocks.shape[-1] != 3:
         raise ValueError(f"pose {poses[perm.argmax()]} orders channels, which needs 3, not {blocks.shape[-1]}")
-    blocks = _negpos(_rotate_flip(blocks, rest % 8), rest // 8)
+    neg, orient = np.divmod(rest, 8)
+    blocks = _rotate_flip(blocks, orient)
+    if neg.any():  # p -> 255 - p is p ^ 255; the mask broadcasts, so it stays in place on any layout
+        blocks ^= (neg.astype(np.uint8) * 255)[:, None, None, None]
     return _color_shuffle(blocks, perm) if perm.any() else blocks
 
 
-def cell_poses(draws: dict[str, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(ids, poses)`` that undo ``draws`` of :func:`step_draws` on n blocks:
-    plaintext cell j is ciphertext block ``ids[j]`` in pose ``poses[j]``."""
-    ids = inverse_permutation(draws[SCRAMBLE]) if SCRAMBLE in draws else np.arange(n)
-    codes = [draws.get(name, np.zeros(n, np.int64)) for name in (ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE)]
-    return ids, POSE_INVERSE[(codes[0] + 8 * (codes[1] + 2 * codes[2]))[ids]]
+def cell_poses(perm: np.ndarray, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, poses)`` that undo :func:`key_schedule`'s ``(perm, poses)``:
+    plaintext cell j is ciphertext block ``ids[j]`` in pose ``poses[j]`` (int64)."""
+    ids = inverse_permutation(perm)
+    return ids, POSE_INVERSE[poses[ids]]
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +385,10 @@ def encrypt(
     )
 
     work = stack_planes(img) if cfg.scheme == SCHEME_GRAYSCALE else img
-    blocks, grid = split_blocks(work, cfg.block_size)
-    draws = step_draws(key, cfg, grid.n_blocks)
-    for name, _, _, _, step_map in STEPS:
-        if name in draws:
-            blocks = step_map(blocks, draws[name])
-    return merge_blocks(blocks, grid, work.channels), sidecar
+    blocks, grid = split_blocks(work, cfg.block_size)  # each rebinding of blocks frees the last stack
+    perm, poses = key_schedule(key, cfg, grid.n_blocks)
+    blocks = np.take(blocks, perm, axis=0)
+    return merge_blocks(apply_poses(blocks, poses), grid, work.channels), sidecar
 
 
 def decrypt(img: ImageBuffer, key: MasterKey, sidecar: CipherSidecar) -> ImageBuffer:
@@ -399,7 +403,7 @@ def decrypt(img: ImageBuffer, key: MasterKey, sidecar: CipherSidecar) -> ImageBu
     check_ciphertext(img, cfg)
 
     out, grid = split_blocks(img, cfg.block_size)  # each rebinding of out frees the last stack
-    ids, poses = cell_poses(step_draws(key, cfg, grid.n_blocks), grid.n_blocks)
+    ids, poses = cell_poses(*key_schedule(key, cfg, grid.n_blocks))
     out = np.take(out, ids, axis=0)
     out = merge_blocks(apply_poses(out, poses), grid, img.channels)
     if stacked:

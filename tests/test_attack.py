@@ -981,6 +981,19 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < 12 << 20
 
+    def test_greedy_refuses_past_its_sums_budget(self, monkeypatch):
+        # 16 RGB pieces of 16x16 in 8 orientations: K = 128 float32 keys, a
+        # 512-byte row per open cell, and at most 11 cells open at once. A
+        # budget of exactly that assembles as before; one byte less refuses.
+        pz = Puzzle.from_image(_img(64, 64, seed=2), 16)
+        want = greedy_assemble(pz, orientation_search=True)
+        monkeypatch.setattr(attack, "_SUMS_BUDGET", 11 * 512)
+        got = greedy_assemble(pz, orientation_search=True)
+        assert (got.piece_ids == want.piece_ids).all() and (got.poses == want.poses).all()
+        monkeypatch.setattr(attack, "_SUMS_BUDGET", 11 * 512 - 1)
+        with pytest.raises(ValueError, match=r"n = 16 pieces \(K = 128 keys\) holds 5632 bytes of sums in 11 open"):
+            greedy_assemble(pz, orientation_search=True)
+
     def test_ground_truth_stays_below_one_table(self):
         # 1024 pieces: one n x n float64 cost table is 8 MiB
         img = synth_natural_image(512, 512, seed=6)

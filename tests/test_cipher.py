@@ -24,11 +24,14 @@ from etckit.cipher import (
     _color_shuffle,
     _rotate_flip,
     apply_orientation,
+    apply_poses,
     decrypt,
     encrypt,
     inverse_permutation,
+    key_schedule,
     normalize_steps,
     stack_planes,
+    step_draws,
     steps_to_letters,
     unstack_planes,
 )
@@ -478,13 +481,13 @@ class TestStepTable:
             return stack[::2] if layout == "every-other-block" else stack.transpose(0, 2, 1, 3)
 
         n = len(strided())
-        draws = {SCRAMBLE: np.roll(np.arange(n), 1), ROTATE_FLIP: np.arange(n) % 8,
-                 NEGPOS: np.arange(n) % 2, COLOR_SHUFFLE: np.arange(n) % 6}
-        for name, _, _, _, step_map in STEPS:
+        maps = {ROTATE_FLIP: (_rotate_flip, np.arange(n) % 8), COLOR_SHUFFLE: (_color_shuffle, np.arange(n) % 6),
+                "poses": (apply_poses, np.arange(n) * 13 % 96)}
+        for name, (step_map, codes) in maps.items():
             blocks = strided()
             assert not blocks.flags.c_contiguous
-            want = step_map(np.ascontiguousarray(blocks), draws[name])
-            assert (step_map(blocks, draws[name]) == want).all(), name
+            want = step_map(np.ascontiguousarray(blocks), codes)
+            assert (step_map(blocks, codes) == want).all(), name
 
     @staticmethod
     def _code_draws(kind, n_codes, rng):
@@ -542,6 +545,45 @@ class TestStepTable:
         assert ct == ct_before
 
 
+class TestKeySchedule:
+    @pytest.mark.parametrize(
+        "scheme, steps",
+        [(SCHEME_COLOR, s) for s in COLOR_SUBSETS] + [(SCHEME_GRAYSCALE, s) for s in GRAY_SUBSETS],
+    )
+    def test_schedule_is_read_only_and_what_the_draws_imply(self, scheme, steps):
+        key, cfg, n = MasterKey(0x5EED), CipherConfig(scheme, steps=steps), 37
+        perm, poses = key_schedule(key, cfg, n)
+        assert (perm.dtype, poses.dtype) == (np.int64, np.uint8)
+        for array in perm, poses:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        draws, zero = step_draws(key, cfg, n), np.zeros(n, np.int64)
+        rotate, neg, shuffle = (draws.get(name, zero) for name in (ROTATE_FLIP, NEGPOS, COLOR_SHUFFLE))
+        assert perm.tolist() == draws.get(SCRAMBLE, np.arange(n)).tolist()
+        assert poses.tolist() == (rotate + 8 * (neg + 2 * shuffle)).tolist()
+        assert key_schedule(key, cfg, n) == (perm, poses)  # the cached arrays themselves
+
+    def test_interleaved_keys_steps_and_sizes_round_trip(self):
+        # the cache holds one schedule, so every call under another key, step
+        # set or block count must draw its own: each ciphertext equals the
+        # per-block reference and decrypts, in any interleaving
+        a, b = _img(64, 64, seed=1), _img(48, 64, seed=2)
+        ka, kb = MasterKey(1), MasterKey(2)
+        srnc, sr, gray = CipherConfig(steps="srnc"), CipherConfig(steps="sr"), CipherConfig(SCHEME_GRAYSCALE)
+        calls = [(a, ka, srnc), (a, kb, srnc), (a, ka, sr), (b, ka, srnc), (a, ka, gray), (b, kb, gray)]
+        encrypted = [encrypt(img, key, cfg) for img, key, cfg in calls]
+        for (img, key, cfg), (ct, _) in zip(calls, encrypted):
+            assert ct == reference_encrypt(img, key, cfg), (key, cfg)
+        for (img, key, cfg), (ct, sc) in zip(calls, encrypted):
+            assert decrypt(ct, key, sc) == img, (key, cfg)
+        for (img, key, cfg), (ct, sc) in reversed(list(zip(calls, encrypted))):
+            assert decrypt(ct, key, sc) == img, (key, cfg)
+        # a wrong key stays wrong right after the right one was cached
+        ct, sc = encrypted[0]
+        assert decrypt(ct, ka, sc) == a
+        assert decrypt(ct, kb, sc) != a
+
+
 class TestGoldenCiphertext:
     """Regression vectors generated once from this implementation and frozen.
 
@@ -552,6 +594,7 @@ class TestGoldenCiphertext:
     PLAIN_SHA = "94196de5f88d484d43525213df1c1e3052f2436d88514df862f6fd6cf81e6545"
     COLOR_SHA = "49fb47bb4e736e02a95ad6039c6b19b4fa08de8eac2dd4fb3f1f5788dfe1cf07"
     GRAY_SHA = "ce632a8bf330596afbac5585573d58d2a675b752593348e91b7d507a47abc2e3"
+    PATTERN_SHA = "f841bde65fb9c6f1e871b93136dd8125f577aba2f71cecbe165691e301eb705d"
 
     @staticmethod
     def _plain():
@@ -573,3 +616,21 @@ class TestGoldenCiphertext:
         cfg = CipherConfig(scheme=SCHEME_GRAYSCALE, block_size=8, steps="srn")
         ct, _ = encrypt(self._plain(), MasterKey(0x1), cfg)
         assert hashlib.sha256(ct.tobytes()).hexdigest() == self.GRAY_SHA
+
+    @staticmethod
+    def _pattern(size):
+        """The benchmark canary's RGB test pattern, integer arithmetic alone, at size x size."""
+        y, x, c = np.ogrid[:size, :size, :3]
+        return ImageBuffer(((x * 7 + y * 13 + c * 101 + (x * y) % 251) % 256).astype(np.uint8))
+
+    @pytest.mark.parametrize("scheme, steps, digest", [
+        (SCHEME_GRAYSCALE, "srn", "3fdc1884d1b463aef5fa80e3f725ec3adebc1ed7b366a12b4710b76ce15df3c4"),
+        (SCHEME_COLOR, "srnc", "d3d48eecb66ff220de44e82ac53219e7f2155c4a257ed71661cfe6a45950554d"),
+    ])
+    def test_ciphertext_hash_at_the_benchmark_size(self, scheme, steps, digest):
+        # 2048x2048: 196 608 gray-based and 16 384 color blocks
+        img, key = self._pattern(2048), MasterKey(0x0123456789ABCDEF)
+        assert hashlib.sha256(img.tobytes()).hexdigest() == self.PATTERN_SHA
+        ct, sc = encrypt(img, key, CipherConfig(scheme, steps=steps))
+        assert hashlib.sha256(ct.tobytes()).hexdigest() == digest
+        assert decrypt(ct, key, sc) == img

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from etckit import templates
+from etckit import attack, templates
 from etckit.cli import EXIT_CODEC, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from etckit.images import ImageBuffer, load_ppm, merge_blocks, save_ppm, split_blocks
 from etckit.keystream import MasterKey, parse_key_file
@@ -322,6 +322,15 @@ class TestAttack:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "block size 391 with 3 channel(s)" in err and "Traceback" not in err
+
+    def test_greedy_past_its_sums_budget_is_data_error(self, plain_ppm, monkeypatch, capsys):
+        monkeypatch.setattr(attack, "_SUMS_BUDGET", 64)
+        code = main(["attack", str(plain_ppm), "--plain", str(plain_ppm), "--steps", "s",
+                     "--block-size", "16"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "n = 16 pieces (K = 16 keys)" in err and "past its budget of 64 bytes" in err
+        assert "Traceback" not in err
 
     def test_geometry_mismatch_is_data_error(self, tmp_path, plain_ppm):
         other = tmp_path / "other.ppm"

@@ -349,7 +349,7 @@ def test_step_draws_are_int64_arrays_equal_to_the_list_api(n):
     cfg = cipher.CipherConfig(steps="srnc")
     draws = cipher.step_draws(key, cfg, n)
     assert set(draws) == set(STEP_ORDER)
-    for name, _, tag, alphabet, _ in cipher.STEPS:
+    for name, _, tag, alphabet in cipher.STEPS:
         seed = derive_step_seed(key, tag)
         want = gen_permutation(seed, n) if alphabet is None else gen_symbols(seed, n, alphabet)
         assert draws[name].dtype == np.int64
@@ -359,7 +359,10 @@ def test_step_draws_are_int64_arrays_equal_to_the_list_api(n):
 def test_library_draws_through_the_cipher_module_names(monkeypatch):
     # the benchmark's tracer times the keystream by wrapping
     # cipher.gen_permutation and cipher.gen_symbols and reads the draw count
-    # from the second positional argument, so every draw must go through them
+    # from the second positional argument, so every draw must go through them.
+    # One encrypt and decrypt under a key draws its schedule once, and the
+    # ground truth of that ciphertext reuses it; the cache starts empty.
+    cipher.key_schedule.cache_clear()
     calls = []
     for name in ("gen_permutation", "gen_symbols"):
         def counted(*args, _real=getattr(cipher, name), _name=name, **kwargs):
@@ -370,8 +373,12 @@ def test_library_draws_through_the_cipher_module_names(monkeypatch):
     key, cfg = MasterKey(7), cipher.CipherConfig(steps="srnc")
     ct, sidecar = cipher.encrypt(img, key, cfg)
     assert np.array_equal(cipher.decrypt(ct, key, sidecar).data, img.data)
-    assert Counter(name for name, _, _ in calls) == {"gen_permutation": 2, "gen_symbols": 6}
+    assert Counter(name for name, _, _ in calls) == {"gen_permutation": 1, "gen_symbols": 3}
     assert {(n, kw == {}) for _, n, kw in calls} == {(16, True)}
     calls.clear()
-    ground_truth_from_key(key, cfg, Puzzle.from_image(ct, cfg.block_size).grid)
+    grid = Puzzle.from_image(ct, cfg.block_size).grid
+    ground_truth_from_key(key, cfg, grid)
+    assert calls == []
+    ground_truth_from_key(MasterKey(8), cfg, grid)
     assert Counter(name for name, _, _ in calls) == {"gen_permutation": 1, "gen_symbols": 3}
+    assert {(n, kw == {}) for _, n, kw in calls} == {(16, True)}
