@@ -24,12 +24,13 @@ import numpy as np
 
 from .cipher import (
     CHANNEL_PERMS,
-    ORIENT_COMPOSE,
-    ORIENT_INVERSE,
+    EDGES,
+    POSE_COMPOSE,
     POSE_INVERSE,
     SCRAMBLE,
     SEAM_TURNS,
     CipherConfig,
+    _sides,
     apply_orientation,
     apply_poses,
     cell_poses,
@@ -338,24 +339,6 @@ def ground_truth_from_plain(plain: ImageBuffer, puzzle: Puzzle) -> GroundTruth:
 # Pairwise compatibility
 
 
-def _sides(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Left and right columns, top and bottom rows of a (..., B, B, C) stack,
-    each read top to bottom or left to right."""
-    return blocks[..., :, 0, :], blocks[..., :, -1, :], blocks[..., 0, :, :], blocks[..., -1, :, :]
-
-
-def _edge_table() -> np.ndarray:
-    """_EDGES[e, o] = (s, r): side e of a block in orientation o is side s of
-    the unturned block, reversed iff r, read off apply_orientation on a 2x2
-    block of distinct values."""
-    block = np.arange(4).reshape(2, 2, 1)
-    where = {side[::step].tobytes(): (s, step < 0)
-             for s, side in enumerate(_sides(block)) for step in (1, -1)}
-    posed = [_sides(apply_orientation(block, o)) for o in range(8)]
-    return np.array([[where[side.tobytes()] for side in sides] for sides in posed]).swapaxes(0, 1)
-
-
-_EDGES = _edge_table()
 # relation (0 right, 1 below) -> (the first piece's side, the second's)
 _SEAM_SIDES = ((1, 0), (3, 2))
 
@@ -366,8 +349,9 @@ class _SideTable:
     One (4, n, B*C + 1) array of ``dtype`` holds side s (left, right, top,
     bottom) of piece p as B*C samples followed by their squared norm;
     ``sides`` and ``sq`` are views of it. The edge of a piece in any
-    orientation is one of its sides, forward or reversed (``_EDGES``). Keys
-    are ``piece * len(orientations) + index``.
+    orientation is one of its sides, forward or reversed (``cipher.EDGES``,
+    with ``POSE_COMPOSE`` and ``POSE_INVERSE`` the one pose algebra of the
+    package). Keys are ``piece * len(orientations) + index``.
 
     Each side also has a probe, a (B*C + 1, 2) array whose columns are
     [-2 side, 1] and [-2 side reversed, 1]. A table row times a probe is
@@ -404,13 +388,13 @@ class _SideTable:
         self._probes[..., :d, :] *= -2
         self._probes[..., d, :] = 1
         # per edge and orientation index: (side, reversed) as Python values
-        self._fixed = _EDGES[:, orientations].tolist()
+        self._fixed = EDGES[:, orientations].tolist()
         # per edge of the candidates: the table rows its orientations read,
         # and the gathers from those rows times a probe into key order, for a
         # placed edge read forward and for one read reversed
         self._free = []
         flat, q = table.reshape(4 * n, d + 1), np.arange(n)[:, None]
-        for s, r in _EDGES[:, orientations].transpose(0, 2, 1):
+        for s, r in EDGES[:, orientations].transpose(0, 2, 1):
             lo, hi = s.min(), s.max() + 1
             at = ((s - lo) * n + q) * 2
             self._free.append((flat[lo * n : hi * n], ((at + r).ravel(), (at + 1 - r).ravel())))
@@ -422,10 +406,10 @@ class _SideTable:
         b, c = self.shape
         d = b * c
         out = np.empty((self.n, len(codes), d + 2), self.dtype)
-        for i, (s, r) in enumerate(_EDGES[e, codes].tolist()):
+        for i, (s, r) in enumerate(EDGES[e, codes].tolist()):
             side = self.sides[s]
             out[:, i, :d] = side.reshape(self.n, b, c)[:, ::-1].reshape(self.n, d) if r else side
-        out[..., d] = self.sq[_EDGES[e, codes, 0]].T
+        out[..., d] = self.sq[EDGES[e, codes, 0]].T
         out[..., d + 1] = 1
         return out.reshape(-1, d + 2)
 
@@ -481,7 +465,7 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
         scanned.append(rel)
         moved = SEAM_TURNS[rel, poses]
         keep = poses[(moved == delta).all(axis=1)]
-        reps = [o for o in codes if o == ORIENT_COMPOSE[o, keep].min()]
+        reps = [o for o in codes if o == POSE_COMPOSE[o, keep].min()]
         later = int((moved == -delta).all(axis=1).any())  # the second piece has the higher id
         # per pose that lands the pair in a given relation: that relation,
         # whether the pieces swap, and the two keys' new orientation indices
@@ -489,7 +473,7 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
         for g, (dr, dc) in zip(poses, moved):
             if int(dr != 0) in relations:
                 images.append((int(dr != 0), dr + dc < 0,
-                               index[ORIENT_COMPOSE[reps, g]], index[ORIENT_COMPOSE[codes, g]]))
+                               index[POSE_COMPOSE[reps, g]], index[POSE_COMPOSE[codes, g]]))
         first, second = _SEAM_SIDES[rel]
         # rows [-2 a, |a|^2, 1] times rows [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b
         fe = table.edges(first, reps)
@@ -719,12 +703,12 @@ def score_assembly(
         to_r, to_c = to_r - to_r.min(), to_c - to_c.min()
         if to_r.max() == rows - 1 and to_c.max() == cols - 1:  # g keeps the shape
             hit = ((gt.piece_ids[to_r, to_c] == ids)
-                   & (gt.orientations[to_r, to_c] == ORIENT_COMPOSE[ors, g]))
+                   & (gt.orientations[to_r, to_c] == POSE_COMPOSE[ors, g]))
             direct = max(direct, int(hit.sum()))
 
     true_cell = inverse_permutation(gt.piece_ids.ravel())[ids]  # of each placed piece
     true_r, true_c = np.divmod(true_cell, cols)
-    rho = ORIENT_COMPOSE[ORIENT_INVERSE[ors], gt.orientations.ravel()[true_cell]]
+    rho = POSE_COMPOSE[POSE_INVERSE[ors], gt.orientations.ravel()[true_cell]]
     cell = np.arange(n).reshape(rows, cols)
     src, dst = [], []
     for seam, a, b in ((0, np.s_[:, :-1], np.s_[:, 1:]), (1, np.s_[:-1], np.s_[1:])):

@@ -12,7 +12,9 @@ letter, keystream tag and alphabet. Every step draws from its own keyed
 stream, so enabling or disabling one step never shifts another step's draws.
 Both directions apply one cached key schedule (:func:`key_schedule`): each
 block is gathered and put in its pose (:func:`apply_poses`), and decryption
-does the same with the inverse (:func:`cell_poses`).
+does the same with the inverse (:func:`cell_poses`). One probe of it gives
+:data:`POSE_COMPOSE`, :data:`POSE_INVERSE` and :data:`EDGES`, the one pose
+algebra of the cipher, the solver and the scorer.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ SIDECAR_VERSION = 1
 
 # The 6 RGB channel permutations in lexicographic order; out[c] = in[perm[c]].
 CHANNEL_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-COLOR_INVERSE = (0, 1, 2, 4, 3, 5)
 
 
 def steps_to_letters(steps) -> str:
@@ -173,25 +174,10 @@ def apply_orientation(block: np.ndarray, code: int) -> np.ndarray:
     return np.flip(out, axis=-2) if code >= 4 else out
 
 
-def _orientation_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ORIENT_COMPOSE[a, b], the code of applying ``a`` and afterwards ``b``;
-    ORIENT_INVERSE[a], the code that undoes ``a``; and SEAM_TURNS[seam, g],
-    the (row, column) offset that ``g`` turns the right neighbour's offset
-    (0, 1) (seam 0) or the lower neighbour's (1, 0) (seam 1) into. All are
-    read off :func:`apply_orientation` on a 2x2 block of distinct values."""
-    once = np.stack([apply_orientation(np.arange(4).reshape(2, 2, 1), c) for c in range(8)])
-    code = {block.tobytes(): c for c, block in enumerate(once)}
-    twice = [apply_orientation(once, b) for b in range(8)]  # twice[b][a]: a, then b
-    compose = np.array([[code[t.tobytes()] for t in row] for row in twice]).T
-    inverse = np.argwhere(compose == 0)[:, 1]  # row a hits the identity at a^-1
-    # at[a, v]: the (row, column) of value v under a; 1 and 2 start right of and below 0
-    at = np.stack(np.divmod(once.reshape(8, 4).argsort(axis=1), 2), axis=-1)
-    seams = (at[:, 1:3] - at[:, :1]).swapaxes(0, 1)
-    compose.flags.writeable = inverse.flags.writeable = seams.flags.writeable = False
-    return compose, inverse, seams
-
-
-ORIENT_COMPOSE, ORIENT_INVERSE, SEAM_TURNS = _orientation_tables()
+def _sides(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Left and right columns, top and bottom rows of a (..., B, B, C) stack,
+    each read top to bottom or left to right."""
+    return blocks[..., :, 0, :], blocks[..., :, -1, :], blocks[..., 0, :, :], blocks[..., -1, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +202,7 @@ def _by_code(n_codes: int, planes):
     return step_map
 
 
-_rotate_flip = _by_code(len(ORIENT_INVERSE), lambda m, k: np.moveaxis(apply_orientation(m, k), -1, 0))
+_rotate_flip = _by_code(8, lambda m, k: np.moveaxis(apply_orientation(m, k), -1, 0))
 _color_shuffle = _by_code(len(CHANNEL_PERMS), lambda m, k: (m[..., ch] for ch in CHANNEL_PERMS[k]))
 
 
@@ -281,10 +267,8 @@ def step_draws(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> dict[str, np
 
 # ---------------------------------------------------------------------------
 # Poses: the per-block steps' draws in mixed radix, o + 8 * (neg + 2 * perm), in
-# [0, 96) ([0, 16) on one channel). The maps commute and negation is its own
-# inverse, so POSE_INVERSE[code] undoes each part on its own.
-
-POSE_INVERSE = (ORIENT_INVERSE + 8 * (np.arange(2)[:, None] + 2 * np.array(COLOR_INVERSE)[:, None, None])).ravel()
+# [0, 96) ([0, 16) on one channel, [0, 8) for orientations alone; each range is
+# closed under composition and inversion).
 
 
 @functools.lru_cache(maxsize=1)
@@ -303,7 +287,11 @@ def key_schedule(key: MasterKey, cfg: CipherConfig, n_blocks: int) -> tuple[np.n
 
 
 def apply_poses(blocks: np.ndarray, poses: np.ndarray) -> np.ndarray:
-    """Each block of an (n, B, B, C) stack in its pose; may overwrite ``blocks``."""
+    """Each block of an (n, B, B, C) stack in its pose; may overwrite ``blocks``. Raises
+    ``ValueError`` for a code outside [0, 96), or one that orders the channels of a stack without 3."""
+    top = 16 * len(CHANNEL_PERMS)  # len(POSE_INVERSE), which is read off this function
+    if poses.size and (poses.min() < 0 or poses.max() >= top):
+        raise ValueError(f"pose code {poses[(poses < 0) | (poses >= top)][0]} is outside [0, {top})")
     perm, rest = np.divmod(poses, 16)
     if perm.any() and blocks.shape[-1] != 3:
         raise ValueError(f"pose {poses[perm.argmax()]} orders channels, which needs 3, not {blocks.shape[-1]}")
@@ -312,6 +300,34 @@ def apply_poses(blocks: np.ndarray, poses: np.ndarray) -> np.ndarray:
     if neg.any():  # p -> 255 - p is p ^ 255; the mask broadcasts, so it stays in place on any layout
         blocks ^= (neg.astype(np.uint8) * 255)[:, None, None, None]
     return _color_shuffle(blocks, perm) if perm.any() else blocks
+
+
+def _pose_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """POSE_COMPOSE[a, b], the pose ``a`` and afterwards ``b``; POSE_INVERSE[a],
+    the pose that undoes ``a``; SEAM_TURNS[seam, g], the (row, column) offset
+    that orientation ``g`` turns the right neighbour's (0, 1) (seam 0) or the
+    lower one's (1, 0) (seam 1) into; and EDGES[e, g] = (s, r): side e
+    (:func:`_sides`) of a block in orientation ``g`` is side s unturned,
+    reversed iff r. All are int64 and read-only, read off :func:`apply_poses`
+    on a 2x2 block of 0..11, which negation maps to 244..255, so that every
+    pose gives another block."""
+    n = 16 * len(CHANNEL_PERMS)
+    once = apply_poses(np.tile(np.arange(12, dtype=np.uint8).reshape(2, 2, 3), (n, 1, 1, 1)), np.arange(n))
+    keys = once.reshape(n, 12).view("V12").ravel()  # each pose's block as one 12-byte key
+    twice = apply_poses(np.repeat(once, n, axis=0), np.tile(np.arange(n), n))  # twice[a * n + b]: a, then b
+    order = keys.argsort()
+    compose = order[np.searchsorted(keys, twice.reshape(-1, 12).view("V12").ravel(), sorter=order)].reshape(n, n)
+    inverse = np.argwhere(compose == 0)[:, 1]  # row a hits the identity at a^-1
+    # at[g, v]: the (row, column) of pixel v under g; 1 and 2 start right of and below 0
+    at = np.stack(np.divmod(once[:8, ..., 0].reshape(8, 4).argsort(axis=1), 2), axis=-1)
+    seams = (at[:, 1:3] - at[:, :1]).swapaxes(0, 1)
+    where = {side[::step].tobytes(): (s, step < 0) for s, side in enumerate(_sides(once[0])) for step in (1, -1)}
+    edges = np.array([[where[e.tobytes()] for e in _sides(block)] for block in once[:8]], np.int64).swapaxes(0, 1)
+    compose.flags.writeable = inverse.flags.writeable = seams.flags.writeable = edges.flags.writeable = False
+    return compose, inverse, seams, edges
+
+
+POSE_COMPOSE, POSE_INVERSE, SEAM_TURNS, EDGES = _pose_tables()
 
 
 def cell_poses(perm: np.ndarray, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,15 +32,17 @@ from etckit.attack import (
 from etckit.cipher import (
     CHANNEL_PERMS,
     COLOR_SHUFFLE,
+    EDGES,
     NEGPOS,
-    ORIENT_COMPOSE,
-    ORIENT_INVERSE,
+    POSE_COMPOSE,
+    POSE_INVERSE,
     ROTATE_FLIP,
     SCHEME_COLOR,
     SCHEME_GRAYSCALE,
     SCRAMBLE,
     SEAM_TURNS,
     CipherConfig,
+    _sides,
     apply_orientation,
     apply_poses,
     encrypt,
@@ -264,15 +266,60 @@ class TestMetricOracle:
 
 class TestOrientationTables:
     def test_tables_match_the_hand_written_algebra(self):
-        # ORIENT_COMPOSE, ORIENT_INVERSE and SEAM_TURNS are read off one
+        # POSE_COMPOSE, POSE_INVERSE and SEAM_TURNS are read off one
         # probe block; the oracle writes the dihedral group out by hand
         for a in range(8):
-            assert ORIENT_INVERSE[a] == reference_invert_orientation(a)
+            assert POSE_INVERSE[a] == reference_invert_orientation(a)
             for b in range(8):
-                assert ORIENT_COMPOSE[a, b] == reference_compose_orientations(a, b)
+                assert POSE_COMPOSE[a, b] == reference_compose_orientations(a, b)
             for seam, delta in enumerate([(0, 1), (1, 0)]):
                 assert tuple(SEAM_TURNS[seam, a].tolist()) == reference_pose_direction(a, delta)
         assert SEAM_TURNS.shape == (2, 8, 2)
+
+    def test_pose_tables_compose_the_parts_separately(self):
+        # pose o + 8 * (neg + 2 * perm): orientations compose by the hand-
+        # written dihedral group, negation bits by XOR and channel orders as
+        # permutations, out[c] = in[perm[c]]
+        def code(o, neg, perm):
+            return o + 8 * (neg + 2 * CHANNEL_PERMS.index(tuple(perm)))
+
+        parts = [(p % 8, p // 8 % 2, CHANNEL_PERMS[p // 16]) for p in range(96)]
+        for a, (oa, na, pa) in enumerate(parts):
+            assert POSE_INVERSE[a] == code(reference_invert_orientation(oa), na, np.argsort(pa)), a
+            for b, (ob, nb, pb) in enumerate(parts):
+                want = code(reference_compose_orientations(oa, ob), na ^ nb, [pa[i] for i in pb])
+                assert POSE_COMPOSE[a, b] == want, (a, b)
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_applying_two_poses_is_applying_their_composition(self, b):
+        blocks = np.random.default_rng(b).integers(0, 256, (96 * 96, b, b, 3), dtype=np.uint8)
+        first, then = np.repeat(np.arange(96), 96), np.tile(np.arange(96), 96)
+        twice = apply_poses(apply_poses(blocks.copy(), first), then)
+        assert (twice == apply_poses(blocks.copy(), POSE_COMPOSE[first, then])).all()
+
+    @pytest.mark.parametrize("top", [8, 16, 96])
+    def test_orientation_and_one_channel_poses_are_closed(self, top):
+        assert POSE_COMPOSE[:top, :top].max() < top
+        assert POSE_INVERSE[:top].max() < top
+        assert (POSE_COMPOSE[np.arange(top), POSE_INVERSE[:top]] == 0).all()
+
+    def test_edges_match_the_sides_of_turned_blocks(self):
+        # side e of a block in orientation o is side s of the unturned block,
+        # reversed iff r
+        block = np.random.default_rng(3).integers(0, 256, (5, 5, 3), dtype=np.uint8)
+        assert EDGES.shape == (4, 8, 2)
+        for o in range(8):
+            for e, side in enumerate(_sides(apply_orientation(block, o))):
+                s, r = EDGES[e, o]
+                want = _sides(block)[s]
+                assert (side == (want[::-1] if r else want)).all(), (e, o)
+
+    def test_pose_tables_are_read_only(self):
+        for table in (POSE_COMPOSE, POSE_INVERSE, SEAM_TURNS, EDGES):
+            assert table.dtype == np.int64
+            assert table.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 class TestScoreAssembly:
@@ -284,7 +331,7 @@ class TestScoreAssembly:
         pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
         for k in (1, 2, 3):
             ids = np.rot90(np.arange(4).reshape(2, 2), k)
-            ors = ORIENT_COMPOSE[np.zeros((2, 2), np.int64), k]
+            ors = POSE_COMPOSE[np.zeros((2, 2), np.int64), k]
             asm = Assembly(ids, ors)
             assert score_assembly(asm, pz) == Metrics(1.0, 1.0, 1.0), k
             strict = score_assembly(asm, pz, allow_global_pose=False)
@@ -314,7 +361,7 @@ class TestScoreAssembly:
 
         poses = range(8) if shape[0] == shape[1] else (0, 2, 4, 6)
         for g in poses:
-            asm = Assembly(pose(gt.piece_ids, g), ORIENT_COMPOSE[pose(gt.orientations, g), g])
+            asm = Assembly(pose(gt.piece_ids, g), POSE_COMPOSE[pose(gt.orientations, g), g])
             assert render_assembly(asm, pz) == ImageBuffer(np.ascontiguousarray(pose(plain.data, g)))
             assert score_assembly(asm, pz) == Metrics(1.0, 1.0, 1.0), g
 

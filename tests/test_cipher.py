@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from etckit.cipher import (
     CHANNEL_PERMS,
-    COLOR_INVERSE,
     COLOR_SHUFFLE,
     NEGPOS,
-    ORIENT_COMPOSE,
-    ORIENT_INVERSE,
+    POSE_COMPOSE,
+    POSE_INVERSE,
     ROTATE_FLIP,
     SCHEME_COLOR,
     SCHEME_GRAYSCALE,
@@ -107,17 +106,17 @@ class TestOrientation:
     def test_inverse_table(self):
         block = _img(8, 8).data
         for code in range(8):
-            back = apply_orientation(apply_orientation(block, code), ORIENT_INVERSE[code])
+            back = apply_orientation(apply_orientation(block, code), POSE_INVERSE[code])
             assert (back == block).all()
-            inv = ORIENT_INVERSE[code]
-            assert ORIENT_COMPOSE[code, inv] == ORIENT_COMPOSE[inv, code] == 0
+            inv = POSE_INVERSE[code]
+            assert POSE_COMPOSE[code, inv] == POSE_COMPOSE[inv, code] == 0
 
     def test_composition_law(self):
         block = _img(4, 4).data
         for first in range(8):
             for then in range(8):
                 direct = apply_orientation(apply_orientation(block, first), then)
-                composed = apply_orientation(block, ORIENT_COMPOSE[first, then])
+                composed = apply_orientation(block, POSE_COMPOSE[first, then])
                 assert (direct == composed).all(), (first, then)
 
     def test_rejects_non_square(self):
@@ -159,7 +158,7 @@ class TestNegposAndShuffle:
     def test_shuffle_inverse_table(self):
         block = _img(4, 4).data
         for idx in range(6):
-            back = apply_color_shuffle(apply_color_shuffle(block, idx), COLOR_INVERSE[idx])
+            back = apply_color_shuffle(apply_color_shuffle(block, idx), POSE_INVERSE[16 * idx] // 16)
             assert (back == block).all(), idx
 
     def test_channel_perms_lexicographic(self):
@@ -489,6 +488,16 @@ class TestStepTable:
             want = step_map(np.ascontiguousarray(blocks), codes)
             assert (step_map(blocks, codes) == want).all(), name
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("bad, dtype", [(96, np.int64), (113, np.int64), (255, np.uint8), (-1, np.int64)])
+    def test_apply_poses_refuses_codes_outside_the_pose_range(self, channels, bad, dtype):
+        # the message names the first code outside [0, 96), and the stack is left as it was
+        blocks = _img(4 * 4, 4, channels, seed=2).data.reshape(4, 4, 4, channels)
+        before = blocks.copy()
+        with pytest.raises(ValueError, match=rf"^pose code {bad} is outside \[0, 96\)"):
+            apply_poses(blocks, np.array([5, bad, 200, 3], dtype))
+        assert (blocks == before).all()
+
     @staticmethod
     def _code_draws(kind, n_codes, rng):
         # stacks where every code occurs at least twice, where one
@@ -509,9 +518,9 @@ class TestStepTable:
         # contiguous stacks and on views that skip every other block and
         # every other sample, and the map under the inverse draws undoes it
         rng = np.random.default_rng(b)
-        maps = [(_rotate_flip, orient_block, ORIENT_INVERSE)]
+        maps = [(_rotate_flip, orient_block, POSE_INVERSE[:8])]
         if channels == 3:
-            maps.append((_color_shuffle, apply_color_shuffle, COLOR_INVERSE))
+            maps.append((_color_shuffle, apply_color_shuffle, POSE_INVERSE[::16] // 16))
         for step_map, oracle, inverse in maps:
             for codes in self._code_draws(kind, len(inverse), rng):
                 n = len(codes)
