@@ -346,30 +346,31 @@ _SEAM_SIDES = ((1, 0), (3, 2))
 class _SideTable:
     """Every oriented edge of a puzzle, read from one side table.
 
-    One (4, n, B*C + 1) array of ``dtype`` holds side s (left, right, top,
-    bottom) of piece p as B*C samples followed by their squared norm;
-    ``sides`` and ``sq`` are views of it. The edge of a piece in any
+    One (4, n, B*C + 2) array of ``dtype`` holds side s (left, right, top,
+    bottom) of piece p as the row [B*C samples, their squared norm, 1];
+    ``sides`` is a view of its samples. The edge of a piece in any
     orientation is one of its sides, forward or reversed (``cipher.EDGES``,
     with ``POSE_COMPOSE`` and ``POSE_INVERSE`` the one pose algebra of the
     package). Keys are ``piece * len(orientations) + index``.
 
-    Each side also has a probe, a (B*C + 1, 2) array whose columns are
-    [-2 side, 1] and [-2 side reversed, 1]. A table row times a probe is
-    |b|^2 - 2 a.b for the side read both ways, so one matrix product per
-    placed edge scores every side of every piece.
+    Each side also has a probe, a (B*C + 2, 2) array whose columns are
+    [-2 side, 1, |side|^2] and [-2 side reversed, 1, |side|^2]. A table row
+    times a probe is |a|^2 + |b|^2 - 2 a.b for the side read both ways, so
+    one matrix product per placed edge scores every side of every piece,
+    norms included.
 
     Every integer buffer the solver keeps takes its dtype here: float32
     where a subset-sum bound keeps each value below 2**24, float64
     otherwise, so either is exact in any summation order.
 
     - ``dtype`` (the table, probes, ``edges``, the seed scan): float32 when
-      ``2 * B*C * 255**2 < 2**24`` (B*C <= 129). Each product of two terms
-      is an integer of magnitude at most 2 * 255**2 (a sample times -2
-      samples, a norm times 1), and every partial sum that any order forms,
-      with or without fused multiply-adds, is a subset sum of them.
-    - ``sum_dtype`` (the greedy's K-wide sum per open cell, and ``used``):
-      float32 when ``4 * B*C * 255**2 < 2**24`` (B*C <= 64). A row is an
-      integer in [0, B*C * 255**2], and a cell sums at most 4 of them.
+      ``2 * B*C * 255**2 < 2**24`` (B*C <= 129). A row times a probe sums B*C
+      integer products -2 a_i b_i in [-2 * 255**2, 0] and two norms in [0,
+      B*C * 255**2]. Every partial sum that any order forms, with or without
+      fused multiply-adds, is a subset sum of them, within +-2 B*C * 255**2.
+    - ``sum_dtype`` (the greedy's K-wide sum per open cell, its score row
+      and ``used``): float32 when ``4 * B*C * 255**2 < 2**24`` (B*C <= 64).
+      A row is an integer in [0, B*C * 255**2], and a cell sums at most 4.
     """
 
     def __init__(self, pieces: np.ndarray, orientations: list[int]):
@@ -378,22 +379,24 @@ class _SideTable:
         self.n, self.orientations, self.shape = n, orientations, (b, c)
         self.dtype, self.sum_dtype = (np.float32 if m * d * 255**2 < 1 << 24 else np.float64
                                       for m in (2, 4))
-        table = np.empty((4, n, d + 1), self.dtype)
-        self.sides, self.sq = table[..., :d], table[..., d]
+        self._table = table = np.empty((4, n, d + 2), self.dtype)
+        self.sides, sq = table[..., :d], table[..., d]
         self.sides[...] = np.stack(_sides(pieces)).reshape(4, n, d)
-        self.sq[...] = (self.sides * self.sides).sum(axis=2)
-        self._probes = np.empty((4, n, d + 1, 2), self.dtype)
+        sq[...] = (self.sides * self.sides).sum(axis=2)
+        table[..., d + 1] = 1
+        self._probes = np.empty((4, n, d + 2, 2), self.dtype)
         self._probes[..., :d, 0] = self.sides
         self._probes[..., :d, 1] = self.sides.reshape(4, n, b, c)[:, :, ::-1].reshape(4, n, d)
         self._probes[..., :d, :] *= -2
         self._probes[..., d, :] = 1
+        self._probes[..., d + 1, :] = sq[..., None]
         # per edge and orientation index: (side, reversed) as Python values
         self._fixed = EDGES[:, orientations].tolist()
         # per edge of the candidates: the table rows its orientations read,
         # and the gathers from those rows times a probe into key order, for a
         # placed edge read forward and for one read reversed
         self._free = []
-        flat, q = table.reshape(4 * n, d + 1), np.arange(n)[:, None]
+        flat, q = table.reshape(4 * n, d + 2), np.arange(n)[:, None]
         for s, r in EDGES[:, orientations].transpose(0, 2, 1):
             lo, hi = s.min(), s.max() + 1
             at = ((s - lo) * n + q) * 2
@@ -409,23 +412,20 @@ class _SideTable:
         for i, (s, r) in enumerate(EDGES[e, codes].tolist()):
             side = self.sides[s]
             out[:, i, :d] = side.reshape(self.n, b, c)[:, ::-1].reshape(self.n, d) if r else side
-        out[..., d] = self.sq[EDGES[e, codes, 0]].T
-        out[..., d + 1] = 1
+            out[:, i, d:] = self._table[s, :, d:]
         return out.reshape(-1, d + 2)
 
     def row(self, fixed: int, free: int, k: int) -> np.ndarray:
         """Squared difference |a|^2 + |b|^2 - 2 a.b of edge ``fixed`` of key
-        ``k`` against edge ``free`` of every key: the candidates' table rows
-        times the placed side's probe, gathered into key order, plus the
-        placed edge's norm, in ``dtype``. Every entry is an exact integer in
-        any summation order (see the class docstring); the caller divides by
+        ``k`` against edge ``free`` of every key, as a fresh array of
+        ``dtype``: the candidates' table rows times the placed side's probe,
+        gathered into key order. Every entry is an exact integer in any
+        summation order (see the class docstring); the caller divides by
         B*C."""
         p, i = divmod(k, len(self.orientations))
         s, r = self._fixed[fixed][i]
         rows, take = self._free[free]
-        out = (rows @ self._probes[s, p]).ravel().take(take[r])
-        out += self.sq[s, p]
-        return out
+        return (rows @ self._probes[s, p]).ravel().take(take[r])
 
 
 def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tuple:
@@ -545,19 +545,20 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     first minimum, so every lower key scored strictly more, and with its
     piece's keys at inf the new first minimum has a higher value, or the
     same value and a higher piece, so it sorts after the old entry. The
-    working set is one K-wide sum per open cell and one K-wide ``used``, in
-    the sums' dtype (float32 when B*C <= 64), and O(rescores) heap entries;
-    past ``_SUMS_BUDGET`` bytes of sums it raises ``ValueError``.
+    working set is one K-wide sum per open cell (its first row, later rows
+    added in place), one K-wide ``used`` and one K-wide scratch row of
+    scores, in the sums' dtype (float32 when B*C <= 64), and O(rescores)
+    heap entries; past ``_SUMS_BUDGET`` bytes of sums it raises ``ValueError``.
 
-    Every row comes from one side table, each piece's 4 sides as samples and
-    squared norm, in dtypes that keep every row and sum exact
+    Every row comes from one side table, each piece's 4 sides as samples,
+    squared norm and 1, in dtypes that keep every row and sum exact
     (``_SideTable``). An oriented edge is one of them, forward or reversed,
     so a placed piece's row toward an open cell is one matrix product: the
     table rows of the sides the candidates' orientations read (with no
     orientation search, the relation's own side) times the placed side's
-    two-column probe, which scores its edge and the edge reversed, gathered
-    into key order (K = pieces x orientations keys). No K x K table is
-    built, and no (K, B*C) array outlives the seed.
+    two-column probe, which scores its edge and the edge reversed, both
+    norms included, gathered into key order (K = pieces x orientations
+    keys). No K x K table is built, and no (K, B*C) array outlives the seed.
 
     The seed scan is exact but reduced by symmetry (``_seed``): a global
     pose turns every piece and the pair's offset together and joins the
@@ -584,6 +585,7 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     second = ((0, 1), (1, 0))[rel]
     placed: dict[tuple[int, int], int] = {(0, 0): k1, second: k2}
     used = np.zeros(kk, table.sum_dtype)  # inf on the keys of placed pieces, added to every score
+    scratch = np.empty_like(used)  # the one score row, rec[0] + used
     rmin, rmax, cmin, cmax = 0, second[0], 0, second[1]
 
     def fits(cell: tuple[int, int]) -> bool:
@@ -607,8 +609,9 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
         for s, o in enumerate(around(cell)):
             if o not in placed and fits(o):
                 # side s of the placed key faces o; the candidates' opposite side meets it
-                rec = cells.setdefault(o, [0, 0, None])
-                rec[0] = np.add(table.row(s, s ^ 1, key), rec[0], dtype=table.sum_dtype)
+                rec = cells.setdefault(o, [None, 0, None])
+                row = table.row(s, s ^ 1, key)  # fresh: the first becomes the sum, later ones add in place
+                rec[0] = np.add(rec[0], row, out=rec[0]) if rec[1] else row.astype(table.sum_dtype, copy=False)
                 rec[1] += 1
         if (live := len(cells) * used.nbytes) > _SUMS_BUDGET:  # one used-sized sum per open cell
             raise ValueError(f"greedy_assemble of n = {n} pieces (K = {kk} keys) holds {live} bytes of "
@@ -617,9 +620,8 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     def rescore(cell: tuple[int, int]) -> None:
         """Store and push the cell's entry: its first least key and mean."""
         rec = cells[cell]
-        score = rec[0] + used
-        k = int(np.argmin(score))
-        rec[2] = (float(score[k]) / (d * rec[1]), k // no, cell, k)
+        k = int(np.add(rec[0], used, out=scratch).argmin())
+        rec[2] = (float(scratch[k]) / (d * rec[1]), k // no, cell, k)
         heapq.heappush(heap, rec[2])
 
     for cell in (0, 0), second:

@@ -22,6 +22,7 @@ per-element loop (:func:`resolve_swaps`).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ class MasterKey:
     seed: int
 
     def __post_init__(self):
-        seed = int(self.seed)  # accept numpy integers; arithmetic needs Python ints
+        seed = operator.index(self.seed)  # ints and numpy integers; a float or str raises TypeError
         if not 0 <= seed <= MASK64:
             raise ValueError(f"key must be a 64-bit unsigned value, got {seed:#x}")
         object.__setattr__(self, "seed", seed)

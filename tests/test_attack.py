@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -455,6 +456,38 @@ class TestGreedyAssemble:
         pz = Puzzle.from_image(_img(32, 96, seed=8), 16)
         asm = greedy_assemble(pz)
         assert asm.piece_ids.shape == (2, 6)
+
+    @pytest.mark.parametrize("steps, search, digest", [
+        ("s", False, "580b559dca9b666de448e08ed61e1fc9f689041eafabb30a48720daa645ab00a"),
+        ("sr", True, "07173792d1f90130cafb9c96413daa7f31a15301285398a78953e3d7151376ad"),
+    ], ids=["s", "sr-search"])
+    def test_float32_sums_pin_the_1024_piece_colour_solves(self, steps, search, digest):
+        # B*C = 48 gives a float32 side table with float32 open-cell sums,
+        # a pair that CI's digests (B*C = 8 and 96) and results/ (B*C >= 192)
+        # leave unpinned. The digest is the CI 3072-piece step's formula
+        img = synth_natural_image(512, 512, 7)
+        cfg = CipherConfig(steps=steps, block_size=16)
+        pz = Puzzle.from_image(encrypt(img, MasterKey(1234), cfg)[0], 16)
+        table = _SideTable(pz.pieces, [0])
+        assert (pz.grid.n_blocks, table.dtype, table.sum_dtype) == (1024, np.float32, np.float32)
+        asm = greedy_assemble(pz, orientation_search=search)
+        assert hashlib.sha256(asm.piece_ids.tobytes() + asm.orientations.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("search", [False, True])
+    def test_rows_are_the_solvers_own(self, search):
+        # the solver adds later rows into an open cell's first row in place,
+        # so a row that viewed the table, a probe or another row would
+        # silently corrupt it
+        _, pz = _cipher_case((3, 4), "natural", 3, 4, 0x5EED, 5)
+        orientations = list(range(8)) if search else [0]
+        table = _SideTable(pz.pieces, orientations)
+        rows = [table.row(s, s ^ 1, k) for s in range(4) for k in range(2 * len(orientations))]
+        for i, row in enumerate(rows):
+            assert not np.shares_memory(row, table._table) and not np.shares_memory(row, table._probes)
+            assert not any(np.shares_memory(row, other) for other in rows[:i])
+        pieces = pz.pieces.copy()
+        greedy_assemble(pz, orientation_search=search)
+        assert np.array_equal(pz.pieces, pieces)
 
 
 def _outcome(ground_truth, *args, **kwargs):

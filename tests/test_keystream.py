@@ -141,6 +141,20 @@ def test_master_key_validation():
     assert MasterKey(MASK64).seed == MASK64
 
 
+@pytest.mark.parametrize("seed", [3.7, 3.0, np.float64(9.9), "1234", "00000000000004d2", None])
+def test_master_key_refuses_non_integers(seed):
+    # a float would be truncated and a string read as decimal, not as the
+    # key file's hex, so neither may pass as a key
+    with pytest.raises(TypeError):
+        MasterKey(seed)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(MASK64), np.int64(77), np.uint8(5)])
+def test_master_key_takes_integer_types(seed):
+    key = MasterKey(seed)
+    assert type(key.seed) is int and key.seed == int(seed)
+
+
 def test_key_hex_round_trip():
     key = MasterKey(0x0123456789ABCDEF)
     assert key.to_hex() == "0123456789abcdef"
