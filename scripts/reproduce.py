@@ -20,7 +20,7 @@ sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, installed or n
 
 from etckit.attack import Puzzle, greedy_assemble, ground_truth_from_key, score_assembly  # noqa: E402
 from etckit.cipher import CipherConfig, encrypt  # noqa: E402
-from etckit.codec import CodecParams, mean_bpp_inflation, mean_psnr_gap, rd_curve  # noqa: E402
+from etckit.codec import CodecParams, mean_bpp_inflation, mean_psnr_gap, rd_encrypted, rd_plain  # noqa: E402
 from etckit.keystream import MasterKey  # noqa: E402
 from etckit.synth import reference_images, synth_natural_image  # noqa: E402
 from etckit.templates import Template, classify, enroll, protect_template  # noqa: E402
@@ -32,10 +32,11 @@ def rd():
     key = MasterKey.from_hex("0123456789abcdef")
     rows = ["image,steps,quality,path,bpp,psnr_db"]
     summary = ["image,steps,mean_psnr_gap_db,mean_bpp_inflation"]
+    qualities, params = [50, 70, 85, 95], CodecParams(subsampling="420")
     for idx, img in enumerate(reference_images(count=3, size=512)):
+        plain = rd_plain(img, qualities, params)  # the same for every step set
         for steps in ("", "s", "sr", "srn", "srnc"):
-            cfg = CipherConfig(steps=steps)
-            plain, enc = rd_curve(img, key, cfg, [50, 70, 85, 95], CodecParams(subsampling="420"))
+            enc = rd_encrypted(img, key, CipherConfig(steps=steps), qualities, params)
             head = f"ref{idx},{steps or '-'}"
             for path, points in (("plain", plain), ("encrypted", enc)):
                 rows += [

@@ -464,8 +464,6 @@ class _BitWriter:
         if self._carry_bits:
             val = np.concatenate(([self._carry], val))
             bits = np.concatenate(([self._carry_bits], bits))
-        if not len(val):
-            return
         end = np.cumsum(bits)
         total = int(end[-1])
         pos = end - bits

@@ -116,8 +116,8 @@ class Puzzle:
     ground_truth: GroundTruth | None = None
 
     @classmethod
-    def from_image(cls, img: ImageBuffer, block_size: int, ground_truth: GroundTruth | None = None) -> "Puzzle":
-        return cls(*split_blocks(img, block_size), ground_truth)
+    def from_image(cls, img: ImageBuffer, block_size: int) -> "Puzzle":
+        return cls(*split_blocks(img, block_size))
 
 
 def identity_assembly(grid: BlockGrid) -> Assembly:
@@ -657,28 +657,26 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
 def render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer:
     """Paint the assembled image (pieces drawn in their assigned poses)."""
     out = apply_poses(puzzle.pieces[assembly.piece_ids.ravel()], assembly.poses.ravel())
-    return merge_blocks(out, puzzle.grid, out.shape[-1])
+    return merge_blocks(out, puzzle.grid)
 
 
 # ---------------------------------------------------------------------------
 # Scoring
 
 
-def score_assembly(
-    assembly: Assembly, puzzle: Puzzle, allow_global_pose: bool = True
-) -> Metrics:
+def score_assembly(assembly: Assembly, puzzle: Puzzle) -> Metrics:
     """Direct, neighbor, and largest-component scores against the ground truth.
 
     Dc is the share of cells holding their true piece in its true orientation,
-    maximized, when ``allow_global_pose``, over the global poses that keep
-    the grid's shape: the identity, the half turn and both mirrors, and on a
-    square grid also the quarter turns and both diagonal flips. Border
-    compatibility cannot tell an assembly from any of its poses. Nc is the
-    share of right and below seams that are correct, and Lc the share of
-    cells in the largest 4-connected region joined by correct seams. All
-    three read orientations only, so a cell's negation or channel order never
-    counts against them: past JPEG the appearance truth's channel order is
-    not the key's (``ground_truth_from_plain``).
+    maximized over the global poses that keep the grid's shape: the identity,
+    the half turn and both mirrors, and on a square grid also the quarter
+    turns and both diagonal flips. Border compatibility cannot tell an
+    assembly from any of its poses. Nc is the share of right and below seams
+    that are correct, and Lc the share of cells in the largest 4-connected
+    region joined by correct seams. All three read orientations only, so a
+    cell's negation or channel order never counts against them: past JPEG
+    the appearance truth's channel order is not the key's
+    (``ground_truth_from_plain``).
 
     A seam between pieces placed at offset ``delta`` in orientations (ou, ov)
     is correct when one global pose maps both placements onto the ground
@@ -698,7 +696,7 @@ def score_assembly(
 
     r, c = np.indices(ids.shape)
     direct = 0
-    for g in range(8) if allow_global_pose else (0,):
+    for g in range(8):
         # pose g moves cell (r, c) to r * g(1, 0) + c * g(0, 1), then shifts
         (ar, ac), (br, bc) = SEAM_TURNS[:, g]
         to_r, to_c = r * br + c * ar, r * bc + c * ac

@@ -404,7 +404,7 @@ def encrypt(
     blocks, grid = split_blocks(work, cfg.block_size)  # each rebinding of blocks frees the last stack
     perm, poses = key_schedule(key, cfg, grid.n_blocks)
     blocks = np.take(blocks, perm, axis=0)
-    return merge_blocks(apply_poses(blocks, poses), grid, work.channels), sidecar
+    return merge_blocks(apply_poses(blocks, poses), grid), sidecar
 
 
 def decrypt(img: ImageBuffer, key: MasterKey, sidecar: CipherSidecar) -> ImageBuffer:
@@ -421,7 +421,7 @@ def decrypt(img: ImageBuffer, key: MasterKey, sidecar: CipherSidecar) -> ImageBu
     out, grid = split_blocks(img, cfg.block_size)  # each rebinding of out frees the last stack
     ids, poses = cell_poses(*key_schedule(key, cfg, grid.n_blocks))
     out = np.take(out, ids, axis=0)
-    out = merge_blocks(apply_poses(out, poses), grid, img.channels)
+    out = merge_blocks(apply_poses(out, poses), grid)
     if stacked:
         out = unstack_planes(out)
     if sidecar.pad_r or sidecar.pad_b:

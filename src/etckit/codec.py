@@ -70,35 +70,34 @@ def jpeg_roundtrip(img: ImageBuffer, params: CodecParams) -> tuple[ImageBuffer, 
     return ImageBuffer(pixels), size
 
 
-def rd_curve(
-    img: ImageBuffer,
-    key: MasterKey,
-    cfg: CipherConfig,
-    qualities: list[int],
-    params: CodecParams = CodecParams(),
-) -> tuple[list[RDPoint], list[RDPoint]]:
-    """Rate-distortion sweep of the plain path and the encrypt-compress-decrypt path.
-
-    Plain: jpeg(img) -> decode -> PSNR vs img.
-    Encrypted: encrypt -> jpeg -> decode -> decrypt -> PSNR vs img.
-    bpp is compressed bits over the original pixel count for both paths.
-    """
+def _rd_points(img, sent, restore, qualities, params) -> list[RDPoint]:
+    """``sent`` JPEG-coded at each quality and ``restore``-d, against ``img``;
+    bpp is compressed bits over ``img``'s pixel count."""
     if not qualities:
         raise ValueError("qualities must be non-empty")
-    n_pixels = img.width * img.height
-    cipher_img, sidecar = encrypt(img, key, cfg)
-
-    plain, encrypted = [], []
+    points = []
     for q in qualities:
-        p = replace(params, quality=q)
+        decoded, size = jpeg_roundtrip(sent, replace(params, quality=q))
+        points.append(RDPoint(q, size * 8.0 / (img.width * img.height), psnr(img, restore(decoded))))
+    return points
 
-        decoded, size = jpeg_roundtrip(img, p)
-        plain.append(RDPoint(q, size * 8.0 / n_pixels, psnr(img, decoded)))
 
-        decoded_c, size_c = jpeg_roundtrip(cipher_img, p)
-        restored = decrypt(decoded_c, key, sidecar)
-        encrypted.append(RDPoint(q, size_c * 8.0 / n_pixels, psnr(img, restored)))
-    return plain, encrypted
+def rd_plain(img: ImageBuffer, qualities: list[int], params: CodecParams = CodecParams()) -> list[RDPoint]:
+    """Rate-distortion sweep of the plain path: jpeg(img) -> decode -> PSNR vs img."""
+    return _rd_points(img, img, lambda decoded: decoded, qualities, params)
+
+
+def rd_encrypted(img: ImageBuffer, key: MasterKey, cfg: CipherConfig, qualities: list[int],
+                 params: CodecParams = CodecParams()) -> list[RDPoint]:
+    """Rate-distortion sweep of the encrypt -> jpeg -> decode -> decrypt path, PSNR vs img."""
+    cipher_img, sidecar = encrypt(img, key, cfg)
+    return _rd_points(img, cipher_img, lambda decoded: decrypt(decoded, key, sidecar), qualities, params)
+
+
+def rd_curve(img: ImageBuffer, key: MasterKey, cfg: CipherConfig, qualities: list[int],
+             params: CodecParams = CodecParams()) -> tuple[list[RDPoint], list[RDPoint]]:
+    """Both rate-distortion sweeps of ``img``: (:func:`rd_plain`, :func:`rd_encrypted`)."""
+    return rd_plain(img, qualities, params), rd_encrypted(img, key, cfg, qualities, params)
 
 
 def rd_csv(plain: list[RDPoint], encrypted: list[RDPoint]) -> str:

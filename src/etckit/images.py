@@ -166,19 +166,18 @@ def split_blocks(img: ImageBuffer, block_size: int) -> tuple[np.ndarray, BlockGr
     return blocks, BlockGrid(block_size, rows, cols)
 
 
-def merge_blocks(blocks: np.ndarray, grid: BlockGrid, channels: int) -> ImageBuffer:
-    """Inverse of :func:`split_blocks`.
+def merge_blocks(blocks: np.ndarray, grid: BlockGrid) -> ImageBuffer:
+    """Inverse of :func:`split_blocks`; the channel count is the stack's last axis.
 
     The image's data is always a fresh array, never a view of ``blocks``, so
     callers may go on to overwrite their stack.
     """
     blocks = np.asarray(blocks)
-    expected = (grid.n_blocks, grid.block_size, grid.block_size, channels)
-    if blocks.shape != expected or blocks.dtype != np.uint8:
-        raise ValueError(
-            f"expected uint8 blocks of shape {expected}, got {blocks.dtype} {blocks.shape}"
-        )
     b = grid.block_size
+    if blocks.shape[:-1] != (grid.n_blocks, b, b) or blocks.dtype != np.uint8:
+        raise ValueError(f"expected uint8 blocks of shape ({grid.n_blocks}, {b}, {b}, channels), "
+                         f"got {blocks.dtype} {blocks.shape}")
+    channels = blocks.shape[-1]
     arr = _swap_block_axes(blocks, (grid.rows, grid.cols, b, b * channels))
     return ImageBuffer(arr.reshape(grid.rows * b, grid.cols * b, channels))
 

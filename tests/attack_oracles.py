@@ -236,7 +236,7 @@ def reference_render_assembly(assembly: Assembly, puzzle: Puzzle) -> ImageBuffer
         perm, rest = divmod(int(flat_poses[cell]), 16)
         block = apply_negpos(orient_block(puzzle.pieces[flat_ids[cell]], rest % 8), rest // 8)
         out[cell] = apply_color_shuffle(block, perm) if c == 3 else block
-    return merge_blocks(out, grid, c)
+    return merge_blocks(out, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +333,7 @@ def reference_correct_pairs(
     return good
 
 
-def reference_score_assembly(
-    assembly: Assembly, puzzle: Puzzle, allow_global_pose: bool = True
-) -> Metrics:
+def reference_score_assembly(assembly: Assembly, puzzle: Puzzle) -> Metrics:
     """Direct, neighbor, and largest-component scores against the ground truth."""
     gt = puzzle.ground_truth
     if gt is None:
@@ -345,7 +343,7 @@ def reference_score_assembly(
 
     # direct comparison, maximized over whole-assembly poses that keep the shape
     best_direct = 0
-    for g in range(8) if allow_global_pose else (0,):
+    for g in range(8):
         ids_g = reference_pose_grid(assembly.piece_ids, g)
         if ids_g.shape != (rows, cols):
             continue

@@ -242,7 +242,7 @@ class TestMetricOracle:
 
     @staticmethod
     def _puzzle():
-        return Puzzle.from_image(_img(32, 32, seed=2), 16, _identity_gt(2, 2))
+        return Puzzle(*split_blocks(_img(32, 32, seed=2), 16), _identity_gt(2, 2))
 
     def test_table_is_complete(self):
         assert set(self.TABLE) == set(itertools.permutations(range(4)))
@@ -261,7 +261,7 @@ class TestMetricOracle:
     def test_spec_worked_example(self):
         pz = self._puzzle()
         asm = Assembly(np.asarray([[1, 0], [2, 3]]), np.zeros((2, 2), np.int64))
-        got = score_assembly(asm, pz, allow_global_pose=False)
+        got = score_assembly(asm, pz)
         assert got == Metrics(0.5, 0.25, 0.5)
 
 
@@ -325,21 +325,21 @@ class TestOrientationTables:
 
 class TestScoreAssembly:
     def test_identity_scores_perfect(self):
-        pz = Puzzle.from_image(_img(48, 48), 16, _identity_gt(3, 3))
+        pz = Puzzle(*split_blocks(_img(48, 48), 16), _identity_gt(3, 3))
         assert score_assembly(identity_assembly(pz.grid), pz) == Metrics(1.0, 1.0, 1.0)
 
     def test_global_rotation_allowance(self):
-        pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
+        pz = Puzzle(*split_blocks(_img(32, 32), 16), _identity_gt(2, 2))
         for k in (1, 2, 3):
             ids = np.rot90(np.arange(4).reshape(2, 2), k)
             ors = POSE_COMPOSE[np.zeros((2, 2), np.int64), k]
             asm = Assembly(ids, ors)
             assert score_assembly(asm, pz) == Metrics(1.0, 1.0, 1.0), k
-            strict = score_assembly(asm, pz, allow_global_pose=False)
-            assert strict.dc == 0.0 and strict.nc == 1.0, k
+            # the cells turned but not the pieces: no global pose maps it onto the truth
+            assert score_assembly(Assembly(ids, np.zeros_like(ids)), pz).dc == 0.0, k
 
     def test_odd_rotations_skipped_on_rectangular_grids(self):
-        pz = Puzzle.from_image(_img(32, 48), 16, _identity_gt(2, 3))
+        pz = Puzzle(*split_blocks(_img(32, 48), 16), _identity_gt(2, 3))
         m = score_assembly(identity_assembly(pz.grid), pz)
         assert m == Metrics(1.0, 1.0, 1.0)
 
@@ -367,9 +367,9 @@ class TestScoreAssembly:
             assert score_assembly(asm, pz) == Metrics(1.0, 1.0, 1.0), g
 
     def test_lc_lower_bound(self):
-        pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
+        pz = Puzzle(*split_blocks(_img(32, 32), 16), _identity_gt(2, 2))
         worst = Assembly(np.asarray([[3, 2], [1, 0]]), np.zeros((2, 2), np.int64))
-        m = score_assembly(worst, pz, allow_global_pose=False)
+        m = score_assembly(worst, pz)
         assert m.lc >= 1 / 4
 
     def test_requires_ground_truth(self):
@@ -378,7 +378,7 @@ class TestScoreAssembly:
             score_assembly(identity_assembly(pz.grid), pz)
 
     def test_rejects_a_grid_unlike_the_ground_truth(self):
-        pz = Puzzle.from_image(_img(32, 48), 16, _identity_gt(2, 3))
+        pz = Puzzle(*split_blocks(_img(32, 48), 16), _identity_gt(2, 3))
         asm = identity_assembly(BlockGrid(16, 3, 2))
         with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
             score_assembly(asm, pz)
@@ -412,7 +412,7 @@ class TestScoreAssembly:
         assert lines[-1] == "[]"
 
     def test_orientation_mismatch_breaks_dc_and_nc(self):
-        pz = Puzzle.from_image(_img(32, 32), 16, _identity_gt(2, 2))
+        pz = Puzzle(*split_blocks(_img(32, 32), 16), _identity_gt(2, 2))
         ors = np.zeros((2, 2), np.int64)
         ors[0, 0] = 2
         m = score_assembly(Assembly(np.arange(4).reshape(2, 2), ors), pz)
@@ -568,7 +568,7 @@ class TestGroundTruthPruning:
         # full cost table does, naming the same count
         blocks, grid = split_blocks(synth_natural_image(256, 256, seed=8), 16)
         blocks[[5, 17, 40, 41, 90, 255]] = blocks[0]
-        plain = merge_blocks(blocks, grid, 3)
+        plain = merge_blocks(blocks, grid)
         pz = Puzzle.from_image(encrypt(plain, MasterKey(77), CipherConfig(steps="srnc", block_size=16))[0], 16)
         message = "^7 of 256 cells share their cheapest piece with another cell; score against the key"
         with monkeypatch.context() as m:
@@ -669,7 +669,7 @@ def _cipher_case(grid, kind, c, bs, key, seed):
     """A plaintext of ``kind`` pieces and the puzzle of its ciphertext under
     ``key``, with every step the scheme for ``c`` channels allows."""
     rows, cols = grid
-    plain = merge_blocks(_pieces(kind, rows * cols, bs, c, seed), BlockGrid(bs, rows, cols), c)
+    plain = merge_blocks(_pieces(kind, rows * cols, bs, c, seed), BlockGrid(bs, rows, cols))
     if c == 3:
         cfg = CipherConfig(steps="srnc", block_size=bs)
     else:
@@ -919,7 +919,7 @@ class TestAgainstReference:
         plain = _pieces("antisymmetric", 6, 6, c, 5)
         for ct in (255 - plain, apply_orientation(plain, 2)):
             pz = Puzzle(np.ascontiguousarray(ct), grid)
-            gt = ground_truth_from_plain(merge_blocks(plain, grid, c), pz)
+            gt = ground_truth_from_plain(merge_blocks(plain, grid), pz)
             assert gt.piece_ids.tolist() == [[0, 1, 2], [3, 4, 5]]
             assert gt.orientations.tolist() == [[0, 0, 0], [0, 0, 0]]
             assert gt.poses.tolist() == [[8, 8, 8], [8, 8, 8]]
@@ -989,21 +989,20 @@ class TestScoreAgainstReference:
     ``attack_oracles`` returns."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_scored_cases(), st.booleans())
-    def test_matches_reference(self, case, allow_pose):
+    @given(_scored_cases())
+    def test_matches_reference(self, case):
         asm, pz = case
-        got = score_assembly(asm, pz, allow_pose)
-        assert got == reference_score_assembly(asm, pz, allow_pose)
+        got = score_assembly(asm, pz)
+        assert got == reference_score_assembly(asm, pz)
         assert all(type(v) is float for v in (got.dc, got.nc, got.lc))
 
-    @pytest.mark.parametrize("allow_pose", [False, True])
-    def test_one_cell_grid_matches_reference(self, allow_pose):
+    def test_one_cell_grid_matches_reference(self):
         for placed, true in itertools.product(range(8), repeat=2):
             pz = Puzzle(np.zeros((1, 1, 1, 1), np.uint8), BlockGrid(1, 1, 1),
                         GroundTruth(np.zeros((1, 1), np.int64), np.full((1, 1), true)))
             asm = Assembly(np.zeros((1, 1), np.int64), np.full((1, 1), placed))
-            got = score_assembly(asm, pz, allow_pose)
-            assert got == reference_score_assembly(asm, pz, allow_pose), (placed, true)
+            got = score_assembly(asm, pz)
+            assert got == reference_score_assembly(asm, pz), (placed, true)
 
 
 class TestLargestComponent:
@@ -1154,7 +1153,7 @@ class TestBruteForce:
         from step_oracles import apply_scramble
 
         blocks, grid = split_blocks(img, 8)
-        assert merge_blocks(apply_scramble(blocks, np.asarray(perms[0])), grid, 3) == ct
+        assert merge_blocks(apply_scramble(blocks, np.asarray(perms[0])), grid) == ct
 
     def test_uniform_image_matches_all_permutations(self):
         img = ImageBuffer(np.full((16, 16, 3), 7, np.uint8))

@@ -419,7 +419,7 @@ class TestEncryptDecrypt:
         undone = blocks.copy()
         flip = draws[NEGPOS] == 1
         undone[flip] = 255 - undone[flip]
-        assert merge_blocks(undone, grid, 3) == ct_s
+        assert merge_blocks(undone, grid) == ct_s
 
 
 def _subsets(letters):

@@ -163,6 +163,16 @@ class TestEncryptDecrypt:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("magic", [b"P5", b"P6"])
+    def test_zero_size_image_is_data_error(self, tmp_path, magic, capsys):
+        src = tmp_path / "empty.ppm"
+        src.write_bytes(magic + b"\n0 4\n255\n")
+        out = tmp_path / "x.ppm"
+        assert main(["encrypt", str(src), "--out", str(out), "--key", KEY]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "empty.ppm" in err and "bad dimensions 0x4" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_corrupt_sidecar_is_data_error(self, tmp_path, plain_ppm):
         ct = tmp_path / "ct.ppm"
         main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY])
@@ -304,7 +314,7 @@ class TestAttack:
         blocks, grid = split_blocks(synth_natural_image(256, 256, seed=8), 16)
         blocks[[5, 17, 40, 41, 90, 255]] = blocks[0]
         plain, ct = tmp_path / "plain.ppm", tmp_path / "ct.ppm"
-        plain.write_bytes(save_ppm(merge_blocks(blocks, grid, 3)))
+        plain.write_bytes(save_ppm(merge_blocks(blocks, grid)))
         main(["encrypt", str(plain), "--out", str(ct), "--key", KEY, "--steps", "srnc",
               "--block-size", "16"])
         argv = ["attack", str(ct), "--plain", str(plain), "--steps", "srnc", "--block-size", "16"]

@@ -24,6 +24,8 @@ from etckit.codec import (
     provider_recompress,
     rd_csv,
     rd_curve,
+    rd_encrypted,
+    rd_plain,
 )
 from etckit.images import ImageBuffer, psnr
 from etckit.keystream import MasterKey
@@ -136,6 +138,23 @@ def per_component_scans(frame, scanned=None) -> bytes:
     return head + b"".join(_jpeg._scan(frame, [comps[i]]) for i in scanned) + b"\xff\xd9"
 
 
+def huffman_segment(table: int, symbol: int) -> bytes:
+    """A DHT segment defining table ``table`` (class << 4 | id) with one
+    code, the bit 0, for ``symbol``."""
+    seg = bytes([table, 1]) + bytes(15) + bytes([symbol])
+    return b"\xff\xc4" + struct.pack(">H", len(seg) + 2) + seg
+
+
+def gray_stream_with_scan(scan: bytes, blocks: int, dht: bytes = b"") -> bytes:
+    """The encoder's stream of a black 8 x (8 * ``blocks``) gray image, with
+    its Annex K tables, its entropy-coded data replaced by ``scan`` and
+    ``dht`` inserted before the scan header."""
+    data = _jpeg.encode(np.zeros((8, 8 * blocks, 1), np.uint8), 75, "420")
+    sos = data.index(b"\xff\xda")
+    body = sos + 2 + (data[sos + 2] << 8 | data[sos + 3])
+    return data[:sos] + dht + data[sos:body] + scan + b"\xff\xd9"
+
+
 @pytest.fixture(scope="module")
 def curves():
     img = synth_natural_image(128, 128, seed=10)
@@ -162,10 +181,25 @@ class TestRDCurve:
         _, encrypted = curves
         assert all(e.psnr_db > 25.0 for e in encrypted)
 
+    def test_curve_is_its_two_sweeps(self, curves):
+        img = synth_natural_image(128, 128, seed=10)
+        plain = rd_plain(img, [50, 85])
+        assert curves == (plain, rd_encrypted(img, MasterKey(0xD00D), CipherConfig(block_size=16), [50, 85]))
+        # the plain sweep takes no key: the same at every step set
+        assert rd_curve(img, MasterKey(1), CipherConfig(steps="s", block_size=32), [50, 85])[0] == plain
+
     def test_rejects_empty_qualities(self):
         img = synth_natural_image(32, 32, seed=11)
         with pytest.raises(ValueError):
             rd_curve(img, MasterKey(1), CipherConfig(block_size=16), [])
+
+    @pytest.mark.parametrize("sweep", [
+        lambda img: rd_plain(img, []),
+        lambda img: rd_encrypted(img, MasterKey(1), CipherConfig(block_size=16), []),
+    ], ids=["plain", "encrypted"])
+    def test_each_sweep_rejects_empty_qualities(self, sweep):
+        with pytest.raises(ValueError, match="qualities must be non-empty"):
+            sweep(synth_natural_image(32, 32, seed=11))
 
 
 class TestCsv:
@@ -313,6 +347,8 @@ class TestBuiltinCodec:
             ("invalid sequential scan: band 0..62", b"\xff\xda", lambda seg: seg[:-2] + b"\x3e" + seg[-1:]),
             ("quantization table 3 not defined", b"\xff\xc0", lambda seg: seg[:12] + b"\x03" + seg[13:]),
             ("Huffman table DC 3 not defined", b"\xff\xda", lambda seg: seg[:6] + b"\x33" + seg[7:]),
+            ("unexpected marker 0xFFD0", b"\xff\xda", lambda seg: b"\xff\xd0" + seg),
+            ("malformed frame header", b"\xff\xc0", lambda seg: seg[:9] + b"\x01" + seg[10:]),
         ],
     )
     def test_malformed_headers_are_named(self, message, marker, edit):
@@ -335,6 +371,32 @@ class TestBuiltinCodec:
         data[sos + 2 + data[sos + 3] - 1] = 0x01  # Ah/Al of the scan: Al = 1
         with pytest.raises(_jpeg.JpegError, match="unsupported feature: successive approximation"):
             _jpeg.decode(bytes(data))
+
+    @pytest.mark.parametrize(
+        "message, scan, blocks, dht",
+        [
+            # 16 1-bits: longer than every DC code, and the AC tables leave
+            # the all-ones code out
+            ("invalid Huffman code", b"\xff\x00\xff\x00", 1, b""),
+            # DC code 00 (difference 0), then 22 1-bits at the AC lookup
+            ("invalid Huffman code", b"\x3f\xff\x00\xff\x00", 1, b""),
+            # DC code 00, then the one AC code 0: run 1 or 14 with size 0
+            ("end-of-band run", b"\x00", 1, huffman_segment(0x10, 0x10)),
+            ("end-of-band run", b"\x00", 1, huffman_segment(0x10, 0xE0)),
+            # per block DC +2047 (category 11) and EOB, 24 bits; 17 of them
+            # sum past int16
+            ("DC coefficient out of range", b"\xff\x00\x7f\xfa" * 17, 17, b""),
+        ],
+    )
+    def test_scan_refusals_are_named(self, message, scan, blocks, dht):
+        with pytest.raises(CodecError, match=re.escape(message)):
+            jpeg_decode(gray_stream_with_scan(scan, blocks, dht))
+
+    def test_scan_refusal_streams_are_valid_up_to_their_fault(self):
+        # the same DC codes with an EOB after them decode, so each refusal
+        # above is the AC lookup or the 17th DC difference
+        assert jpeg_decode(gray_stream_with_scan(b"\x2b", 1)).data.max() == 128
+        assert jpeg_decode(gray_stream_with_scan(b"\xff\x00\x7f\xfa" * 16, 16)).data.min() == 255
 
     def test_header_larger_than_stream_is_refused(self):
         data = bytearray(_jpeg.encode(synth_natural_image(32, 32, seed=13).data, 75, "444"))

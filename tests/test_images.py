@@ -84,6 +84,11 @@ class TestPPM:
         with pytest.raises(ValueError):
             load_ppm(b"P5\n2 2\n255\n\x00\x00\x00")
 
+    @pytest.mark.parametrize("magic", [b"P5", b"P6"])
+    def test_rejects_a_zero_size(self, magic):
+        with pytest.raises(ValueError, match="bad dimensions 0x4"):
+            load_ppm(magic + b"\n0 4\n255\n")
+
     def test_rejects_nonmax_255(self):
         with pytest.raises(ValueError):
             load_ppm(b"P5\n1 1\n65535\n\x00\x00")
@@ -128,7 +133,7 @@ class TestBlocks:
         blocks, grid = split_blocks(img, 16)
         assert grid == BlockGrid(block_size=16, rows=2, cols=3)
         assert blocks.shape == (6, 16, 16, 3)
-        assert merge_blocks(blocks, grid, 3) == img
+        assert merge_blocks(blocks, grid) == img
 
     def test_block_order_is_row_major(self):
         data = np.arange(16, dtype=np.uint8).reshape(4, 4, 1)
@@ -144,14 +149,20 @@ class TestBlocks:
     def test_merge_rejects_wrong_count(self):
         blocks, grid = split_blocks(_img(32, 32, 1), 16)
         with pytest.raises(ValueError):
-            merge_blocks(blocks[:3], grid, 1)
+            merge_blocks(blocks[:3], grid)
+
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_merge_rejects_a_stack_of_other_channel_counts(self, c):
+        # the channel count is the stack's last axis, so an image's rule refuses it
+        with pytest.raises(ValueError, match=r"\(H, W, 1\|3\)"):
+            merge_blocks(np.zeros((4, 2, 2, c), np.uint8), BlockGrid(2, 2, 2))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
     def test_merge_rejects_other_dtypes(self, dtype):
         # merge moves bytes as words, which would reinterpret any other dtype
         blocks, grid = split_blocks(_img(32, 32, 1), 16)
         with pytest.raises(ValueError, match="expected uint8 blocks"):
-            merge_blocks(blocks.astype(dtype), grid, 1)
+            merge_blocks(blocks.astype(dtype), grid)
 
     @pytest.mark.parametrize(
         "h, w, c, bs",
@@ -170,7 +181,7 @@ class TestBlocks:
     )
     def test_merge_returns_a_fresh_array(self, h, w, c, bs):
         blocks, grid = split_blocks(_img(h, w, c), bs)
-        merged = merge_blocks(blocks, grid, c)
+        merged = merge_blocks(blocks, grid)
         assert not np.shares_memory(merged.data, blocks)
         assert merged.data.flags.c_contiguous
 
@@ -191,7 +202,7 @@ class TestBlocks:
         img = ImageBuffer(samples)
         blocks, grid = split_blocks(img, bs)
         assert np.array_equal(blocks, cut_blocks(samples, bs))
-        merged = merge_blocks(blocks, grid, c)
+        merged = merge_blocks(blocks, grid)
         assert np.array_equal(merged.data, paste_blocks(blocks, cols))
         assert merged == img
 
@@ -202,8 +213,8 @@ class TestBlocks:
         stack = big[::2] if layout == "every-other-block" else big[:6].transpose(0, 2, 1, 3)
         assert not stack.flags.c_contiguous
         grid = BlockGrid(bs, 2, 3)
-        merged = merge_blocks(stack, grid, c)
-        assert merged == merge_blocks(np.ascontiguousarray(stack), grid, c)
+        merged = merge_blocks(stack, grid)
+        assert merged == merge_blocks(np.ascontiguousarray(stack), grid)
         assert not np.shares_memory(merged.data, big)
         assert merged.data.flags.c_contiguous
 
