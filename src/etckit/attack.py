@@ -346,24 +346,25 @@ _SEAM_SIDES = ((1, 0), (3, 2))
 class _SideTable:
     """Every oriented edge of a puzzle, read from one side table.
 
-    One (4, n, B*C + 2) array of ``dtype`` holds side s (left, right, top,
-    bottom) of piece p as the row [B*C samples, their squared norm, 1];
-    ``sides`` is a view of its samples. The edge of a piece in any
-    orientation is one of its sides, forward or reversed (``cipher.EDGES``,
-    with ``POSE_COMPOSE`` and ``POSE_INVERSE`` the one pose algebra of the
-    package). Keys are ``piece * len(orientations) + index``.
+    One (2, 4, n, B*C + 2) array of ``dtype`` holds side s (left, right, top,
+    bottom) of piece p, read forward (r = 0) or reversed along B (r = 1), as
+    the row [r, s, p] = [B*C samples, their squared norm, 1]; it is the one
+    place a side is reversed. The edge of a piece in any orientation is one
+    of these rows (``cipher.EDGES``, with ``POSE_COMPOSE`` and
+    ``POSE_INVERSE`` the one pose algebra of the package). Keys are ``piece
+    * len(orientations) + index``.
 
-    Each side also has a probe, a (B*C + 2, 2) array whose columns are
-    [-2 side, 1, |side|^2] and [-2 side reversed, 1, |side|^2]. A table row
-    times a probe is |a|^2 + |b|^2 - 2 a.b for the side read both ways, so
-    one matrix product per placed edge scores every side of every piece,
-    norms included.
+    Each side also has a probe, a (B*C + 2, 2) array whose column r is
+    [-2 row [r, s, p] samples, 1, |side|^2]. A table row times a probe is
+    |a|^2 + |b|^2 - 2 a.b for the side read both ways, so one matrix product
+    per placed edge scores every side of every piece, norms included, and
+    the seed scan multiplies probes by table rows too.
 
     Every integer buffer the solver keeps takes its dtype here: float32
     where a subset-sum bound keeps each value below 2**24, float64
     otherwise, so either is exact in any summation order.
 
-    - ``dtype`` (the table, probes, ``edges``, the seed scan): float32 when
+    - ``dtype`` (the table, probes and the seed scan): float32 when
       ``2 * B*C * 255**2 < 2**24`` (B*C <= 129). A row times a probe sums B*C
       integer products -2 a_i b_i in [-2 * 255**2, 0] and two norms in [0,
       B*C * 255**2]. Every partial sum that any order forms, with or without
@@ -376,44 +377,31 @@ class _SideTable:
     def __init__(self, pieces: np.ndarray, orientations: list[int]):
         n, b, _, c = pieces.shape
         d = b * c
-        self.n, self.orientations, self.shape = n, orientations, (b, c)
+        self.n, self.orientations = n, orientations
         self.dtype, self.sum_dtype = (np.float32 if m * d * 255**2 < 1 << 24 else np.float64
                                       for m in (2, 4))
-        self._table = table = np.empty((4, n, d + 2), self.dtype)
-        self.sides, sq = table[..., :d], table[..., d]
-        self.sides[...] = np.stack(_sides(pieces)).reshape(4, n, d)
-        sq[...] = (self.sides * self.sides).sum(axis=2)
+        self._table = table = np.empty((2, 4, n, d + 2), self.dtype)
+        samples = table[..., :d].reshape(2, 4, n, b, c)  # a view: d splits into B and C
+        samples[0] = np.stack(_sides(pieces))
+        samples[1] = samples[0, :, :, ::-1]
+        table[..., d] = (table[0, ..., :d] * table[0, ..., :d]).sum(axis=2)
         table[..., d + 1] = 1
-        self._probes = np.empty((4, n, d + 2, 2), self.dtype)
-        self._probes[..., :d, 0] = self.sides
-        self._probes[..., :d, 1] = self.sides.reshape(4, n, b, c)[:, :, ::-1].reshape(4, n, d)
-        self._probes[..., :d, :] *= -2
-        self._probes[..., d, :] = 1
-        self._probes[..., d + 1, :] = sq[..., None]
+        self._probes = probes = np.empty((4, n, d + 2, 2), self.dtype)
+        for r in range(2):
+            np.multiply(table[r, ..., :d], -2, out=probes[..., :d, r])
+        probes[..., d, :] = 1
+        probes[..., d + 1, :] = table[0, ..., d, None]
         # per edge and orientation index: (side, reversed) as Python values
         self._fixed = EDGES[:, orientations].tolist()
-        # per edge of the candidates: the table rows its orientations read,
+        # per edge of the candidates: the forward rows its orientations read,
         # and the gathers from those rows times a probe into key order, for a
         # placed edge read forward and for one read reversed
         self._free = []
-        flat, q = table.reshape(4 * n, d + 2), np.arange(n)[:, None]
+        flat, q = table[0].reshape(4 * n, d + 2), np.arange(n)[:, None]
         for s, r in EDGES[:, orientations].transpose(0, 2, 1):
             lo, hi = s.min(), s.max() + 1
             at = ((s - lo) * n + q) * 2
             self._free.append((flat[lo * n : hi * n], ((at + r).ravel(), (at + 1 - r).ravel())))
-
-    def edges(self, e: int, codes: list[int]) -> np.ndarray:
-        """Edge ``e`` of every piece in each orientation of ``codes``, in key
-        order, as the rows [edge, |edge|^2, 1] of an (n * len(codes), B*C + 2)
-        array of ``dtype``."""
-        b, c = self.shape
-        d = b * c
-        out = np.empty((self.n, len(codes), d + 2), self.dtype)
-        for i, (s, r) in enumerate(EDGES[e, codes].tolist()):
-            side = self.sides[s]
-            out[:, i, :d] = side.reshape(self.n, b, c)[:, ::-1].reshape(self.n, d) if r else side
-            out[:, i, d:] = self._table[s, :, d:]
-        return out.reshape(-1, d + 2)
 
     def row(self, fixed: int, free: int, k: int) -> np.ndarray:
         """Squared difference |a|^2 + |b|^2 - 2 a.b of edge ``fixed`` of key
@@ -445,11 +433,11 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
     computes fewer than K**2 / 2 entries. The ties of the minimum are mapped
     back through the poses, so the result is the full scan's. Rows are
     scanned in blocks of whole first pieces, one matrix product per block:
-    the first keys' edges as rows [-2 a, |a|^2, 1] times the second keys' as
-    [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b with no pass after it: the
+    the first keys' probes [-2 a, 1, |a|^2] times the second keys' table rows
+    [b, |b|^2, 1] give |a|^2 + |b|^2 - 2 a.b with no pass after it: the
     integer numerators of ``_SideTable.row``, whose order and ties are those
-    of the mean. The rows and the block buffer are in the table's exact
-    ``dtype``.
+    of the mean. Both are gathered piece-major into key order, and they and
+    the block buffer are in the table's exact ``dtype``.
     """
     n, codes = table.n, table.orientations
     no = len(codes)
@@ -475,12 +463,12 @@ def _seed(table: _SideTable, relations: tuple[int, ...], poses: list[int]) -> tu
                 images.append((int(dr != 0), dr + dc < 0,
                                index[POSE_COMPOSE[reps, g]], index[POSE_COMPOSE[codes, g]]))
         first, second = _SEAM_SIDES[rel]
-        # rows [-2 a, |a|^2, 1] times rows [b, 1, |b|^2] give |a|^2 + |b|^2 - 2 a.b
-        fe = table.edges(first, reps)
-        fe[:, :-2] *= -2
-        ce = table.edges(second, codes)
-        ce[:, [-2, -1]] = ce[:, [-1, -2]]
-        nr = len(reps)
+        # probes [-2 a, 1, |a|^2] times table rows [b, |b|^2, 1], in key order
+        nr, q = len(reps), np.arange(n)[:, None]
+        s, r = EDGES[first, reps].T
+        fe = table._probes[s, q, :, r].reshape(n * nr, -1)
+        s, r = EDGES[second, codes].T
+        ce = table._table[r, s, q].reshape(kk, -1)
         step = max(1, _SEED_CHUNK // (nr * kk))
         buf = np.empty(min(step, n) * nr * kk, table.dtype)  # one block buffer, reused
         best = (np.inf, -1)
@@ -550,15 +538,16 @@ def greedy_assemble(puzzle: Puzzle, orientation_search: bool = False) -> Assembl
     scores, in the sums' dtype (float32 when B*C <= 64), and O(rescores)
     heap entries; past ``_SUMS_BUDGET`` bytes of sums it raises ``ValueError``.
 
-    Every row comes from one side table, each piece's 4 sides as samples,
-    squared norm and 1, in dtypes that keep every row and sum exact
-    (``_SideTable``). An oriented edge is one of them, forward or reversed,
+    Every row comes from one side table, each piece's 4 sides read forward
+    and reversed as samples, squared norm and 1, in dtypes that keep every
+    row and sum exact (``_SideTable``). An oriented edge is one of its rows,
     so a placed piece's row toward an open cell is one matrix product: the
-    table rows of the sides the candidates' orientations read (with no
+    forward rows of the sides the candidates' orientations read (with no
     orientation search, the relation's own side) times the placed side's
     two-column probe, which scores its edge and the edge reversed, both
     norms included, gathered into key order (K = pieces x orientations
-    keys). No K x K table is built, and no (K, B*C) array outlives the seed.
+    keys). The seed is a probe times table rows as well. No K x K table is
+    built, and no (K, B*C) array outlives the seed.
 
     The seed scan is exact but reduced by symmetry (``_seed``): a global
     pose turns every piece and the pair's offset together and joins the

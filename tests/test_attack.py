@@ -67,6 +67,7 @@ from attack_oracles import (
     reference_pose_grid,
     reference_score_assembly,
 )
+from test_acceptance import METRIC_TABLE
 
 
 def _img(h, w, c=3, seed=0):
@@ -209,54 +210,20 @@ def _oracle_metrics(perm):
 
 
 class TestMetricOracle:
-    """All 24 assemblies of a 2x2 puzzle with distinct pieces, orientation
-    fixed, scored against a hand-enumerated table and an independent oracle."""
-
-    # perm (cell -> piece, row-major): (Dc, Nc, Lc), enumerated by hand
-    TABLE = {
-        (0, 1, 2, 3): (1.0, 1.0, 1.0),
-        (0, 1, 3, 2): (0.5, 0.25, 0.5),
-        (0, 2, 1, 3): (0.5, 0.0, 0.25),
-        (0, 2, 3, 1): (0.25, 0.0, 0.25),
-        (0, 3, 1, 2): (0.25, 0.0, 0.25),
-        (0, 3, 2, 1): (0.5, 0.25, 0.5),
-        (1, 0, 2, 3): (0.5, 0.25, 0.5),
-        (1, 0, 3, 2): (0.0, 0.5, 0.5),
-        (1, 2, 0, 3): (0.25, 0.0, 0.25),
-        (1, 2, 3, 0): (0.0, 0.25, 0.5),
-        (1, 3, 0, 2): (0.0, 0.0, 0.25),
-        (1, 3, 2, 0): (0.25, 0.0, 0.25),
-        (2, 0, 1, 3): (0.25, 0.0, 0.25),
-        (2, 0, 3, 1): (0.0, 0.0, 0.25),
-        (2, 1, 0, 3): (0.5, 0.25, 0.5),
-        (2, 1, 3, 0): (0.25, 0.0, 0.25),
-        (2, 3, 0, 1): (0.0, 0.5, 0.5),
-        (2, 3, 1, 0): (0.0, 0.25, 0.5),
-        (3, 0, 1, 2): (0.0, 0.25, 0.5),
-        (3, 0, 2, 1): (0.25, 0.0, 0.25),
-        (3, 1, 0, 2): (0.25, 0.0, 0.25),
-        (3, 1, 2, 0): (0.5, 0.0, 0.25),
-        (3, 2, 0, 1): (0.0, 0.25, 0.5),
-        (3, 2, 1, 0): (0.0, 0.0, 0.25),
-    }
+    """The hand-enumerated table of all 24 assemblies of a 2x2 puzzle with
+    distinct pieces, orientation fixed, that acceptance criterion 6 scores
+    the implementation against, checked against an independent oracle."""
 
     @staticmethod
     def _puzzle():
         return Puzzle(*split_blocks(_img(32, 32, seed=2), 16), _identity_gt(2, 2))
 
     def test_table_is_complete(self):
-        assert set(self.TABLE) == set(itertools.permutations(range(4)))
+        assert set(METRIC_TABLE) == set(itertools.permutations(range(4)))
 
     def test_table_matches_independent_oracle(self):
-        for perm, want in self.TABLE.items():
+        for perm, want in METRIC_TABLE.items():
             assert _oracle_metrics(perm) == want, perm
-
-    def test_implementation_matches_table(self):
-        pz = self._puzzle()
-        for perm, (dc, nc, lc) in self.TABLE.items():
-            asm = Assembly(np.asarray(perm).reshape(2, 2), np.zeros((2, 2), np.int64))
-            got = score_assembly(asm, pz)
-            assert got == Metrics(dc, nc, lc), perm
 
     def test_spec_worked_example(self):
         pz = self._puzzle()
@@ -488,6 +455,25 @@ class TestGreedyAssemble:
         pieces = pz.pieces.copy()
         greedy_assemble(pz, orientation_search=search)
         assert np.array_equal(pz.pieces, pieces)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_side_table_layout(self, c):
+        # row [r, s, p] is side s of piece p read forward or reversed along B,
+        # then its squared norm and 1; probe [s, p] column r is -2 times row
+        # [r, s, p]'s samples. The seed and greedy oracle tests pin the products
+        rng = np.random.default_rng(c)
+        pieces = rng.integers(0, 256, (5, 4, 4, c), dtype=np.uint8)
+        table = _SideTable(pieces, list(range(8)))
+        d = 4 * c
+        for s, side in enumerate(_sides(pieces)):
+            for p in range(5):
+                fwd, rev = table._table[:, s, p]
+                assert np.array_equal(fwd[:d], side[p].ravel())
+                assert np.array_equal(rev[:d], side[p, ::-1].ravel())
+                norm = float((side[p].astype(np.int64) ** 2).sum())
+                assert fwd[d:].tolist() == rev[d:].tolist() == [norm, 1.0]
+                for r in range(2):
+                    assert np.array_equal(table._probes[s, p, :d, r], -2 * table._table[r, s, p, :d])
 
 
 def _outcome(ground_truth, *args, **kwargs):
@@ -1170,6 +1156,10 @@ class TestBruteForce:
         img = _img(64, 64)
         with pytest.raises(ValueError):
             brute_force_scramble(img, img, CipherConfig(steps="s", block_size=16))
+
+    def test_rejects_grids_that_differ(self):
+        with pytest.raises(ValueError, match="plaintext and ciphertext grids differ"):
+            brute_force_scramble(_img(16, 16), _img(16, 32), CipherConfig(steps="s", block_size=8))
 
 
 def test_attack_report_row_format():

@@ -123,6 +123,11 @@ class TestOrientation:
         with pytest.raises(ValueError):
             apply_orientation(np.zeros((2, 3, 1), dtype=np.uint8), 1)
 
+    @pytest.mark.parametrize("code", [-1, 8])
+    def test_rejects_codes_outside_the_group(self, code):
+        with pytest.raises(ValueError, match=rf"orientation code must be in \[0, 8\), got {code}"):
+            apply_orientation(np.zeros((2, 2, 1), dtype=np.uint8), code)
+
 
 class TestScramble:
     def test_applies_permutation(self):
@@ -183,6 +188,11 @@ class TestPlaneStacking:
     def test_gray_input_passes_through(self):
         img = _img(4, 4, 1)
         assert stack_planes(img) == img
+
+    @pytest.mark.parametrize("h, c", [(6, 3), (4, 1)])
+    def test_unstack_rejects_colour_and_heights_off_three(self, h, c):
+        with pytest.raises(ValueError, match=rf"^cannot unstack ImageBuffer\(4x{h}x{c}\)$"):
+            unstack_planes(_img(h, 4, c))
 
 
 class TestSidecar:

@@ -341,6 +341,8 @@ class TestBuiltinCodec:
             ("no scan data", b"\xff\xda", lambda seg: b"\xff\xd9" + seg),
             ("malformed frame header", b"\xff\xc0", lambda seg: b"\xff\xc0\x00\x07" + seg[4:9]),
             ("frame width is 0", b"\xff\xc0", lambda seg: seg[:7] + b"\x00\x00" + seg[9:]),
+            ("unsupported feature: height defined by a DNL marker", b"\xff\xc0",
+             lambda seg: seg[:5] + b"\x00\x00" + seg[7:]),
             ("unsupported feature: 2-component image", b"\xff\xc0", lambda seg: seg[:9] + b"\x02" + seg[10:]),
             ("malformed SOS segment", b"\xff\xda", lambda seg: seg[:4] + b"\x00" + seg[5:]),
             ("scan names unknown component 9", b"\xff\xda", lambda seg: seg[:5] + b"\x09" + seg[6:]),

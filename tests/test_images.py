@@ -50,6 +50,7 @@ class TestImageBuffer:
         a, b = _img(3, 3, 1, 1), _img(3, 3, 1, 1)
         assert a == b
         assert a != _img(3, 3, 1, 2)
+        assert (a == 3) is False
 
 
 class TestPPM:
@@ -88,6 +89,10 @@ class TestPPM:
     def test_rejects_a_zero_size(self, magic):
         with pytest.raises(ValueError, match="bad dimensions 0x4"):
             load_ppm(magic + b"\n0 4\n255\n")
+
+    def test_rejects_a_header_without_separator(self):
+        with pytest.raises(ValueError, match="missing separator before payload"):
+            load_ppm(b"P5\n1 1\n255")
 
     def test_rejects_nonmax_255(self):
         with pytest.raises(ValueError):
@@ -145,6 +150,11 @@ class TestBlocks:
     def test_split_rejects_non_divisible(self):
         with pytest.raises(ValueError):
             split_blocks(_img(30, 32, 1), 16)
+
+    @pytest.mark.parametrize("cut", [split_blocks, pad_replicate], ids=["split", "pad"])
+    def test_rejects_block_size_zero(self, cut):
+        with pytest.raises(ValueError, match="block_size must be >= 1, got 0"):
+            cut(_img(4, 4, 1), 0)
 
     def test_merge_rejects_wrong_count(self):
         blocks, grid = split_blocks(_img(32, 32, 1), 16)

@@ -202,6 +202,11 @@ def test_keyspace_bits_additivity():
     assert total == pytest.approx(parts, rel=1e-12)
 
 
+def test_keyspace_bits_rejects_no_blocks():
+    with pytest.raises(ValueError, match="n_blocks must be >= 1, got 0"):
+        keyspace_bits(0, "s")
+
+
 def test_keyspace_color_shuffle_needs_color_scheme():
     with pytest.raises(ValueError):
         keyspace_bits(4, "c", scheme="grayscale_based")
@@ -271,9 +276,16 @@ def test_next_u64_array_matches_scalar_draws(seed, n):
     assert draws(seed, n + 1)[:n].tolist() == got.tolist()  # a longer run extends it
 
 
-def test_next_u64_array_rejects_negative():
-    with pytest.raises(ValueError):
-        draws(1, -1)
+@pytest.mark.parametrize("call", [
+    lambda: draws(1, -1),
+    lambda: derive_step_seed(MasterKey(1), -1),
+    lambda: gen_permutation(1, -1),
+    lambda: gen_symbols(1, -1, 8),
+    lambda: gen_symbols(1, -1, 0),  # the count is checked before the alphabet
+], ids=["draws", "step-tag", "permutation", "symbols", "symbols-bad-alphabet"])
+def test_rejects_negative_counts_and_tags(call):
+    with pytest.raises(ValueError, match=r"must be >= 0, got -1$"):
+        call()
 
 
 @pytest.mark.parametrize("n", [0, 3])

@@ -77,10 +77,15 @@ class TestExtractTemplate:
         t = extract_template(img, 2, client_id=9, label=2)
         assert (t.client_id, t.label) == (9, 2)
 
-    def test_rejects_infeasible_dim(self):
-        img = ImageBuffer(np.zeros((2, 2, 1), np.uint8))
-        with pytest.raises(ValueError):
-            extract_template(img, 100)
+    @pytest.mark.parametrize("d, message", [
+        (100, "dimension 100 exceeds pixel count 8"),
+        (7, "cannot partition a 2x4 image into 7 cells"),
+        (0, "dimension must be positive"),
+    ], ids=["past-pixels", "no-grid", "zero"])
+    def test_rejects_infeasible_dim(self, d, message):
+        img = ImageBuffer(np.zeros((2, 4, 1), np.uint8))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            extract_template(img, d)
 
 
 class TestOrthogonalMatrix:
@@ -245,6 +250,14 @@ class TestEnrollClassify:
         with pytest.raises(ValueError):
             enroll(ts)
 
+    def test_enroll_rejects_no_templates(self):
+        with pytest.raises(ValueError, match="cannot enroll an empty template set"):
+            enroll([])
+
+    def test_classify_rejects_a_model_without_classes(self):
+        with pytest.raises(ValueError, match="model has no classes"):
+            classify(Template(np.ones(3), client_id=0), CentroidModel((), np.empty((0, 3))))
+
     def test_classify_rejects_dim_mismatch(self):
         model = enroll(_toy_templates())
         with pytest.raises(ValueError):
@@ -313,6 +326,15 @@ class TestCsv:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             parse_template_csv("")
+
+    @pytest.mark.parametrize("dims, message", [
+        ((), "nothing to serialize"),
+        ((2, 3), "all templates must share one dimension"),
+    ])
+    def test_format_rejects_empty_and_mixed_dims(self, dims, message):
+        ts = [Template(np.ones(d), client_id=i) for i, d in enumerate(dims)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            format_template_csv(ts)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_protected_rejects_non_finite(self, bad):
