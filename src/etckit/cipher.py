@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,10 +129,10 @@ class CipherSidecar:
             fields[k] = v
 
         def number(k: str) -> int:
-            try:
-                return int(fields[k])
-            except ValueError:
-                raise ValueError(f"sidecar field {k} must be an integer, got {fields[k]!r}") from None
+            # plain ASCII digits only: int() would also take "1_6", " 0", "+0" and non-ASCII digits
+            if not re.fullmatch(r"-?[0-9]+", fields[k]):
+                raise ValueError(f"sidecar field {k} must be an integer, got {fields[k]!r}")
+            return int(fields[k])
 
         try:
             version = number("version")

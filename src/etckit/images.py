@@ -11,8 +11,11 @@ import numpy as np
 class ImageBuffer:
     """8-bit raster, 1 (gray) or 3 (RGB) channels, row-major interleaved samples.
 
-    ``data`` is always a ``(height, width, channels)`` uint8 array, which is
-    exactly the flat row-major channel-interleaved layout when viewed as bytes.
+    ``data`` is always a C-contiguous ``(height, width, channels)`` uint8
+    array, which is exactly the flat row-major channel-interleaved layout when
+    viewed as bytes. It may be read-only: :func:`load_ppm` returns a view of
+    the bytes it parsed. :meth:`copy` gives an image with writable data of its
+    own, and no etckit function writes into an image it is given.
     """
 
     __slots__ = ("data",)
@@ -75,6 +78,9 @@ def load_ppm(raw: bytes) -> ImageBuffer:
     """Parse a binary PGM (P5, 1 channel) or PPM (P6, 3 channels), maxval 255.
 
     Header tokens may be separated by any whitespace and ``#`` comments.
+    The image's data is a read-only view of ``raw``'s payload, which it keeps
+    alive; only a buffer its caller can write (a ``bytearray``, a writable
+    ``mmap``) is copied, so no image aliases memory that can change under it.
     """
     magic = raw[:2]
     if magic == b"P5":
@@ -117,18 +123,19 @@ def load_ppm(raw: bytes) -> ImageBuffer:
     if width < 1 or height < 1:
         raise ValueError(f"bad dimensions {width}x{height}")
     n = width * height * channels
-    payload = raw[pos : pos + n]
-    if len(payload) < n:
-        raise ValueError(f"truncated payload: need {n} bytes, have {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return ImageBuffer(arr.copy())
+    if len(raw) - pos < n:
+        raise ValueError(f"truncated payload: need {n} bytes, have {len(raw) - pos}")
+    arr = np.frombuffer(raw, dtype=np.uint8, count=n, offset=pos)
+    if arr.flags.writeable:
+        arr = arr.copy()
+    return ImageBuffer(arr.reshape(height, width, channels))
 
 
 def save_ppm(img: ImageBuffer) -> bytes:
     """Serialize to canonical binary PGM/PPM: ``P5|P6\\n<w> <h>\\n255\\n<samples>``."""
     magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return header + img.tobytes()
+    return b"".join((header, img.data))  # one copy: join reads the samples' buffer in place
 
 
 def _swap_block_axes(data: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:

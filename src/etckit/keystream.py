@@ -174,7 +174,8 @@ def gen_permutation(seed: int, n: int) -> np.ndarray:
 
 def gen_symbols(seed: int, n: int, alphabet: int) -> np.ndarray:
     """``n`` successive draws uniform over ``[0, alphabet)`` from one seeded
-    stream, as an ``int64`` array."""
+    stream, as an ``int64`` array. The count is checked before the alphabet,
+    so a call with both out of range names ``n``."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not 1 <= alphabet <= 1 << 32:

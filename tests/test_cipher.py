@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import combinations
 
 import numpy as np
@@ -284,10 +285,14 @@ class TestSidecar:
             CipherSidecar.from_text(self.VALID + line + "\n")
 
     @pytest.mark.parametrize("field", ["version", "block_size", "orig_w", "orig_h", "pad_r", "pad_b"])
-    def test_non_integer_field_is_named(self, field):
-        text = "".join(f"{k}={'abc' if k == field else v}\n"
+    @pytest.mark.parametrize("value", ["abc", "1_6", "\u0663\u0662", "+0", " 0", "0x10", ""])
+    def test_non_integer_field_is_named(self, field, value):
+        # plain ASCII digits with an optional minus only, as in the PPM header
+        # and the key file; int() alone would read "1_6", "+0", " 0" and the
+        # Arabic-Indic "32"
+        text = "".join(f"{k}={value if k == field else v}\n"
                        for k, v in (ln.split("=") for ln in self.VALID.splitlines()))
-        with pytest.raises(ValueError, match=f"sidecar field {field} must be an integer, got 'abc'"):
+        with pytest.raises(ValueError, match=re.escape(f"sidecar field {field} must be an integer, got {value!r}")):
             CipherSidecar.from_text(text)
 
     def test_rejects_unknown_field_by_name(self):

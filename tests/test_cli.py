@@ -45,19 +45,26 @@ class TestEncryptDecrypt:
             lambda t: t + "pad_r=0\n",
             lambda t: t.replace("scheme=color", "scheme=bogus"),
             lambda t: t.replace("scheme=color", "scheme=grayscale_based"),  # with steps=srnc
+            # integers that int() reads but the sidecar format does not have
+            lambda t: t.replace("block_size=16", "block_size=1_6"),
+            lambda t: t.replace("orig_h=64", "orig_h=\u0666\u0664"),
+            lambda t: t.replace("pad_r=0", "pad_r=+0"),
+            lambda t: t.replace("pad_b=0", "pad_b= 0"),
         ],
         ids=["negative-pad", "pad-too-large", "zero-height", "zero-block", "repeated-key",
-             "unknown-scheme", "shuffle-without-color"],
+             "unknown-scheme", "shuffle-without-color", "underscore", "non-ascii-digits",
+             "plus-sign", "leading-space"],
     )
     def test_bad_sidecar_is_data_error(self, tmp_path, plain_ppm, edit, capsys):
         ct = tmp_path / "ct.ppm"
         assert main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY]) == EXIT_OK
         meta = tmp_path / "ct.ppm.meta"
-        meta.write_text(edit(meta.read_text()))
+        meta.write_text(edit(meta.read_text()), encoding="utf-8")
         out = tmp_path / "back.ppm"
         assert main(["decrypt", str(ct), "--out", str(out), "--key", KEY]) == EXIT_DATA
         assert not out.exists()
-        assert "ct.ppm.meta" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ct.ppm.meta" in err and "Traceback" not in err
 
     def test_undecodable_sidecar_is_data_error(self, tmp_path, plain_ppm, capsys):
         ct = tmp_path / "ct.ppm"

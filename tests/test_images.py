@@ -1,10 +1,15 @@
 import math
+import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etckit.attack import Puzzle, ground_truth_from_plain
+from etckit.cipher import SCHEME_GRAYSCALE, CipherConfig, decrypt, encrypt, stack_planes
+from etckit.codec import CodecParams, jpeg_encode, jpeg_roundtrip, rd_curve
 from etckit.images import (
     BlockGrid,
     ImageBuffer,
@@ -15,12 +20,31 @@ from etckit.images import (
     save_ppm,
     split_blocks,
 )
+from etckit.keystream import MasterKey
+from etckit.templates import extract_template
 from step_oracles import cut_blocks, paste_blocks
 
 
 def _img(h, w, c, seed=0):
     rng = np.random.default_rng(seed)
     return ImageBuffer(rng.integers(0, 256, (h, w, c), dtype=np.uint8))
+
+
+def _traced_peak(fn, *args):
+    """The most memory that tracemalloc saw live while ``fn(*args)`` ran, its
+    result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _anonymous_mmap(raw: bytes) -> mmap.mmap:
+    out = mmap.mmap(-1, len(raw))
+    out.write(raw)
+    return out
 
 
 class TestImageBuffer:
@@ -76,6 +100,29 @@ class TestPPM:
         raw = b"P5 # a comment\n# another\n 2\t2 #w\n255\n\x01\x02\x03\x04"
         img = load_ppm(raw)
         assert img.data[:, :, 0].tolist() == [[1, 2], [3, 4]]
+
+    def test_load_is_a_read_only_view_of_its_bytes(self):
+        raw = save_ppm(_img(5, 7, 3))
+        img = load_ppm(raw)
+        assert not img.data.flags.writeable
+        assert np.shares_memory(img.data, np.frombuffer(raw, np.uint8))
+        assert img.copy().data.flags.writeable
+
+    @pytest.mark.parametrize("writable", [bytearray, _anonymous_mmap])
+    def test_load_copies_a_buffer_its_caller_can_write(self, writable):
+        img = _img(5, 7, 3)
+        raw = writable(save_ppm(img))
+        loaded = load_ppm(raw)
+        raw[-1] ^= 0xFF  # the last sample, were the image a view of raw
+        assert loaded == img
+
+    def test_load_allocates_no_payload(self):
+        raw = save_ppm(_img(512, 512, 3))
+        assert _traced_peak(load_ppm, raw) < 0.01 * 512 * 512 * 3
+
+    def test_save_copies_the_payload_once(self):
+        img = _img(512, 512, 3)
+        assert _traced_peak(save_ppm, img) <= 1.01 * img.data.nbytes
 
     def test_rejects_bad_magic(self):
         with pytest.raises(ValueError):
@@ -268,3 +315,33 @@ class TestPSNR:
     def test_symmetry(self):
         a, b = _img(8, 8, 3, 1), _img(8, 8, 3, 2)
         assert psnr(a, b) == psnr(b, a)
+
+
+_KEY = MasterKey(7)
+
+# library functions that take an image, each given a read-only 48x32 RGB one
+_IMAGE_USES = {
+    "encrypt": lambda img: encrypt(img, _KEY, CipherConfig()),
+    "encrypt-gray": lambda img: encrypt(img, _KEY, CipherConfig(SCHEME_GRAYSCALE)),
+    "decrypt": lambda img: decrypt(img, _KEY, encrypt(img, _KEY, CipherConfig())[1]),
+    "pad_replicate": lambda img: pad_replicate(img, 20),
+    "stack_planes": stack_planes,
+    "split_blocks": lambda img: split_blocks(img, 8),
+    "psnr": lambda img: psnr(img, img),
+    "jpeg_encode": lambda img: jpeg_encode(img, CodecParams()),
+    "jpeg_roundtrip": lambda img: jpeg_roundtrip(img, CodecParams()),
+    "rd_curve": lambda img: rd_curve(img, _KEY, CipherConfig(), [50]),
+    "ground_truth_from_plain": lambda img: ground_truth_from_plain(img, Puzzle.from_image(img, 16)),
+    "extract_template": lambda img: extract_template(img, 6),
+}
+
+
+@pytest.mark.parametrize("use", _IMAGE_USES.values(), ids=_IMAGE_USES.keys())
+def test_a_loaded_image_is_read_only_and_left_unchanged(use):
+    # no etckit function writes into an image it is given: into this one a
+    # write would raise, and the bytes must read the same afterwards
+    img = load_ppm(save_ppm(_img(32, 48, 3)))
+    assert not img.data.flags.writeable
+    before = img.data.tobytes()
+    use(img)
+    assert img.data.tobytes() == before
