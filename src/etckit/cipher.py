@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .images import ImageBuffer, merge_blocks, split_blocks
+from .images import ImageBuffer, merge_blocks, read_int, split_blocks
 from .keystream import (
     TAG_COLOR_SHUFFLE,
     TAG_NEGPOS,
@@ -117,9 +116,8 @@ class CipherSidecar:
     @classmethod
     def from_text(cls, text: str) -> "CipherSidecar":
         fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for line in text.splitlines():  # unstripped: a space is part of the field it touches
+            if not line.strip():
                 continue
             if "=" not in line:
                 raise ValueError(f"malformed sidecar line {line!r}")
@@ -127,20 +125,14 @@ class CipherSidecar:
             if k in fields:
                 raise ValueError(f"sidecar repeats field {k!r}")
             fields[k] = v
-
-        def number(k: str) -> int:
-            # plain ASCII digits only: int() would also take "1_6", " 0", "+0" and non-ASCII digits
-            if not re.fullmatch(r"-?[0-9]+", fields[k]):
-                raise ValueError(f"sidecar field {k} must be an integer, got {fields[k]!r}")
-            return int(fields[k])
-
         try:
-            version = number("version")
+            version = read_int(fields["version"], "sidecar field version")
             if version != SIDECAR_VERSION:
                 raise ValueError(f"unsupported sidecar version {version}")
             if unknown := sorted(fields.keys() - {"version", *cls.__dataclass_fields__}):
                 raise ValueError(f"unknown sidecar field(s) {', '.join(map(repr, unknown))}")
-            ints = {k: number(k) for k in ("block_size", "orig_w", "orig_h", "pad_r", "pad_b")}
+            ints = {k: read_int(fields[k], f"sidecar field {k}")
+                    for k in ("block_size", "orig_w", "orig_h", "pad_r", "pad_b")}
             return cls(scheme=fields["scheme"], steps=normalize_steps(fields["steps"]), **ints)
         except KeyError as exc:
             raise ValueError(f"sidecar missing field {exc}") from exc

@@ -36,7 +36,7 @@ from .cipher import (
     stack_planes,
 )
 from .codec import CodecError, CodecParams, rd_csv, rd_curve
-from .images import load_ppm, pad_replicate, save_ppm
+from .images import load_ppm, pad_replicate, read_int, save_ppm
 from .keystream import MASK64, MasterKey, format_key_file, parse_key_file
 from .templates import classify, enroll, format_template_csv, parse_template_csv, protect_template
 
@@ -126,7 +126,7 @@ def _add_key_flags(p, gen_key: bool = False):
 
 def _add_cipher_flags(p):
     p.add_argument("--scheme", choices=sorted(_SCHEMES), default="color")
-    p.add_argument("--block-size", type=int, metavar="N", help="default: 16 color, 8 gray")
+    p.add_argument("--block-size", type=read_int, metavar="N", help="default: 16 color, 8 gray")
     p.add_argument(
         "--steps",
         metavar="LIST",
@@ -175,9 +175,11 @@ def build_parser() -> _Parser:
     _add_key_flags(p)
     _add_cipher_flags(p)
 
-    p = sub.add_parser("keyspace", help="key-space size for a geometry")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p = sub.add_parser("keyspace", help="key-space size for a geometry", description=(
+        "Key-space size of a WIDTHxHEIGHT RGB image. The gray scheme stacks its three planes, "
+        "so it counts the blocks of all three; a PGM is not stacked and has a third of them."))
+    p.add_argument("--width", type=read_int, required=True)
+    p.add_argument("--height", type=read_int, required=True)
     _add_cipher_flags(p)
 
     p = sub.add_parser("protect", help="apply keyed orthogonal protection to a template CSV")
@@ -237,12 +239,11 @@ def _cmd_rd_curve(args) -> int:
     cfg = _config(args)
     img = _parse(args.image, load_ppm)
     try:
-        qualities = [int(q) for q in args.qualities.split(",") if q.strip()]
+        items = args.qualities.split(",")
         params = CodecParams(subsampling=args.subsampling)
-        if not qualities:
+        if not any(items):  # "" and ","; "50,,85" is refused for its empty item
             raise ValueError("qualities must be non-empty")
-        for q in qualities:  # raises on a quality outside 1..100
-            CodecParams(quality=q)
+        qualities = [CodecParams(quality=read_int(q, "quality")).quality for q in items]  # in 1..100
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     plain_pts, enc_pts = rd_curve(img, key, cfg, qualities, params)

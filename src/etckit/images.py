@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,14 @@ class BlockGrid:
         return self.rows * self.cols
 
 
+def read_int(text: str | bytes, what: str = "value") -> int:
+    """``text`` as an int if it spells ``-?[0-9]+`` in ASCII, the one integer format of PPM
+    headers, sidecars, template CSVs and flags; int() also takes " 1", "+1", "1_0", non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text if isinstance(text, str) else text.decode("latin-1")):
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    return int(text)
+
+
 def load_ppm(raw: bytes) -> ImageBuffer:
     """Parse a binary PGM (P5, 1 channel) or PPM (P6, 3 channels), maxval 255.
 
@@ -107,10 +116,7 @@ def load_ppm(raw: bytes) -> ImageBuffer:
             end = pos
             while end < len(raw) and not raw[end : end + 1].isspace():
                 end += 1
-            token = raw[pos:end]
-            if not token.isdigit():
-                raise ValueError(f"malformed header token {token!r}")
-            fields.append(int(token))
+            fields.append(read_int(raw[pos:end], "header token"))
             pos = end
     # exactly one whitespace byte separates the header from the payload
     if pos >= len(raw) or not raw[pos : pos + 1].isspace():

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .images import ImageBuffer
+from .images import ImageBuffer, read_int
 from .keystream import TAG_TEMPLATE, MasterKey, derive_step_seed, draws
 
 _LUMA = (0.299, 0.587, 0.114)
@@ -258,7 +258,7 @@ def parse_template_csv(text: str, protected: bool = False):
         try:
             if ln.count(",") != d + 1:
                 raise ValueError(f"row has {ln.count(',') + 1} fields, expected {d + 2}")
-            heads.append((at, int(fields[0]), int(fields[1]) if fields[1] != "" else None))
+            heads.append((at, read_int(fields[0], "client_id"), read_int(fields[1], "label") if fields[1] else None))
         except ValueError as exc:
             refused = exc, at
             break

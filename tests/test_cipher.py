@@ -285,11 +285,11 @@ class TestSidecar:
             CipherSidecar.from_text(self.VALID + line + "\n")
 
     @pytest.mark.parametrize("field", ["version", "block_size", "orig_w", "orig_h", "pad_r", "pad_b"])
-    @pytest.mark.parametrize("value", ["abc", "1_6", "\u0663\u0662", "+0", " 0", "0x10", ""])
+    @pytest.mark.parametrize("value", ["abc", "1_6", "\u0663\u0662", "+0", " 0", "0 ", "0x10", ""])
     def test_non_integer_field_is_named(self, field, value):
         # plain ASCII digits with an optional minus only, as in the PPM header
-        # and the key file; int() alone would read "1_6", "+0", " 0" and the
-        # Arabic-Indic "32"
+        # and the key file; int() alone would read "1_6", "+0", " 0", "0 " and
+        # the Arabic-Indic "32", and a line's spaces belong to its field
         text = "".join(f"{k}={value if k == field else v}\n"
                        for k, v in (ln.split("=") for ln in self.VALID.splitlines()))
         with pytest.raises(ValueError, match=re.escape(f"sidecar field {field} must be an integer, got {value!r}")):

@@ -12,6 +12,16 @@ from etckit.templates import Template, format_template_csv, protect_template
 
 KEY = "00000000000000ab"
 
+# Spellings of n that are not the one integer format, ASCII -?[0-9]+, of the
+# PPM header, sidecars, template CSVs and flags. int() reads the first five
+# (n >= 10); nothing ever read the last three.
+_NOT_INTS = {
+    "leading-space": " {}".format, "trailing-space": "{} ".format, "plus": "+{}".format,
+    "underscore": lambda n: f"{str(n)[0]}_{str(n)[1:]}",
+    "arabic-indic": lambda n: "".join(chr(0x660 + int(d)) for d in str(n)),
+    "hex": "0x{}".format, "point": "{}.0".format, "empty": lambda n: "",
+}
+
 
 @pytest.fixture
 def plain_ppm(tmp_path):
@@ -208,7 +218,8 @@ class TestRDCurve:
         assert out.read_text().startswith("path,quality,bpp,psnr_db\n")
 
     def test_bad_quality_list_is_usage_error(self, plain_ppm):
-        for qualities in ("a,b", "0", "101", "85,101", ","):
+        # an empty item is no integer: "50,,85" and "50,85," are refused, not read as 50,85
+        for qualities in ("a,b", "0", "101", "85,101", ",", "", "50,,85", "50,85,"):
             code = main(["rd-curve", str(plain_ppm), "--key", KEY, "--qualities", qualities])
             assert code == EXIT_USAGE, qualities
 
@@ -541,6 +552,33 @@ def test_unwritable_output_is_data_error(tmp_path, plain_ppm, capsys, argv):
     assert f"cannot write {bad}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spell", _NOT_INTS.values(), ids=_NOT_INTS)
+def test_integers_have_one_format_everywhere(tmp_path, plain_ppm, capsys, spell):
+    for argv in (["keyspace", "--width", spell(64), "--height", "64"],
+                 ["keyspace", "--width", "64", "--height", spell(64)],
+                 ["keyspace", "--width", "64", "--height", "64", "--block-size", spell(16)],
+                 ["rd-curve", str(plain_ppm), "--key", KEY, "--qualities", f"50,{spell(85)}"]):
+        assert main(argv) == EXIT_USAGE, argv
+    assert "Traceback" not in capsys.readouterr().err
+
+    csv, ct, meta = tmp_path / "t.csv", tmp_path / "ct.ppm", tmp_path / "ct.ppm.meta"
+    csv.write_text(f"client_id,label,v0\n{spell(10)},0,0.5\n")
+    assert main(["encrypt", str(plain_ppm), "--out", str(ct), "--key", KEY]) == EXIT_OK
+    meta.write_text(meta.read_text().replace("orig_w=64", f"orig_w={spell(64)}"))
+    cases = [(["protect", str(csv), "--key", KEY], "client_id"),
+             (["decrypt", str(ct), "--out", str(tmp_path / "back.ppm"), "--key", KEY],
+              "sidecar field orig_w")]
+    if spell(64) and spell(64).strip() == spell(64):  # whitespace separates PPM header tokens
+        wide = tmp_path / "wide.ppm"
+        wide.write_bytes(plain_ppm.read_bytes().replace(b"64 64", f"{spell(64)} 64".encode(), 1))
+        cases.append((["encrypt", str(wide), "--out", str(tmp_path / "x.ppm"), "--key", KEY],
+                      "header token"))
+    for argv, what in cases:
+        assert main(argv) == EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert f"{what} must be an integer, got " in err and "Traceback" not in err
+
+
 class TestVersion:
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -581,22 +619,25 @@ _KEYS = _part(
 )
 _CIPHER = [
     _arg("--scheme", ["color", "gray"], ["bogus"]),
-    _arg("--block-size", ["8", "16"], ["0", "-3", "7", "x"]),
+    _arg("--block-size", ["8", "16"], ["0", "-3", "7", "x", *(s(16) for s in _NOT_INTS.values())]),
     _arg("--steps", ["", "s", "s,r", "srn"], ["q", "c", "srnc", "negpos"]),
 ]
+_BAD_SIDES = [s(64) for s in _NOT_INTS.values()]
 _GRAMMAR = {
     "encrypt": [_IMAGE, _arg("--out", *_OUTS, True), _arg("--sidecar", *_OUTS), _switch("--pad"),
                 _KEYS, _arg("--gen-key", [], ["out.bin", "nodir/x"]), *_CIPHER],
     "decrypt": [_IMAGE, _arg("--out", *_OUTS, True), _KEYS,
                 _arg("--sidecar", ["ct.ppm.meta"], ["bad.meta", "dir"])],
-    "rd-curve": [_IMAGE, _arg("--qualities", ["50", "95,50"], ["", "0", "x", "50,101"]),
+    "rd-curve": [_IMAGE,
+                 _arg("--qualities", ["50", "95,50"], ["", "0", "x", "50,101", "50,,85", "50,85,",
+                                                      *(s(50) for s in _NOT_INTS.values())]),
                  _arg("--subsampling", ["420", "444"], ["411"]),
                  _arg("--out", *_OUTS), _KEYS, *_CIPHER],
     "attack": [_IMAGE, _arg("--plain", ["a.ppm"], ["g.pgm", "odd.ppm", "dir"], True),
                _switch("--orientation-search"), _arg("--out-csv", *_OUTS),
                _arg("--out-image", *_OUTS), _KEYS, *_CIPHER],
-    "keyspace": [_arg("--width", ["32", "64"], ["13", "0", "-1", "x"], True),
-                 _arg("--height", ["32", "64"], ["13", "0", "-1", "x"], True), *_CIPHER],
+    "keyspace": [_arg("--width", ["32", "64"], ["13", "0", "-1", "x", *_BAD_SIDES], True),
+                 _arg("--height", ["32", "64"], ["13", "0", "-1", "x", *_BAD_SIDES], True), *_CIPHER],
     "protect": [_CSV, _arg("--out", *_OUTS), _KEYS],
     "classify": [_CSV, _arg("--model", ["p.csv", "t.csv"], ["a.ppm", "dir"], True),
                  _arg("--out", *_OUTS)],

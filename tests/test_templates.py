@@ -341,21 +341,29 @@ class TestCsv:
         with pytest.raises(ValueError, match="finite"):
             parse_template_csv(f"client_id,label,v0,v1\n1,0,0.5,{bad}\n", protected=True)
 
+    # int() reads the first five as 1, 1, 1, 10 and 1; the one integer format is
+    # ASCII -?[0-9]+, and a label may only be empty as a whole field
+    _NOT_INTS = {"leading-space": " 1", "trailing-space": "1 ", "plus": "+1", "underscore": "1_0",
+                 "arabic-indic": "\u0661", "hex": "0x1", "point": "1.0", "empty": ""}
+
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("x,0,0.5,0.5", "invalid literal for int"),
-            ("3,y,0.5,0.5", "invalid literal for int"),
+            ("x,0,0.5,0.5", "client_id must be an integer, got 'x'"),
+            ("3,y,0.5,0.5", "label must be an integer, got 'y'"),
             ("3,0,0.5,half", "could not convert string to float"),
             ("3,0,0.5", "row has 3 fields, expected 4"),
             ("3,0,0.5,1e999", "finite"),
+            *((f"{v},0,0.5,0.5", f"client_id must be an integer, got {v!r}") for v in _NOT_INTS.values()),
+            *((f"3,{v},0.5,0.5", f"label must be an integer, got {v!r}") for v in _NOT_INTS.values() if v),
         ],
-        ids=["client-id", "label", "value", "ragged", "non-finite"],
+        ids=["client-id", "label", "value", "ragged", "non-finite",
+             *(f"client-id-{k}" for k in _NOT_INTS), *(f"label-{k}" for k in _NOT_INTS if k != "empty")],
     )
     def test_row_errors_name_their_line(self, row, message):
         # line 4 of the text: the blank line 3 still counts
         text = f"client_id,label,v0,v1\n1,0,0.5,0.5\n\n{row}\n2,1,0.1,0.2\n"
-        with pytest.raises(ValueError, match=f"^line 4: .*{message}"):
+        with pytest.raises(ValueError, match=f"^line 4: .*{re.escape(message)}"):
             parse_template_csv(text)
 
     @pytest.mark.filterwarnings("error")  # the reader warns on a batch of blank rows
