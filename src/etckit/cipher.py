@@ -180,12 +180,24 @@ def _sides(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
 # may overwrite its input.
 
 
-def _by_code(n_codes: int, planes):
-    # per code in [1, n_codes): np.take its blocks and fill the scatter source plane by
-    # plane, not pixel by pixel (a C-sample inner loop); two copies of them at most
+def _by_code(n_codes: int, planes, words=None):
+    # One stable sort of the codes groups the blocks, each group in stack order. A
+    # group of code k in [1, n_codes) is np.take-n and scattered back (two copies of
+    # it at most). Where a C = 1 stack's block rows are contiguous 2-, 4- or 8-byte
+    # words, words[k] maps the group's (m, B) row words; otherwise the scatter source
+    # is filled plane by plane, not pixel by pixel (a C-sample inner loop).
     def step_map(blocks: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        for code in range(1, n_codes):
-            idx = np.flatnonzero(codes == code)
+        order = np.argsort(codes, kind="stable")
+        starts = np.searchsorted(codes, np.arange(1, n_codes + 1, dtype=codes.dtype), sorter=order)
+        _, b, _, c = blocks.shape
+        as_words = words and c == 1 and b in (2, 4, 8) and blocks.strides[2] == 1
+        rows = blocks[..., 0].view(f"u{b}")[..., 0] if as_words else None
+        for code, idx in enumerate(np.split(order, starts)[1:-1], 1):
+            if not idx.size:
+                continue
+            if as_words and code in words:
+                rows[idx] = words[code](np.take(rows, idx, axis=0))
+                continue
             moved = np.take(blocks, idx, axis=0)
             out = np.empty_like(moved)
             for ch, plane in enumerate(planes(moved, code)):
@@ -195,7 +207,10 @@ def _by_code(n_codes: int, planes):
     return step_map
 
 
-_rotate_flip = _by_code(8, lambda m, k: np.moveaxis(apply_orientation(m, k), -1, 0))
+# a byteswap mirrors each row word (code 4); reversing the words flips the block upside down (6)
+_rotate_flip = _by_code(8, lambda m, k: np.moveaxis(apply_orientation(m, k), -1, 0),
+                        {4: lambda w: w.byteswap(inplace=True), 2: lambda w: w.byteswap(inplace=True)[:, ::-1],
+                         6: lambda w: w[:, ::-1]})
 _color_shuffle = _by_code(len(CHANNEL_PERMS), lambda m, k: (m[..., ch] for ch in CHANNEL_PERMS[k]))
 
 
@@ -285,13 +300,14 @@ def apply_poses(blocks: np.ndarray, poses: np.ndarray) -> np.ndarray:
     top = 16 * len(CHANNEL_PERMS)  # len(POSE_INVERSE), which is read off this function
     if poses.size and (poses.min() < 0 or poses.max() >= top):
         raise ValueError(f"pose code {poses[(poses < 0) | (poses >= top)][0]} is outside [0, {top})")
-    perm, rest = np.divmod(poses, 16)
+    codes = poses.astype(np.uint8, copy=False)
+    perm = codes >> 4
     if perm.any() and blocks.shape[-1] != 3:
         raise ValueError(f"pose {poses[perm.argmax()]} orders channels, which needs 3, not {blocks.shape[-1]}")
-    neg, orient = np.divmod(rest, 8)
-    blocks = _rotate_flip(blocks, orient)
+    neg = (codes >> 3) & 1
+    blocks = _rotate_flip(blocks, codes & 7)
     if neg.any():  # p -> 255 - p is p ^ 255; the mask broadcasts, so it stays in place on any layout
-        blocks ^= (neg.astype(np.uint8) * 255)[:, None, None, None]
+        blocks ^= (neg * 255)[:, None, None, None]
     return _color_shuffle(blocks, perm) if perm.any() else blocks
 
 

@@ -124,9 +124,13 @@ def _add_key_flags(p, gen_key: bool = False):
         )
 
 
+def integer(text: str) -> int:  # argparse names a bad flag by its type's __name__
+    return read_int(text)
+
+
 def _add_cipher_flags(p):
     p.add_argument("--scheme", choices=sorted(_SCHEMES), default="color")
-    p.add_argument("--block-size", type=read_int, metavar="N", help="default: 16 color, 8 gray")
+    p.add_argument("--block-size", type=integer, metavar="N", help="default: 16 color, 8 gray")
     p.add_argument(
         "--steps",
         metavar="LIST",
@@ -178,8 +182,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("keyspace", help="key-space size for a geometry", description=(
         "Key-space size of a WIDTHxHEIGHT RGB image. The gray scheme stacks its three planes, "
         "so it counts the blocks of all three; a PGM is not stacked and has a third of them."))
-    p.add_argument("--width", type=read_int, required=True)
-    p.add_argument("--height", type=read_int, required=True)
+    p.add_argument("--width", type=integer, required=True)
+    p.add_argument("--height", type=integer, required=True)
     _add_cipher_flags(p)
 
     p = sub.add_parser("protect", help="apply keyed orthogonal protection to a template CSV")

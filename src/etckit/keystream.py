@@ -181,7 +181,10 @@ def gen_symbols(seed: int, n: int, alphabet: int) -> np.ndarray:
     if not 1 <= alphabet <= 1 << 32:
         raise ValueError(f"alphabet must be in [1, 2**32], got {alphabet}")
     out = draws(seed, n)
-    out %= np.uint64(alphabet)
+    if alphabet & (alphabet - 1):
+        out %= np.uint64(alphabet)
+    else:  # a power of two: the low bits, without a 64-bit division
+        out &= np.uint64(alphabet - 1)
     return out.view(np.int64)  # exact: every value is below 2**32
 
 

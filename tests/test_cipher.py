@@ -524,7 +524,7 @@ class TestStepTable:
             return [rng.permutation(codes)]
         return [np.array([code]) for code in range(n_codes)]
 
-    @pytest.mark.parametrize("b", [1, 2, 3, 16])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8, 16])
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("kind", ["every-code-twice", "one-code-absent", "single-block"])
